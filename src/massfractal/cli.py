@@ -8,7 +8,7 @@ Usage sketches:
 
     massfractal spectrum --family max-deng --n 3
     massfractal spectrum --input masses.json --format svg --output fig.svg
-    massfractal dimension --input example.json --alpha 1,2,3
+    massfractal dimension --input example.json --alpha -2,1,2,3
     massfractal sweep --family uniform-powerset --n 10 --alpha-start 1 --alpha-stop 29 --alpha-step 4
     massfractal table T5 --output table5.csv
     massfractal family --family max-deng --n 4 --emit masses.json
@@ -496,6 +496,28 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"could not parse alpha list {text!r}")
 
 
+def _attach_negative_alpha(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha -2,0,1`` as ``--alpha=-2,0,1``.
+
+    argparse takes a separate value that starts with ``-`` for an option
+    unless it is a single number, so an order list whose first order is
+    negative would be rejected.  Only values that parse as an order list are
+    attached; anything else is left for argparse to report.
+    """
+    attached: list[str] = []
+    for arg in argv:
+        if attached and attached[-1] == "--alpha" and arg.startswith("-"):
+            try:
+                _alpha_list(arg)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                attached[-1] = f"--alpha={arg}"
+                continue
+        attached.append(arg)
+    return attached
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massfractal",
@@ -597,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: UnknownCommand: {argv[0]!r} is not a massfractal command\n")
         return EXIT_UNKNOWN
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_alpha(argv))
     try:
         cfg = _config_from_args(args)
         return _DISPATCH[cfg.command](cfg)

@@ -10,7 +10,12 @@ Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames of size 20..25 without enumerating ``2**n``
-subsets.
+subsets.  Explicit mass functions reach the same band form through
+``entropy.as_profile_bands``, which groups focal elements on exact
+``(cardinality, mass)`` pairs, so asymmetric functions with repeated masses
+compress too.  :func:`cardinality_profile`, which merges equal-cardinality
+masses within a relative 1e-12 onto the lowest, is not on the evaluation
+path: evaluation keeps such masses in separate bands.
 """
 
 from __future__ import annotations

@@ -8,15 +8,15 @@ alpha = 1 is always handled by an exact limit branch, never by evaluating
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import MassFunction, ProfileBand, cardinality_profile
+from .core import MassFunction, ProfileBand
 from .errors import (
     DegenerateSupport,
     MassOutOfRange,
     NegativeOrderUnsupported,
-    NotCardinalitySymmetric,
     SumNotOne,
 )
 
@@ -101,16 +101,21 @@ def renyi_information_dimension(p: ProbabilityDistribution, order: EntropyOrder)
 
 
 def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
-    """Best evaluation form of a mass function: compressed cardinality bands
-    when the function is cardinality-symmetric, one band per focal element
-    otherwise."""
-    try:
-        return cardinality_profile(m)
-    except NotCardinalitySymmetric:
-        return [
-            ProfileBand(element.cardinality, mass, 1)
-            for element, mass in m.assignments
-        ]
+    """The evaluation form of a mass function: its focal elements grouped on
+    exact ``(cardinality, mass)`` pairs, one band per pair, sorted by pair.
+
+    Every term of the entropy and dimension sums depends on a focal element
+    only through that pair, so each band stands for ``multiplicity``
+    identical terms.  On a cardinality-symmetric function this is exactly
+    :func:`~massfractal.core.cardinality_profile`; an asymmetric function
+    whose masses repeat compresses too.  Masses are compared bit for bit,
+    so two masses that differ in the last place stay in separate bands.
+    """
+    counts = Counter((element.cardinality, mass) for element, mass in m.assignments)
+    return [
+        ProfileBand(cardinality, mass, multiplicity)
+        for (cardinality, mass), multiplicity in sorted(counts.items())
+    ]
 
 
 def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[int, float, int]]) -> float:
@@ -125,9 +130,9 @@ def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[in
 def deng_entropy(m: MassFunction) -> float:
     """Deng entropy -sum m(A) log2(m(A) / (2**|A| - 1)) in bits.
 
-    Cardinality-symmetric mass functions are evaluated through their profile
-    bands, so the cost scales with the number of cardinalities rather than
-    the number of focal elements.
+    The sum runs over the bands of :func:`as_profile_bands`, so the cost
+    scales with the number of distinct ``(cardinality, mass)`` pairs rather
+    than the number of focal elements.
     """
     return deng_entropy_from_profile(as_profile_bands(m))
 

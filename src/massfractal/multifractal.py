@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FocalElement, MassFunction, ProfileBand
 from .entropy import LIMIT_ONE_WINDOW, as_profile_bands, deng_entropy_from_profile
@@ -188,12 +188,12 @@ def spectrum(m: MassFunction, grouping_tolerance: float = GROUPING_TOLERANCE) ->
     Two masses count as "the same" when their relative difference is within
     ``grouping_tolerance``; each group becomes one :class:`SpectrumPoint`.
     Grouping is by mass alone, so focal elements of different cardinalities
-    sharing a mass merge into a single point.
+    sharing a mass merge into a single point.  The grouping starts from the
+    exact ``(cardinality, mass)`` bands of
+    :func:`~massfractal.entropy.as_profile_bands`, so its cost scales with
+    the number of distinct pairs.
     """
-    bands = [
-        ProfileBand(element.cardinality, mass, 1) for element, mass in m.assignments
-    ]
-    return _spectrum_from_bands(bands, m.frame.size, grouping_tolerance)
+    return _spectrum_from_bands(as_profile_bands(m), m.frame.size, grouping_tolerance)
 
 
 def spectrum_from_profile(
@@ -216,7 +216,33 @@ def _log2_power_sum(exponents: list[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
-def _dimension_from_bands(bands: list[ProfileBand], alpha: float) -> DimensionResult:
+class _PreparedBands(NamedTuple):
+    """Bands with every order-independent log taken once, ready for any
+    number of orders."""
+
+    bands: list[ProfileBand]
+    log_weights: list[float]
+    log_multiplicities: list[float]
+    log_masses: list[float]
+
+
+def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
+    return _PreparedBands(
+        bands,
+        [math.log2(2 ** band.cardinality - 1) for band in bands],
+        [math.log2(band.multiplicity) for band in bands],
+        [math.log2(band.mass) for band in bands],
+    )
+
+
+def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
+    if m.frame.size < 2:
+        raise DegenerateFrame("the dimension needs a frame of at least two hypotheses")
+    return _prepare(as_profile_bands(m))
+
+
+def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
+    bands, log_weights, log_multiplicities, log_masses = prepared
     limit_one = abs(alpha - 1.0) < LIMIT_ONE_WINDOW
 
     # A lone focal element holding the whole unit of mass has the closed form
@@ -224,7 +250,7 @@ def _dimension_from_bands(bands: list[ProfileBand], alpha: float) -> DimensionRe
     # log2(2**c - 1), so the value is computed directly, independent of the
     # frame, rather than through a ratio that would wobble in the last bit.
     if len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0:
-        log_weight = math.log2(2 ** bands[0].cardinality - 1)
+        log_weight = log_weights[0]
         if log_weight == 0.0:
             raise ZeroDenominator(
                 "a lone singleton of mass 1 has denominator log2(1) = 0"
@@ -247,18 +273,15 @@ def _dimension_from_bands(bands: list[ProfileBand], alpha: float) -> DimensionRe
             branch=DimensionBranch.GENERAL,
         )
 
-    log_weights = [math.log2(2 ** band.cardinality - 1) for band in bands]
-    log_multiplicities = [math.log2(band.multiplicity) for band in bands]
-
     if limit_one:
         den_exponents = [
-            band.mass * lw + lm
-            for band, lw, lm in zip(bands, log_weights, log_multiplicities)
+            band.mass * lw + lk
+            for band, lw, lk in zip(bands, log_weights, log_multiplicities)
         ]
     else:
         den_exponents = [
-            alpha * band.mass * lw + lm
-            for band, lw, lm in zip(bands, log_weights, log_multiplicities)
+            alpha * band.mass * lw + lk
+            for band, lw, lk in zip(bands, log_weights, log_multiplicities)
         ]
     denominator_bits = _log2_power_sum(den_exponents)
     if denominator_bits == 0.0:
@@ -269,8 +292,8 @@ def _dimension_from_bands(bands: list[ProfileBand], alpha: float) -> DimensionRe
         branch = DimensionBranch.LIMIT_ONE
     else:
         num_exponents = [
-            alpha * (math.log2(band.mass) - lw) + lw + lm
-            for band, lw, lm in zip(bands, log_weights, log_multiplicities)
+            alpha * (lm - lw) + lw + lk
+            for lm, lw, lk in zip(log_masses, log_weights, log_multiplicities)
         ]
         numerator_bits = _log2_power_sum(num_exponents) / (1.0 - alpha)
         branch = DimensionBranch.GENERAL
@@ -284,26 +307,44 @@ def _dimension_from_bands(bands: list[ProfileBand], alpha: float) -> DimensionRe
     )
 
 
+def _sweep(prepare: Callable[[], _PreparedBands], alphas: Iterable[float]) -> list[SweepEntry]:
+    """The one sweep loop: bands are prepared on the first order and reused
+    for every later one; a preparation that fails on a degenerate frame is
+    reported at each order like any other per-order error."""
+    prepared = None
+    entries: list[SweepEntry] = []
+    for alpha in alphas:
+        alpha = float(alpha)
+        try:
+            if prepared is None:
+                prepared = prepare()
+            entries.append(SweepEntry(alpha, _dimension_from_bands(prepared, alpha), None))
+        except (ZeroDenominator, DegenerateFrame) as failure:
+            entries.append(SweepEntry(alpha, None, type(failure).__name__))
+    return entries
+
+
 def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     """Order-alpha multifractal dimension of a mass function.
 
     The order may be any real.  Orders within 1e-12 of 1 take the limit
-    branch, whose numerator is the Deng entropy.  Cardinality-symmetric mass
-    functions are evaluated through their profile bands automatically.
+    branch, whose numerator is the Deng entropy.  The focal elements are
+    evaluated through :func:`~massfractal.entropy.as_profile_bands`, grouped
+    on exact ``(cardinality, mass)``, so the cost scales with the number of
+    distinct pairs: cardinality-symmetric functions, and asymmetric ones
+    whose masses repeat, compress alike.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
     lone singleton of mass one, or order zero on a lone focal element) and
     :class:`DegenerateFrame` on one-hypothesis frames.
     """
-    if m.frame.size < 2:
-        raise DegenerateFrame("the dimension needs a frame of at least two hypotheses")
-    return _dimension_from_bands(as_profile_bands(m), float(alpha))
+    return _dimension_from_bands(_prepare_mass_function(m), float(alpha))
 
 
 def dimension_from_profile(profile: ProfileLike, alpha: float) -> DimensionResult:
     """Multifractal dimension straight from (cardinality, mass, multiplicity)
     bands, for symmetric families too large to materialize."""
-    return _dimension_from_bands(_as_bands(profile), float(alpha))
+    return _dimension_from_bands(_prepare(_as_bands(profile)), float(alpha))
 
 
 def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry]:
@@ -311,16 +352,11 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
 
     One entry comes back per requested order, in input order; an order that
     fails (zero denominator, degenerate frame) yields an entry carrying the
-    error name instead of aborting the remaining orders.
+    error name instead of aborting the remaining orders.  The bands are
+    built and prepared once for the whole sweep, and each entry equals what
+    :func:`multifractal_dimension` returns at that order.
     """
-    entries: list[SweepEntry] = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        try:
-            entries.append(SweepEntry(alpha, multifractal_dimension(m, alpha), None))
-        except (ZeroDenominator, DegenerateFrame) as failure:
-            entries.append(SweepEntry(alpha, None, type(failure).__name__))
-    return entries
+    return _sweep(lambda: _prepare_mass_function(m), alphas)
 
 
 def dimension_sweep_from_profile(
@@ -328,14 +364,7 @@ def dimension_sweep_from_profile(
 ) -> list[SweepEntry]:
     """Profile-band twin of :func:`dimension_sweep`."""
     bands = _as_bands(profile)
-    entries: list[SweepEntry] = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        try:
-            entries.append(SweepEntry(alpha, _dimension_from_bands(bands, alpha), None))
-        except (ZeroDenominator, DegenerateFrame) as failure:
-            entries.append(SweepEntry(alpha, None, type(failure).__name__))
-    return entries
+    return _sweep(lambda: _prepare(bands), alphas)
 
 
 def quadratic_envelope(n: int) -> QuadraticEnvelope:

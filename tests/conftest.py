@@ -39,6 +39,23 @@ def random_mass_function(rng: random.Random, n: int, count: int | None = None) -
     return validate_mass_function(FrameOfDiscernment(n), raw)
 
 
+def pooled_mass_function(rng: random.Random, n: int, pool_size: int = 3) -> MassFunction:
+    """A random dyadic mass function whose masses come from a small pool.
+
+    A dyadic composition of 1 into ``pool_size`` parts is drawn, and each
+    part is split into 1, 2, 4 or 8 equal (still exact) pieces, so many
+    focal elements share a mass and, on small frames, a cardinality too.
+    Needs ``2**n - 1 >= 8 * pool_size`` subsets to place the pieces on.
+    """
+    pieces = []
+    for part in dyadic_masses(rng, pool_size):
+        copies = 2 ** rng.randint(0, 3)
+        pieces += [part / copies] * copies
+    masks = rng.sample(range(1, 2 ** n), len(pieces))
+    raw = [(mask_to_members(mask), mass) for mask, mass in zip(masks, pieces)]
+    return validate_mass_function(FrameOfDiscernment(n), raw)
+
+
 def random_bayesian(rng: random.Random, n: int) -> MassFunction:
     """A random Bayesian mass function: positive dyadic mass on every singleton."""
     masses = dyadic_masses(rng, n)

@@ -1,7 +1,8 @@
 """End-to-end runs of the installed command-line interface.
 
-Every test shells out to ``python -m massfractal`` so argument parsing, exit
-codes, and output formatting are exercised exactly as a user sees them.
+The tests shell out to ``python -m massfractal`` so argument parsing, exit
+codes, and output formatting are exercised exactly as a user sees them;
+the order-list parsing check calls ``cli.main`` in-process.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+
+from massfractal import cli
 
 
 def run_cli(*args, env_extra=None):
@@ -167,6 +170,15 @@ def test_negative_order_is_flagged(two_focal_file):
     _, rows = parse_csv(proc.stdout)
     assert rows[0][5] == "outside tabulated range"
     assert rows[1][5] == ""
+
+
+@pytest.mark.parametrize("alpha_args", [["--alpha", "-2,0.5,3"], ["--alpha=-2,0.5,3"]])
+def test_order_list_may_start_negative(alpha_args, capsys):
+    code = cli.main(["dimension", "--family", "max-deng", "--n", "4", *alpha_args])
+    assert code == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert [float(row[0]) for row in rows] == [-2.0, 0.5, 3.0]
+    assert all(row[1] for row in rows)
 
 
 def test_sweep_builds_inclusive_grid():

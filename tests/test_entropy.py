@@ -6,24 +6,32 @@ double rounding in the fast paths.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_bayesian, random_mass_function
+from conftest import pooled_mass_function, random_bayesian, random_mass_function
 from massfractal.core import (
     FrameOfDiscernment,
     cardinality_profile,
     max_deng_mass,
+    max_deng_profile,
     uniform_powerset_mass,
+    uniform_powerset_profile,
     uniform_singleton_mass,
+    uniform_singleton_profile,
     vacuous_mass,
+    vacuous_profile,
     validate_mass_function,
 )
 from massfractal.entropy import (
     EntropyOrder,
     ProbabilityDistribution,
+    as_profile_bands,
     deng_entropy,
     deng_entropy_from_profile,
     max_deng_entropy_value,
@@ -187,11 +195,27 @@ def test_deng_never_exceeds_the_ceiling():
         assert abs(at_max - ceiling) <= 1e-9
 
 
+FAMILIES = (
+    (max_deng_mass, max_deng_profile),
+    (uniform_powerset_mass, uniform_powerset_profile),
+    (vacuous_mass, vacuous_profile),
+    (uniform_singleton_mass, uniform_singleton_profile),
+)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_profile_and_enumeration_paths_agree(n):
     frame = FrameOfDiscernment(n)
-    for family in (max_deng_mass, uniform_powerset_mass, vacuous_mass, uniform_singleton_mass):
+    for family, profile_builder in FAMILIES:
         m = family(frame)
+        # the exact grouping is the extracted profile and the built one, also
+        # after the masses have been through a JSON document
+        round_tripped = validate_mass_function(frame, [
+            (element.members, json.loads(json.dumps(mass)))
+            for element, mass in m.assignments
+        ])
+        assert as_profile_bands(m) == cardinality_profile(m) == profile_builder(n)
+        assert as_profile_bands(round_tripped) == profile_builder(n)
         by_bands = deng_entropy_from_profile(cardinality_profile(m))
         element_bands = [
             (element.cardinality, mass, 1) for element, mass in m.assignments
@@ -199,3 +223,22 @@ def test_profile_and_enumeration_paths_agree(n):
         by_elements = deng_entropy_from_profile(element_bands)
         assert abs(by_bands - by_elements) <= 1e-12
         assert deng_entropy(m) == by_bands
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=5, max_value=7),
+    pool_size=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_band_builder_groups_exact_pairs(seed, n, pool_size):
+    m = pooled_mass_function(random.Random(seed), n, pool_size)
+    bands = as_profile_bands(m)
+    assert sum(band.multiplicity for band in bands) == m.focal_count
+    pairs = [(band.cardinality, band.mass) for band in bands]
+    assert pairs == sorted(set(pairs))
+    for band in bands:
+        assert band.multiplicity == sum(
+            1 for element, mass in m.assignments
+            if (element.cardinality, mass) == (band.cardinality, band.mass)
+        )
