@@ -44,9 +44,17 @@ from .multifractal import (
     spectrum_from_profile,
     y_coordinate,
 )
-from .oracle import ExactMass, oracle_deng_entropy, oracle_dimension
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the oracle, and mpmath with it, is imported on first use of its names
+    if name in ("ExactMass", "oracle_deng_entropy", "oracle_dimension"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EntropyOrder",

@@ -111,8 +111,9 @@ class RunConfig:
 def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    if not isinstance(document, dict) or "frame" not in document or "assignments" not in document:
-        raise ValueError("mass-function file must be an object with 'frame' and 'assignments'")
+    if (not isinstance(document, dict) or "frame" not in document
+            or not isinstance(document.get("assignments"), list)):
+        raise ValueError("mass-function file must be an object with 'frame' and an 'assignments' list")
     labels = document["frame"]
     if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
         raise ValueError("'frame' must be a list of label strings")
@@ -120,11 +121,11 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
     index_of = {label: i for i, label in enumerate(labels)}
     raw = []
     for entry in document["assignments"]:
-        if not isinstance(entry, dict) or "subset" not in entry or "mass" not in entry:
-            raise ValueError("each assignment needs 'subset' and 'mass'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list) or "mass" not in entry:
+            raise ValueError("each assignment needs a 'subset' list of labels and a 'mass'")
         subset = []
         for label in entry["subset"]:
-            if label not in index_of:
+            if not isinstance(label, str) or label not in index_of:
                 raise ValueError(f"subset label {label!r} is not in the frame")
             subset.append(index_of[label])
         raw.append((subset, float(entry["mass"])))
@@ -489,11 +490,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative tolerance, got {text!r}")
+    return value
+
+
 def _alpha_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse alpha list {text!r}")
+        return tuple(_finite(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(f"could not parse alpha list {text!r} as finite orders")
 
 
 def _attach_negative_alpha(argv: list[str]) -> list[str]:
@@ -535,8 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output file (default stdout)")
 
     def add_tolerances(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance-grouping", type=float, default=GROUPING_TOLERANCE)
-        p.add_argument("--tolerance-sum", type=float, default=SUM_TOLERANCE)
+        p.add_argument("--tolerance-grouping", type=_tolerance, default=GROUPING_TOLERANCE)
+        p.add_argument("--tolerance-sum", type=_tolerance, default=SUM_TOLERANCE)
 
     p = sub.add_parser("spectrum", help="multifractal spectrum points")
     add_source(p); add_output(p); add_tolerances(p)
@@ -547,9 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="dimension over an arithmetic order grid")
     add_source(p); add_output(p); add_tolerances(p)
-    p.add_argument("--alpha-start", type=float, required=True)
-    p.add_argument("--alpha-stop", type=float, required=True)
-    p.add_argument("--alpha-step", type=float, required=True)
+    p.add_argument("--alpha-start", type=_finite, required=True)
+    p.add_argument("--alpha-stop", type=_finite, required=True)
+    p.add_argument("--alpha-step", type=_finite, required=True)
 
     p = sub.add_parser("table", help="regenerate a reference table")
     p.add_argument("table_id", metavar="TABLE", help="one of T1..T6")

@@ -6,16 +6,21 @@ positive mass), validated mass functions, and the four canonical families the
 rest of the package keeps coming back to (maximum-Deng-entropy, uniform over
 the power set, vacuous, uniform over singletons).
 
+A validated :class:`MassFunction` maps its focal elements, as int bitmasks
+(bit ``i`` is hypothesis ``i``), to their masses, and keeps the exact
+``(cardinality, mass)`` bands that its entropy, spectrum and dimension depend
+on.  :func:`validate_mass_function` is the one checking pass and counts the
+bands as it goes; evaluation reads them and never groups again.  The
+``assignments`` view of ``(FocalElement, mass)`` pairs is derived from the
+masks only when something asks for it.
+
 Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames of size 20..25 without enumerating ``2**n``
-subsets.  Explicit mass functions reach the same band form through
-``entropy.as_profile_bands``, which groups focal elements on exact
-``(cardinality, mass)`` pairs, so asymmetric functions with repeated masses
-compress too.  :func:`cardinality_profile`, which merges equal-cardinality
-masses within a relative 1e-12 onto the lowest, is not on the evaluation
-path: evaluation keeps such masses in separate bands.
+subsets; the explicit family builders attach exactly those bands.
+:func:`cardinality_profile`, which merges equal-cardinality masses within a
+relative 1e-12 onto the lowest, is not on the evaluation path.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFocalElement,
@@ -111,9 +118,21 @@ class FocalElement:
         """Build a focal element from any iterable of indices, deduplicated."""
         return cls(tuple(sorted(set(members))))
 
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...]) -> "FocalElement":
+        # members read off a validated mask are canonical already
+        element = object.__new__(cls)
+        object.__setattr__(element, "members", members)
+        return element
+
     @property
     def cardinality(self) -> int:
         return len(self.members)
+
+    @property
+    def mask(self) -> int:
+        """The bitmask with bit ``i`` set for each member ``i``."""
+        return sum(1 << index for index in self.members)
 
 
 class ProfileBand(NamedTuple):
@@ -128,39 +147,29 @@ class ProfileBand(NamedTuple):
 class MassFunction:
     """A validated basic probability assignment over a frame.
 
-    Invariants enforced at construction: every stored mass lies in (0, 1],
-    the masses sum to one within ``sum_tolerance``, no focal element repeats,
-    and every index fits the frame.  Assignments are kept sorted by
-    (cardinality, members) so output files are reproducible.
+    ``masses`` maps each focal element, as a bitmask that fits the frame, to
+    its mass in (0, 1], and the masses sum to one; ``bands`` are the exact
+    ``(cardinality, mass)`` groups, sorted by pair.  Only
+    :func:`validate_mass_function` and the family builders construct one.
+    Equality compares frame and masses, so input order never matters.
     """
 
     frame: FrameOfDiscernment
-    assignments: tuple[tuple[FocalElement, float], ...]
-    sum_tolerance: float = field(default=SUM_TOLERANCE, compare=False, repr=False)
-    _lookup: dict = field(init=False, repr=False, compare=False, default=None)
+    masses: Mapping[int, float]
+    bands: tuple[ProfileBand, ...] = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.assignments, key=lambda pair: (pair[0].cardinality, pair[0].members))
+    def __hash__(self) -> int:
+        return hash((self.frame, frozenset(self.masses.items())))
+
+    @cached_property
+    def assignments(self) -> tuple[tuple[FocalElement, float], ...]:
+        """(focal element, mass) pairs sorted by (cardinality, members), so
+        output files are reproducible; derived from the masks on first use."""
+        rows = sorted(
+            (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1), mass)
+            for mask, mass in self.masses.items()
         )
-        object.__setattr__(self, "assignments", ordered)
-        lookup: dict[FocalElement, float] = {}
-        for element, mass in ordered:
-            if mass <= 0.0 or mass > 1.0:
-                raise MassOutOfRange(
-                    f"mass {mass!r} on {element.members} lies outside (0, 1]"
-                )
-            if element.members[-1] >= self.frame.size:
-                raise IndexOutOfFrame(
-                    f"index {element.members[-1]} exceeds frame of size {self.frame.size}"
-                )
-            if element in lookup:
-                raise DuplicateFocalElement(f"subset {element.members} appears twice")
-            lookup[element] = mass
-        total = math.fsum(mass for _, mass in ordered)
-        if abs(total - 1.0) > self.sum_tolerance:
-            raise SumNotOne(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "_lookup", lookup)
+        return tuple((FocalElement._trusted(members), mass) for _, members, mass in rows)
 
     @property
     def focal_elements(self) -> tuple[FocalElement, ...]:
@@ -168,19 +177,27 @@ class MassFunction:
 
     @property
     def focal_count(self) -> int:
-        return len(self.assignments)
+        return len(self.masses)
 
     def mass_of(self, element: FocalElement) -> float:
         """Mass of ``element``, raising :class:`NotAFocalElement` if absent."""
         try:
-            return self._lookup[element]
+            return self.masses[element.mask]
         except KeyError:
             raise NotAFocalElement(
                 f"subset {element.members} carries no mass under this assignment"
             ) from None
 
     def contains(self, element: FocalElement) -> bool:
-        return element in self._lookup
+        return element.mask in self.masses
+
+
+def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand, ...]:
+    """Counted ``(cardinality, mass)`` pairs as bands, sorted by pair."""
+    return tuple(
+        ProfileBand(cardinality, mass, multiplicity)
+        for (cardinality, mass), multiplicity in sorted(counts.items())
+    )
 
 
 def validate_mass_function(
@@ -190,10 +207,11 @@ def validate_mass_function(
 ) -> MassFunction:
     """Turn a raw list of (subset, mass) pairs into a validated MassFunction.
 
-    Zero-mass entries are dropped before any other check, matching the
-    convention that focal elements exist only where mass is strictly
-    positive.  Input order never affects the result; assignments come out
-    sorted by (cardinality, members).
+    One pass, in input order, checks each mass lies in [0, 1] (NaN does
+    not), drops zero masses before any other check, builds the bitmask of
+    the deduplicated indices, rejecting non-integer, negative and
+    out-of-frame indices, empty and repeated subsets, and counts the exact
+    ``(cardinality, mass)`` bands.  The sum is checked once, after the loop.
 
     Parameters
     ----------
@@ -210,30 +228,34 @@ def validate_mass_function(
     MassOutOfRange, EmptyFocalElement, IndexOutOfFrame,
     DuplicateFocalElement, SumNotOne
     """
-    kept: list[tuple[FocalElement, float]] = []
-    seen: set[FocalElement] = set()
+    n = frame.size
+    masses: dict[int, float] = {}
+    counts: dict[tuple[int, float], int] = {}
     for subset, mass in raw:
         mass = float(mass)
-        if mass < 0.0 or mass > 1.0:
+        if not (0.0 <= mass <= 1.0):
             raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
         if mass == 0.0:
             continue
-        materialized = tuple(subset)
-        if len(materialized) == 0:
+        members = set(subset)
+        mask = 0
+        for index in members:
+            if not isinstance(index, int) or not 0 <= index < n:
+                raise IndexOutOfFrame(
+                    f"hypothesis index {index!r} is not an integer in [0, {n})"
+                )
+            mask |= 1 << index
+        if not mask:
             raise EmptyFocalElement("an empty subset was given positive mass")
-        element = FocalElement.from_members(materialized)
-        if element.members[-1] >= frame.size:
-            raise IndexOutOfFrame(
-                f"index {element.members[-1]} exceeds frame of size {frame.size}"
-            )
-        if element in seen:
-            raise DuplicateFocalElement(f"subset {element.members} appears twice")
-        seen.add(element)
-        kept.append((element, mass))
-    total = math.fsum(mass for _, mass in kept)
-    if abs(total - 1.0) > sum_tolerance:
+        if mask in masses:
+            raise DuplicateFocalElement(f"subset {tuple(sorted(members))} appears twice")
+        masses[mask] = mass
+        pair = (mask.bit_count(), mass)
+        counts[pair] = counts.get(pair, 0) + 1
+    total = math.fsum(masses.values())
+    if not abs(total - 1.0) <= sum_tolerance:
         raise SumNotOne(f"masses sum to {total!r}, not 1")
-    return MassFunction(frame, tuple(kept), sum_tolerance=sum_tolerance)
+    return MassFunction(frame, MappingProxyType(masses), _sorted_bands(counts))
 
 
 def _check_enumerable(n: int) -> None:
@@ -244,11 +266,16 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _non_empty_subsets(n: int) -> Iterable[tuple[int, ...]]:
-    indices = range(n)
-    return itertools.chain.from_iterable(
-        itertools.combinations(indices, k) for k in range(1, n + 1)
-    )
+def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
+    """Every subset of each band's cardinality, carrying that band's mass,
+    keyed in (cardinality, members) order; the profile becomes the bands."""
+    bits = [1 << i for i in range(frame.size)]
+    masses = {
+        sum(combo): band.mass
+        for band in profile
+        for combo in itertools.combinations(bits, band.cardinality)
+    }
+    return MassFunction(frame, MappingProxyType(masses), tuple(profile))
 
 
 def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
@@ -258,45 +285,29 @@ def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
     the normalizer is computed with exact integers so no intermediate
     overflows for any enumerable frame.
     """
-    n = frame.size
-    _check_enumerable(n)
-    normalizer = 3 ** n - 2 ** n
-    assignments: list[tuple[FocalElement, float]] = []
-    for k in range(1, n + 1):
-        mass_k = (2 ** k - 1) / normalizer
-        for combo in itertools.combinations(range(n), k):
-            assignments.append((FocalElement(combo), mass_k))
-    return MassFunction(frame, tuple(assignments))
+    _check_enumerable(frame.size)
+    return _symmetric_mass(frame, max_deng_profile(frame.size))
 
 
 def uniform_powerset_mass(frame: FrameOfDiscernment) -> MassFunction:
     """Mass spread evenly over all 2**n - 1 non-empty subsets."""
-    n = frame.size
-    _check_enumerable(n)
-    mass = 1.0 / (2 ** n - 1)
-    assignments = tuple(
-        (FocalElement(combo), mass) for combo in _non_empty_subsets(n)
-    )
-    return MassFunction(frame, assignments)
+    _check_enumerable(frame.size)
+    return _symmetric_mass(frame, uniform_powerset_profile(frame.size))
 
 
 def vacuous_mass(frame: FrameOfDiscernment) -> MassFunction:
     """Total ignorance: all mass on the full frame."""
-    whole = FocalElement(tuple(range(frame.size)))
-    return MassFunction(frame, ((whole, 1.0),))
+    return _symmetric_mass(frame, vacuous_profile(frame.size))
 
 
 def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
     """The Bayesian mass function m({h_i}) = 1/n for every hypothesis."""
-    n = frame.size
-    mass = 1.0 / n
-    assignments = tuple((FocalElement((i,)), mass) for i in range(n))
-    return MassFunction(frame, assignments)
+    return _symmetric_mass(frame, uniform_singleton_profile(frame.size))
 
 
 def is_bayesian(m: MassFunction) -> bool:
     """True iff every focal element is a singleton."""
-    return all(element.cardinality == 1 for element in m.focal_elements)
+    return all(band.cardinality == 1 for band in m.bands)
 
 
 def cardinality_profile(
@@ -311,26 +322,26 @@ def cardinality_profile(
     cardinality disagree on their mass by more than ``symmetry_tolerance``
     (relative).
     """
-    by_cardinality: dict[int, list[float]] = {}
-    for element, mass in m.assignments:
-        by_cardinality.setdefault(element.cardinality, []).append(mass)
-    bands: list[ProfileBand] = []
-    for cardinality in sorted(by_cardinality):
-        masses = by_cardinality[cardinality]
-        lowest, highest = min(masses), max(masses)
+    profile: list[ProfileBand] = []
+    # m.bands are sorted by (cardinality, mass), so each cardinality's lowest
+    # mass comes first and its highest last
+    for cardinality, group in itertools.groupby(m.bands, key=lambda band: band.cardinality):
+        bands = list(group)
+        lowest, highest = bands[0].mass, bands[-1].mass
         if highest - lowest > symmetry_tolerance * highest:
             raise NotCardinalitySymmetric(
                 f"cardinality {cardinality} carries masses from {lowest!r} to {highest!r}"
             )
-        bands.append(ProfileBand(cardinality, lowest, len(masses)))
-    return bands
+        profile.append(ProfileBand(cardinality, lowest, sum(band.multiplicity for band in bands)))
+    return profile
 
 
 # --- profile builders for the canonical families ---
 #
 # These produce the same bands cardinality_profile() would extract from the
 # materialized mass function, but without enumerating subsets, so they stay
-# usable far beyond the enumeration cap.
+# usable far beyond the enumeration cap.  The explicit family builders above
+# attach them as their bands.
 
 def max_deng_profile(n: int) -> list[ProfileBand]:
     normalizer = 3 ** n - 2 ** n

@@ -8,7 +8,6 @@ alpha = 1 is always handled by an exact limit branch, never by evaluating
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -101,21 +100,15 @@ def renyi_information_dimension(p: ProbabilityDistribution, order: EntropyOrder)
 
 
 def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
-    """The evaluation form of a mass function: its focal elements grouped on
-    exact ``(cardinality, mass)`` pairs, one band per pair, sorted by pair.
+    """The evaluation form of a mass function: one band per exact
+    ``(cardinality, mass)`` pair of its focal elements, sorted by pair.
 
-    Every term of the entropy and dimension sums depends on a focal element
-    only through that pair, so each band stands for ``multiplicity``
-    identical terms.  On a cardinality-symmetric function this is exactly
-    :func:`~massfractal.core.cardinality_profile`; an asymmetric function
-    whose masses repeat compresses too.  Masses are compared bit for bit,
-    so two masses that differ in the last place stay in separate bands.
+    Every entropy and dimension term depends on a focal element only through
+    that pair, so a band stands for ``multiplicity`` identical terms.  Masses
+    are compared bit for bit.  The bands were counted once, when ``m`` was
+    validated or built; this copies them and never groups again.
     """
-    counts = Counter((element.cardinality, mass) for element, mass in m.assignments)
-    return [
-        ProfileBand(cardinality, mass, multiplicity)
-        for (cardinality, mass), multiplicity in sorted(counts.items())
-    ]
+    return list(m.bands)
 
 
 def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[int, float, int]]) -> float:
@@ -130,9 +123,8 @@ def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[in
 def deng_entropy(m: MassFunction) -> float:
     """Deng entropy -sum m(A) log2(m(A) / (2**|A| - 1)) in bits.
 
-    The sum runs over the bands of :func:`as_profile_bands`, so the cost
-    scales with the number of distinct ``(cardinality, mass)`` pairs rather
-    than the number of focal elements.
+    The sum runs over the bands of :func:`as_profile_bands`, one per
+    distinct ``(cardinality, mass)`` pair.
     """
     return deng_entropy_from_profile(as_profile_bands(m))
 

@@ -189,9 +189,8 @@ def spectrum(m: MassFunction, grouping_tolerance: float = GROUPING_TOLERANCE) ->
     ``grouping_tolerance``; each group becomes one :class:`SpectrumPoint`.
     Grouping is by mass alone, so focal elements of different cardinalities
     sharing a mass merge into a single point.  The grouping starts from the
-    exact ``(cardinality, mass)`` bands of
-    :func:`~massfractal.entropy.as_profile_bands`, so its cost scales with
-    the number of distinct pairs.
+    bands ``m`` carries, so its cost scales with the number of distinct
+    ``(cardinality, mass)`` pairs.
     """
     return _spectrum_from_bands(as_profile_bands(m), m.frame.size, grouping_tolerance)
 
@@ -328,11 +327,9 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     """Order-alpha multifractal dimension of a mass function.
 
     The order may be any real.  Orders within 1e-12 of 1 take the limit
-    branch, whose numerator is the Deng entropy.  The focal elements are
-    evaluated through :func:`~massfractal.entropy.as_profile_bands`, grouped
-    on exact ``(cardinality, mass)``, so the cost scales with the number of
-    distinct pairs: cardinality-symmetric functions, and asymmetric ones
-    whose masses repeat, compress alike.
+    branch, whose numerator is the Deng entropy.  The evaluation reads the
+    exact ``(cardinality, mass)`` bands ``m`` carries, so the cost scales
+    with the number of distinct pairs.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
     lone singleton of mass one, or order zero on a lone focal element) and
@@ -352,8 +349,8 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
 
     One entry comes back per requested order, in input order; an order that
     fails (zero denominator, degenerate frame) yields an entry carrying the
-    error name instead of aborting the remaining orders.  The bands are
-    built and prepared once for the whole sweep, and each entry equals what
+    error name instead of aborting the remaining orders.  The bands' logs
+    are taken once for the whole sweep, and each entry equals what
     :func:`multifractal_dimension` returns at that order.
     """
     return _sweep(lambda: _prepare_mass_function(m), alphas)

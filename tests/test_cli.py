@@ -392,3 +392,87 @@ def test_degenerate_spectrum_exits_three():
     proc = run_cli("spectrum", "--family", "vacuous", "--n", "1")
     assert proc.returncode == 3
     assert "DegenerateFrame" in proc.stderr
+
+
+# --- rejected numbers and malformed inputs, run in-process ---
+
+def main_in_process(capsys, *args):
+    """Exit code and captured output of ``cli.main``; an argument that
+    argparse rejects comes back as its exit code."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exit_:
+        code = exit_.code
+    return code, capsys.readouterr()
+
+
+def test_nan_mass_exits_two(tmp_path, capsys):
+    path = write_mass_file(
+        tmp_path / "nan.json", ["a", "b"], [(["a"], float("nan")), (["b"], 1.0)]
+    )
+    code, captured = main_in_process(capsys, "spectrum", "--input", path)
+    assert code == 2
+    assert "MassOutOfRange" in captured.err
+    assert "nan" not in captured.out.lower()
+
+
+def test_nan_sum_tolerance_exits_two(tmp_path, capsys):
+    path = write_mass_file(tmp_path / "short.json", ["a", "b"], [(["a"], 0.3), (["b"], 0.3)])
+    code, captured = main_in_process(
+        capsys, "spectrum", "--input", path, "--tolerance-sum", "nan"
+    )
+    assert code == 2
+    assert captured.out == ""
+
+
+def test_negative_grouping_tolerance_exits_two(tmp_path, capsys):
+    path = write_mass_file(
+        tmp_path / "equal.json", ["a", "b", "c"],
+        [(["a"], 0.25), (["b"], 0.25), (["c"], 0.5)],
+    )
+    code, captured = main_in_process(
+        capsys, "spectrum", "--input", path, "--tolerance-grouping", "-1"
+    )
+    assert code == 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("orders", ["nan,inf", "1,inf", "-inf,2"])
+def test_non_finite_orders_exit_two(orders, capsys):
+    code, captured = main_in_process(
+        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", orders
+    )
+    assert code == 2
+    assert "nan" not in captured.out.lower()
+
+
+def test_non_finite_sweep_bound_exits_two(capsys):
+    code, _ = main_in_process(
+        capsys, "sweep", "--family", "max-deng", "--n", "3",
+        "--alpha-start", "0", "--alpha-stop", "inf", "--alpha-step", "1",
+    )
+    assert code == 2
+
+
+def test_subset_that_is_not_a_list_exits_two(tmp_path, capsys):
+    path = tmp_path / "string_subset.json"
+    path.write_text(json.dumps({
+        "frame": ["a", "b"],
+        "assignments": [{"subset": "ab", "mass": 1.0}],
+    }), encoding="utf-8")
+    code, captured = main_in_process(capsys, "spectrum", "--input", str(path))
+    assert code == 2
+    assert "ValueError" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    probe = (
+        "import sys, massfractal.cli\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath imported with the CLI'\n"
+        "import massfractal\n"
+        "assert abs(massfractal.oracle_dimension([(2, 1, 1)], 2.0) - 0.5) < 1e-15\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

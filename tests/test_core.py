@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import mask_to_members, random_mass_function
 from massfractal.core import (
     EXPLICIT_SUBSET_CAP,
+    SUM_TOLERANCE,
     FocalElement,
     FrameOfDiscernment,
     MassFunction,
@@ -32,6 +34,7 @@ from massfractal.errors import (
     EmptyFocalElement,
     FrameTooLarge,
     IndexOutOfFrame,
+    MassFractalError,
     MassOutOfRange,
     NotAFocalElement,
     NotCardinalitySymmetric,
@@ -114,6 +117,13 @@ def test_validate_rejects_out_of_range_masses():
         validate_mass_function(FrameOfDiscernment(2), [((0,), 1.5)])
     with pytest.raises(MassOutOfRange):
         validate_mass_function(FrameOfDiscernment(2), [((0,), -0.2), ((1,), 1.2)])
+
+
+def test_validate_rejects_nan_mass():
+    with pytest.raises(MassOutOfRange):
+        validate_mass_function(FrameOfDiscernment(2), [((0,), math.nan), ((1,), 1.0)])
+    with pytest.raises(MassOutOfRange):
+        validate_mass_function(FrameOfDiscernment(2), [((0,), 1.0), ((1,), math.nan)])
 
 
 def test_validate_drops_zero_masses():
@@ -357,3 +367,85 @@ def test_validation_is_stable_under_shuffling(case):
     assert validate_mass_function(frame, list(reversed(raw))) == m
     assert abs(math.fsum(mass for _, mass in m.assignments) - 1.0) <= 1e-9
     assert all(0.0 < mass <= 1.0 for _, mass in m.assignments)
+
+
+# --- the one validation pass against the per-element rules ---
+
+def reference_validate(frame, raw, sum_tolerance=SUM_TOLERANCE):
+    """The rules written out one element at a time through FocalElement:
+    a mass outside [0, 1] (NaN included) is rejected, a zero mass is
+    dropped before any other check, indices are deduplicated as
+    ``FocalElement.from_members`` does and must be non-negative integers
+    inside the frame, a subset may appear once, and the kept masses must
+    sum to one.  Returns the sorted assignments."""
+    kept = {}
+    for subset, mass in raw:
+        mass = float(mass)
+        if not 0.0 <= mass <= 1.0:
+            raise MassOutOfRange(mass)
+        if mass == 0.0:
+            continue
+        members = tuple(subset)
+        if not members:
+            raise EmptyFocalElement(subset)
+        element = FocalElement.from_members(members)
+        if element.members[-1] >= frame.size:
+            raise IndexOutOfFrame(element.members)
+        if element in kept:
+            raise DuplicateFocalElement(element.members)
+        kept[element] = mass
+    if abs(math.fsum(kept.values()) - 1.0) > sum_tolerance:
+        raise SumNotOne(kept)
+    return tuple(sorted(kept.items(), key=lambda pair: (pair[0].cardinality, pair[0].members)))
+
+
+@st.composite
+def raw_inputs_with_faults(draw):
+    """Raw pairs on a small frame, valid apart from a few drawn faults:
+    negative, float, out-of-frame and repeated indices, permuted duplicate
+    subsets, empty subsets, and zero, negative, too large and NaN masses."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    index = st.integers(min_value=0, max_value=n - 1)
+    subsets = draw(st.lists(st.lists(index, min_size=1, max_size=4), min_size=1, max_size=6))
+    positions = st.integers(min_value=0, max_value=len(subsets) - 1)
+    bad_indices = st.sampled_from([-1, n, n + 3, 0.0, 1.0, 0.5, True])
+    for position, bad in draw(st.lists(st.tuples(positions, bad_indices), max_size=2)):
+        subsets[position] = subsets[position] + [bad]
+    for position in draw(st.lists(positions, max_size=1)):
+        subsets[position] = []
+    for position in draw(st.lists(positions, max_size=2)):
+        subsets.append(draw(st.permutations(subsets[position])))
+    weights = draw(st.lists(
+        st.integers(min_value=0, max_value=4), min_size=len(subsets), max_size=len(subsets)
+    ))
+    total = sum(weights) or 1
+    masses = [w / total for w in weights]
+    bad_masses = st.sampled_from([0.0, -0.25, 1.5, math.nan])
+    for position, bad in draw(st.lists(st.tuples(positions, bad_masses), max_size=2)):
+        masses[position] = bad
+    return FrameOfDiscernment(n), list(zip(subsets, masses))
+
+
+def _outcome(validate, frame, raw):
+    try:
+        return validate(frame, raw)
+    except MassFractalError as error:
+        return type(error)
+
+
+@given(raw_inputs_with_faults())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_accepts_and_rejects_what_the_element_rules_do(case):
+    frame, raw = case
+    want = _outcome(reference_validate, frame, raw)
+    got = _outcome(validate_mass_function, frame, raw)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, MassFunction)
+    assert got.assignments == want
+    counts = Counter((element.cardinality, mass) for element, mass in got.assignments)
+    assert list(got.bands) == [
+        ProfileBand(cardinality, mass, multiplicity)
+        for (cardinality, mass), multiplicity in sorted(counts.items())
+    ]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import massfractal.core as core_module
 import massfractal.multifractal as multifractal_module
 from conftest import mask_to_members, oracle_terms, pooled_mass_function, random_mass_function
 from massfractal.core import (
@@ -344,6 +345,27 @@ def test_sweep_builds_its_bands_once(monkeypatch):
     entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
     assert all(entry.result is not None for entry in entries)
     assert len(built) == 1
+
+
+def test_sweep_and_spectrum_share_one_band_build(monkeypatch):
+    groupings = []
+    group = core_module._sorted_bands
+
+    def counting(counts):
+        groupings.append(len(counts))
+        return group(counts)
+
+    monkeypatch.setattr(core_module, "_sorted_bands", counting)
+    m = pooled_mass_function(random.Random(21), 7)
+    assert len(groupings) == 1
+    entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
+    points = spectrum(m).points
+    assert all(entry.result is not None for entry in entries)
+    assert sum(point.multiplicity for point in points) == m.focal_count
+    # validation grouped the focal elements once; the sweep and the spectrum
+    # read those bands and never derived the per-element assignments
+    assert groupings == [len(as_profile_bands(m))]
+    assert "assignments" not in vars(m)
 
 
 # --- grouping on exact (cardinality, mass) ---
