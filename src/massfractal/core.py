@@ -6,20 +6,16 @@ positive mass), validated mass functions, and the four canonical families the
 rest of the package keeps coming back to (maximum-Deng-entropy, uniform over
 the power set, vacuous, uniform over singletons).
 
-A validated :class:`MassFunction` maps its focal elements, as int bitmasks
-(bit ``i`` is hypothesis ``i``), to their masses, and keeps the exact
-``(cardinality, mass)`` bands that its entropy, spectrum and dimension depend
-on.  :func:`validate_mass_function` is the one checking pass and counts the
-bands as it goes; evaluation reads them and never groups again.  The
-``assignments`` view of ``(FocalElement, mass)`` pairs is derived from the
-masks only when something asks for it.
+A validated :class:`MassFunction` maps int bitmasks (bit ``i`` is hypothesis
+``i``) to masses and keeps the exact ``(cardinality, mass)`` bands that
+entropy, spectrum and dimension read.  :func:`validate_mass_function` checks
+the input in one pass and counts the bands as it goes; nothing groups again.
 
 Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames of size 20..25 without enumerating ``2**n``
-subsets; the explicit family builders attach exactly those bands.
-:func:`cardinality_profile`, which merges equal-cardinality masses within a
+subsets.  :func:`cardinality_profile`, which merges equal-cardinality masses within a
 relative 1e-12 onto the lowest, is not on the evaluation path.
 """
 
@@ -29,7 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -118,13 +113,6 @@ class FocalElement:
         """Build a focal element from any iterable of indices, deduplicated."""
         return cls(tuple(sorted(set(members))))
 
-    @classmethod
-    def _trusted(cls, members: tuple[int, ...]) -> "FocalElement":
-        # members read off a validated mask are canonical already
-        element = object.__new__(cls)
-        object.__setattr__(element, "members", members)
-        return element
-
     @property
     def cardinality(self) -> int:
         return len(self.members)
@@ -147,15 +135,13 @@ class ProfileBand(NamedTuple):
 class MassFunction:
     """A validated basic probability assignment over a frame.
 
-    ``masses`` maps each focal element, as a bitmask that fits the frame, to
-    its mass in (0, 1], and the masses sum to one; ``bands`` are the exact
-    ``(cardinality, mass)`` groups, sorted by pair.  Only
+    ``masses`` is keyed by focal bitmask; ``bands`` are sorted by pair.  Only
     :func:`validate_mass_function` and the family builders construct one.
-    Equality compares frame and masses, so input order never matters.
+    Equality compares frame and masses.
     """
 
     frame: FrameOfDiscernment
-    masses: Mapping[int, float]
+    masses: dict[int, float]
     bands: tuple[ProfileBand, ...] = field(compare=False, repr=False)
 
     def __hash__(self) -> int:
@@ -163,13 +149,12 @@ class MassFunction:
 
     @cached_property
     def assignments(self) -> tuple[tuple[FocalElement, float], ...]:
-        """(focal element, mass) pairs sorted by (cardinality, members), so
-        output files are reproducible; derived from the masks on first use."""
+        """(focal element, mass) pairs sorted by (cardinality, members)."""
         rows = sorted(
             (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1), mass)
             for mask, mass in self.masses.items()
         )
-        return tuple((FocalElement._trusted(members), mass) for _, members, mass in rows)
+        return tuple((FocalElement(members), mass) for _, members, mass in rows)
 
     @property
     def focal_elements(self) -> tuple[FocalElement, ...]:
@@ -181,15 +166,13 @@ class MassFunction:
 
     def mass_of(self, element: FocalElement) -> float:
         """Mass of ``element``, raising :class:`NotAFocalElement` if absent."""
-        try:
-            return self.masses[element.mask]
-        except KeyError:
-            raise NotAFocalElement(
-                f"subset {element.members} carries no mass under this assignment"
-            ) from None
+        if not self.contains(element):
+            raise NotAFocalElement(f"subset {element.members} carries no mass under this assignment")
+        return self.masses[element.mask]
 
     def contains(self, element: FocalElement) -> bool:
-        return element.mask in self.masses
+        # an index past the frame is never focal, and its mask is never built
+        return element.members[-1] < self.frame.size and element.mask in self.masses
 
 
 def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand, ...]:
@@ -207,11 +190,7 @@ def validate_mass_function(
 ) -> MassFunction:
     """Turn a raw list of (subset, mass) pairs into a validated MassFunction.
 
-    One pass, in input order, checks each mass lies in [0, 1] (NaN does
-    not), drops zero masses before any other check, builds the bitmask of
-    the deduplicated indices, rejecting non-integer, negative and
-    out-of-frame indices, empty and repeated subsets, and counts the exact
-    ``(cardinality, mass)`` bands.  The sum is checked once, after the loop.
+    Each mass is range-checked (NaN fails) before zero masses are dropped.
 
     Parameters
     ----------
@@ -255,7 +234,7 @@ def validate_mass_function(
     total = math.fsum(masses.values())
     if not abs(total - 1.0) <= sum_tolerance:
         raise SumNotOne(f"masses sum to {total!r}, not 1")
-    return MassFunction(frame, MappingProxyType(masses), _sorted_bands(counts))
+    return MassFunction(frame, masses, _sorted_bands(counts))
 
 
 def _check_enumerable(n: int) -> None:
@@ -267,15 +246,14 @@ def _check_enumerable(n: int) -> None:
 
 
 def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
-    """Every subset of each band's cardinality, carrying that band's mass,
-    keyed in (cardinality, members) order; the profile becomes the bands."""
+    """Every subset of each band's cardinality, carrying that band's mass."""
     bits = [1 << i for i in range(frame.size)]
     masses = {
         sum(combo): band.mass
         for band in profile
         for combo in itertools.combinations(bits, band.cardinality)
     }
-    return MassFunction(frame, MappingProxyType(masses), tuple(profile))
+    return MassFunction(frame, masses, tuple(profile))
 
 
 def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
@@ -340,8 +318,7 @@ def cardinality_profile(
 #
 # These produce the same bands cardinality_profile() would extract from the
 # materialized mass function, but without enumerating subsets, so they stay
-# usable far beyond the enumeration cap.  The explicit family builders above
-# attach them as their bands.
+# usable far beyond the enumeration cap.
 
 def max_deng_profile(n: int) -> list[ProfileBand]:
     normalizer = 3 ** n - 2 ** n

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -160,6 +162,25 @@ def test_mass_lookup_raises_for_absent_subsets():
     m = validate_mass_function(_frame3(), [((0,), 1.0)])
     with pytest.raises(NotAFocalElement):
         m.mass_of(FocalElement((1,)))
+
+
+def test_lookup_of_an_index_far_past_the_frame_is_absent():
+    # the bitmask of such an element would need 2**(10**12) bits
+    m = validate_mass_function(_frame3(), [((0,), 1.0)])
+    far = FocalElement((0, 10 ** 12))
+    assert not m.contains(far)
+    with pytest.raises(NotAFocalElement):
+        m.mass_of(far)
+
+
+@pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
+def test_mass_function_survives_pickle_and_deepcopy(copy_of):
+    m = validate_mass_function(_frame3(), [((0,), 0.25), ((1, 2), 0.25), ((2,), 0.5)])
+    m.assignments  # a cached view must travel too
+    clone = copy_of(m)
+    assert clone == m and hash(clone) == hash(m)
+    assert clone.bands == m.bands and clone.assignments == m.assignments
+    assert clone.mass_of(FocalElement((1, 2))) == 0.25
 
 
 def test_sum_tolerance_is_configurable():
