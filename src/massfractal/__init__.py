@@ -7,7 +7,6 @@ from .core import (
     FrameOfDiscernment,
     MassFunction,
     ProfileBand,
-    cardinality_profile,
     is_bayesian,
     max_deng_mass,
     max_deng_profile,
@@ -69,7 +68,6 @@ __all__ = [
     "Spectrum",
     "SpectrumPoint",
     "asymptotic_anchor_points",
-    "cardinality_profile",
     "deng_entropy",
     "deng_entropy_from_profile",
     "dimension_from_profile",

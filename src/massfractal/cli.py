@@ -34,14 +34,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 from .core import (
-    FocalElement,
     FrameOfDiscernment,
     MassFunction,
-    ProfileBand,
     SUM_TOLERANCE,
     max_deng_mass,
     max_deng_profile,
@@ -56,13 +53,14 @@ from .core import (
 from .errors import (
     DegenerateFrame,
     DegenerateSupport,
+    GridTooLarge,
     MassFractalError,
+    OrderOutOfRange,
     UnknownTable,
     ZeroDenominator,
 )
 from .multifractal import (
     GROUPING_TOLERANCE,
-    Spectrum,
     SweepEntry,
     asymptotic_anchor_points,
     dimension_sweep,
@@ -80,7 +78,11 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 OUTPUT_DIR_ENV = "MASSFRACTAL_OUTPUT_DIR"
 
-_MATH_ERRORS = (ZeroDenominator, DegenerateFrame, DegenerateSupport)
+_MATH_ERRORS = (ZeroDenominator, DegenerateFrame, DegenerateSupport, OrderOutOfRange)
+
+# A sweep's order grid and the envelope's samples are refused beyond this
+# many points, before any of them is built.
+GRID_CAP = 1_000_000
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -88,29 +90,13 @@ EXIT_MATH = 3
 EXIT_UNKNOWN = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation resolved to."""
-
-    command: str
-    input_path: str | None = None
-    family_name: str | None = None
-    n: int | None = None
-    alpha_list: tuple[float, ...] = ()
-    output_format: str = "csv"
-    output_path: str | None = None
-    table_id: str | None = None
-    samples: int = 101
-    emit_path: str | None = None
-    tolerance_grouping: float = GROUPING_TOLERANCE
-    tolerance_sum: float = SUM_TOLERANCE
-
-
 # --- input resolution ---
 
 def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
     with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        # an integer too large for a float is read as inf and rejected as a
+        # mass out of range, rather than overflowing in float()
+        document = json.load(handle, parse_int=float)
     if (not isinstance(document, dict) or "frame" not in document
             or not isinstance(document.get("assignments"), list)):
         raise ValueError("mass-function file must be an object with 'frame' and an 'assignments' list")
@@ -128,7 +114,10 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
             if not isinstance(label, str) or label not in index_of:
                 raise ValueError(f"subset label {label!r} is not in the frame")
             subset.append(index_of[label])
-        raw.append((subset, float(entry["mass"])))
+        mass = entry["mass"]
+        if not isinstance(mass, float):
+            raise ValueError(f"mass {mass!r} is not a JSON number")
+        raw.append((subset, mass))
     return validate_mass_function(frame, raw, sum_tolerance=sum_tolerance)
 
 
@@ -147,10 +136,6 @@ _FAMILY_PROFILE = {
 }
 
 
-def _family_profile(cfg: RunConfig) -> tuple[list[ProfileBand], int]:
-    return _FAMILY_PROFILE[cfg.family_name](cfg.n), cfg.n
-
-
 # --- output plumbing ---
 
 def _resolve_output_path(path: str) -> str:
@@ -160,11 +145,11 @@ def _resolve_output_path(path: str) -> str:
     return path
 
 
-def _write_text(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path is None:
+def _write_text(path: str | None, text: str) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(_resolve_output_path(cfg.output_path), "w", encoding="utf-8", newline="") as handle:
+        with open(_resolve_output_path(path), "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
@@ -177,7 +162,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def _format_full(value: float) -> str:
@@ -247,23 +232,20 @@ def _svg_document(
 
 # --- commands ---
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.input_path is not None:
-        m = _load_mass_function(cfg.input_path, cfg.tolerance_sum)
-        result = spectrum(m, grouping_tolerance=cfg.tolerance_grouping)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        m = _load_mass_function(args.input, args.tolerance_sum)
+        result = spectrum(m, grouping_tolerance=args.tolerance_grouping)
     else:
-        bands, n = _family_profile(cfg)
-        result = spectrum_from_profile(bands, n, grouping_tolerance=cfg.tolerance_grouping)
-    return _emit_spectrum(cfg, result)
-
-
-def _emit_spectrum(cfg: RunConfig, result: Spectrum) -> int:
-    if cfg.output_format == "svg":
+        result = spectrum_from_profile(
+            _FAMILY_PROFILE[args.family](args.n), args.n, grouping_tolerance=args.tolerance_grouping
+        )
+    if args.format == "svg":
         coords = [(p.y, p.f) for p in result.points]
         x_hi = max(p.y for p in result.points) + 0.1
-        _write_text(cfg, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
+        _write_text(args.output, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
         return EXIT_OK
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "frame_size": result.frame_size,
             "points": [
@@ -277,7 +259,7 @@ def _emit_spectrum(cfg: RunConfig, result: Spectrum) -> int:
                 for p in result.points
             ],
         }
-        _write_text(cfg, _json_text(payload))
+        _write_text(args.output, _json_text(payload))
         return EXIT_OK
     rows = [
         [
@@ -290,21 +272,19 @@ def _emit_spectrum(cfg: RunConfig, result: Spectrum) -> int:
         for p in result.points
     ]
     _write_text(
-        cfg,
+        args.output,
         _csv_text(["y", "f", "mass_value", "multiplicity", "representative_cardinality"], rows),
     )
     return EXIT_OK
 
 
-def _sweep_entries(cfg: RunConfig) -> list[SweepEntry]:
-    if cfg.input_path is not None:
-        m = _load_mass_function(cfg.input_path, cfg.tolerance_sum)
-        return dimension_sweep(m, cfg.alpha_list)
-    bands, _ = _family_profile(cfg)
-    return dimension_sweep_from_profile(bands, cfg.alpha_list)
-
-
-def _emit_dimension_rows(cfg: RunConfig, entries: list[SweepEntry]) -> int:
+def cmd_dimension(args: argparse.Namespace) -> int:
+    """Both ``dimension`` and ``sweep``: a sweep's grid is already in ``args.alpha``."""
+    if args.input is not None:
+        m = _load_mass_function(args.input, args.tolerance_sum)
+        entries = dimension_sweep(m, args.alpha)
+    else:
+        entries = dimension_sweep_from_profile(_FAMILY_PROFILE[args.family](args.n), args.alpha)
     rows = []
     json_rows = []
     for entry in entries:
@@ -335,11 +315,11 @@ def _emit_dimension_rows(cfg: RunConfig, entries: list[SweepEntry]) -> int:
                 "note": note or None,
             }
         )
-    if cfg.output_format == "json":
-        _write_text(cfg, _json_text({"rows": json_rows}))
+    if args.format == "json":
+        _write_text(args.output, _json_text({"rows": json_rows}))
     else:
         _write_text(
-            cfg,
+            args.output,
             _csv_text(
                 ["alpha", "D_alpha", "branch", "numerator_bits", "denominator_bits", "note"],
                 rows,
@@ -348,15 +328,6 @@ def _emit_dimension_rows(cfg: RunConfig, entries: list[SweepEntry]) -> int:
     if entries and all(entry.result is None for entry in entries):
         return EXIT_MATH
     return EXIT_OK
-
-
-def cmd_dimension(cfg: RunConfig) -> int:
-    return _emit_dimension_rows(cfg, _sweep_entries(cfg))
-
-
-def cmd_sweep(cfg: RunConfig) -> int:
-    return _emit_dimension_rows(cfg, _sweep_entries(cfg))
-
 
 _EXAMPLE_TWO_FOCAL = (((0,), 0.2), ((1, 2), 0.8))
 
@@ -400,8 +371,8 @@ def _table_single_row(
     return header, [row]
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    table_id = cfg.table_id
+def cmd_table(args: argparse.Namespace) -> int:
+    table_id = args.table_id
     if table_id not in TABLE_IDS:
         raise UnknownTable(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
     if table_id in ("T1", "T2"):
@@ -423,15 +394,15 @@ def cmd_table(cfg: RunConfig) -> int:
         header, rows = _table_profile_grid(
             max_deng_profile, list(range(2, 21, 2)), [1, 4, 7, 10, 13, 16, 19]
         )
-    if cfg.output_format == "json":
-        _write_text(cfg, _json_text({"table": table_id, "columns": header, "rows": rows}))
+    if args.format == "json":
+        _write_text(args.output, _json_text({"table": table_id, "columns": header, "rows": rows}))
     else:
-        _write_text(cfg, _csv_text(header, rows))
+        _write_text(args.output, _csv_text(header, rows))
     return EXIT_OK
 
 
-def cmd_family(cfg: RunConfig) -> int:
-    m = _FAMILY_MASS[cfg.family_name](FrameOfDiscernment(cfg.n))
+def cmd_family(args: argparse.Namespace) -> int:
+    m = _FAMILY_MASS[args.family](FrameOfDiscernment(args.n))
     labels = m.frame.effective_labels()
     payload = {
         "frame": list(labels),
@@ -440,44 +411,43 @@ def cmd_family(cfg: RunConfig) -> int:
             for element, mass in m.assignments
         ],
     }
-    target = cfg.emit_path or cfg.output_path
-    emit_cfg = RunConfig(command="family", output_path=target)
-    _write_text(emit_cfg, _json_text(payload))
+    _write_text(args.emit or args.output, _json_text(payload))
     return EXIT_OK
 
 
-def cmd_envelope(cfg: RunConfig) -> int:
-    envelope = quadratic_envelope(cfg.n)
-    anchors = asymptotic_anchor_points(cfg.n)
-    count = cfg.samples
+def cmd_envelope(args: argparse.Namespace) -> int:
+    envelope = quadratic_envelope(args.n)
+    anchors = asymptotic_anchor_points(args.n)
+    count = args.samples
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
+    _check_grid(count, "--samples")
     step = (envelope.root_high - envelope.root_low) / (count - 1)
     samples = []
     for i in range(count):
         x = envelope.root_low + i * step
         samples.append((x, envelope.evaluate(x)))
-    if cfg.output_format == "svg":
-        sp = spectrum_from_profile(max_deng_profile(cfg.n), cfg.n)
+    if args.format == "svg":
+        sp = spectrum_from_profile(max_deng_profile(args.n), args.n)
         scatter = [(p.y, p.f) for p in sp.points]
         x_hi = max([p.y for p in sp.points] + [envelope.root_high]) + 0.1
         _write_text(
-            cfg,
+            args.output,
             _svg_document(scatter, (0.0, x_hi), (0.0, 1.05), "y", "f", polyline=samples),
         )
         return EXIT_OK
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "n": envelope.n,
             "a": envelope.a,
             "anchors": [list(anchor) for anchor in anchors],
             "samples": [[x, value] for x, value in samples],
         }
-        _write_text(cfg, _json_text(payload))
+        _write_text(args.output, _json_text(payload))
         return EXIT_OK
     rows = [[_format_full(x), _format_full(value), "anchor"] for x, value in anchors]
     rows += [[_format_full(x), _format_full(value), "sample"] for x, value in samples]
-    _write_text(cfg, _csv_text(["x", "F", "kind"], rows))
+    _write_text(args.output, _csv_text(["x", "F", "kind"], rows))
     return EXIT_OK
 
 
@@ -584,44 +554,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    alphas: tuple[float, ...] = ()
-    if args.command == "dimension":
-        alphas = args.alpha
-    elif args.command == "sweep":
+def _check_grid(points: float, what: str) -> None:
+    if not points <= GRID_CAP:
+        raise GridTooLarge(f"{what} asks for {points:.6g} points; at most {GRID_CAP} are built")
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """The checks argparse cannot make.  A sweep's grid becomes ``args.alpha``."""
+    if args.command == "sweep":
         if args.alpha_step <= 0:
             raise ValueError("--alpha-step must be positive")
         if args.alpha_stop < args.alpha_start:
             raise ValueError("--alpha-stop must not precede --alpha-start")
-        count = int(math.floor((args.alpha_stop - args.alpha_start) / args.alpha_step + 1e-9)) + 1
-        alphas = tuple(args.alpha_start + i * args.alpha_step for i in range(count))
+        span = (args.alpha_stop - args.alpha_start) / args.alpha_step + 1e-9
+        _check_grid(span + 1, "the order grid")
+        count = int(math.floor(span)) + 1
+        args.alpha = tuple(args.alpha_start + i * args.alpha_step for i in range(count))
     if args.command in ("spectrum", "dimension", "sweep"):
-        has_input = getattr(args, "input", None) is not None
-        has_family = getattr(args, "family", None) is not None
-        if has_input == has_family:
+        if (args.input is None) == (args.family is None):
             raise ValueError("supply exactly one of --input or --family")
-        if has_family and getattr(args, "n", None) is None:
+        if args.family is not None and args.n is None:
             raise ValueError("--family needs --n")
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        family_name=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        alpha_list=alphas,
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "output", None),
-        table_id=getattr(args, "table_id", None),
-        samples=getattr(args, "samples", 101),
-        emit_path=getattr(args, "emit", None),
-        tolerance_grouping=getattr(args, "tolerance_grouping", GROUPING_TOLERANCE),
-        tolerance_sum=getattr(args, "tolerance_sum", SUM_TOLERANCE),
-    )
 
 
 _DISPATCH = {
     "spectrum": cmd_spectrum,
     "dimension": cmd_dimension,
-    "sweep": cmd_sweep,
+    "sweep": cmd_dimension,
     "table": cmd_table,
     "family": cmd_family,
     "envelope": cmd_envelope,
@@ -636,8 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_alpha(argv))
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        _check_args(args)
+        return _DISPATCH[args.command](args)
     except UnknownTable as failure:
         sys.stderr.write(f"error: UnknownTable: {failure}\n")
         return EXIT_UNKNOWN

@@ -15,8 +15,7 @@ Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames of size 20..25 without enumerating ``2**n``
-subsets.  :func:`cardinality_profile`, which merges equal-cardinality masses within a
-relative 1e-12 onto the lowest, is not on the evaluation path.
+subsets.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import (
     IndexOutOfFrame,
     MassOutOfRange,
     NotAFocalElement,
-    NotCardinalitySymmetric,
     SumNotOne,
 )
 
@@ -45,10 +43,6 @@ EXPLICIT_SUBSET_CAP = 2 ** 26
 # |sum of masses - 1| must stay within this bound for a mass function to
 # validate.  Input files carry short decimal masses, so 1e-9 is roomy.
 SUM_TOLERANCE = 1e-9
-
-# Two focal elements of equal cardinality must agree on their mass to this
-# relative tolerance for the cardinality-profile compression to apply.
-SYMMETRY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -288,37 +282,11 @@ def is_bayesian(m: MassFunction) -> bool:
     return all(band.cardinality == 1 for band in m.bands)
 
 
-def cardinality_profile(
-    m: MassFunction,
-    symmetry_tolerance: float = SYMMETRY_TOLERANCE,
-) -> list[ProfileBand]:
-    """Compress a cardinality-symmetric mass function into profile bands.
-
-    Returns one band per cardinality present, carrying the shared mass and
-    the count of focal elements of that cardinality.  Raises
-    :class:`NotCardinalitySymmetric` as soon as two focal elements of equal
-    cardinality disagree on their mass by more than ``symmetry_tolerance``
-    (relative).
-    """
-    profile: list[ProfileBand] = []
-    # m.bands are sorted by (cardinality, mass), so each cardinality's lowest
-    # mass comes first and its highest last
-    for cardinality, group in itertools.groupby(m.bands, key=lambda band: band.cardinality):
-        bands = list(group)
-        lowest, highest = bands[0].mass, bands[-1].mass
-        if highest - lowest > symmetry_tolerance * highest:
-            raise NotCardinalitySymmetric(
-                f"cardinality {cardinality} carries masses from {lowest!r} to {highest!r}"
-            )
-        profile.append(ProfileBand(cardinality, lowest, sum(band.multiplicity for band in bands)))
-    return profile
-
-
 # --- profile builders for the canonical families ---
 #
-# These produce the same bands cardinality_profile() would extract from the
-# materialized mass function, but without enumerating subsets, so they stay
-# usable far beyond the enumeration cap.
+# These produce the same bands validation counts on the materialized mass
+# function, but without enumerating subsets, so they stay usable far beyond
+# the enumeration cap.
 
 def max_deng_profile(n: int) -> list[ProfileBand]:
     normalizer = 3 ** n - 2 ** n

@@ -37,10 +37,6 @@ class FrameTooLarge(MassFractalError):
     """Explicit power-set enumeration would exceed the subset-count cap."""
 
 
-class NotCardinalitySymmetric(MassFractalError):
-    """Two focal elements of equal cardinality carry different masses."""
-
-
 # --- entropy-side errors ---
 
 class NegativeOrderUnsupported(MassFractalError):
@@ -66,6 +62,10 @@ class ZeroDenominator(MassFractalError):
     """The dimension denominator log2(sum of weighted terms) is zero."""
 
 
+class OrderOutOfRange(MassFractalError):
+    """At this order the dimension or its log sums leave the double range."""
+
+
 # --- oracle errors ---
 
 class MassesNotNormalized(MassFractalError):
@@ -76,3 +76,7 @@ class MassesNotNormalized(MassFractalError):
 
 class UnknownTable(MassFractalError):
     """The requested table identifier is not one of T1..T6."""
+
+
+class GridTooLarge(MassFractalError):
+    """An order grid or sample count exceeds the CLI's point cap."""

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FocalElement, MassFunction, ProfileBand
 from .entropy import LIMIT_ONE_WINDOW, as_profile_bands, deng_entropy_from_profile
-from .errors import DegenerateFrame, ZeroDenominator
+from .errors import DegenerateFrame, OrderOutOfRange, ZeroDenominator
 
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
@@ -243,6 +243,7 @@ def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
 def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
     bands, log_weights, log_multiplicities, log_masses = prepared
     limit_one = abs(alpha - 1.0) < LIMIT_ONE_WINDOW
+    branch = DimensionBranch.LIMIT_ONE if limit_one else DimensionBranch.GENERAL
 
     # A lone focal element holding the whole unit of mass has the closed form
     # D_alpha = 1/alpha: both log sums collapse to multiples of the same
@@ -256,50 +257,35 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
             )
         if alpha == 0.0:
             raise ZeroDenominator("order 0 zeroes the denominator exponent")
+        numerator_bits = log_weight
         if limit_one:
-            return DimensionResult(
-                alpha=alpha,
-                value=1.0,
-                numerator_bits=log_weight,
-                denominator_bits=log_weight,
-                branch=DimensionBranch.LIMIT_ONE,
-            )
-        return DimensionResult(
-            alpha=alpha,
-            value=1.0 / alpha,
-            numerator_bits=log_weight,
-            denominator_bits=alpha * log_weight,
-            branch=DimensionBranch.GENERAL,
-        )
-
-    if limit_one:
-        den_exponents = [
-            band.mass * lw + lk
-            for band, lw, lk in zip(bands, log_weights, log_multiplicities)
-        ]
+            value, denominator_bits = 1.0, log_weight
+        else:
+            value, denominator_bits = 1.0 / alpha, alpha * log_weight
     else:
         den_exponents = [
             alpha * band.mass * lw + lk
             for band, lw, lk in zip(bands, log_weights, log_multiplicities)
         ]
-    denominator_bits = _log2_power_sum(den_exponents)
-    if denominator_bits == 0.0:
-        raise ZeroDenominator("the weighted power sum in the denominator is 1")
+        denominator_bits = _log2_power_sum(den_exponents)
+        if denominator_bits == 0.0:
+            raise ZeroDenominator("the weighted power sum in the denominator is 1")
+        if limit_one:
+            numerator_bits = deng_entropy_from_profile(bands)
+        else:
+            num_exponents = [
+                alpha * (lm - lw) + lw + lk
+                for lm, lw, lk in zip(log_masses, log_weights, log_multiplicities)
+            ]
+            numerator_bits = _log2_power_sum(num_exponents) / (1.0 - alpha)
+        value = numerator_bits / denominator_bits
 
-    if limit_one:
-        numerator_bits = deng_entropy_from_profile(bands)
-        branch = DimensionBranch.LIMIT_ONE
-    else:
-        num_exponents = [
-            alpha * (lm - lw) + lw + lk
-            for lm, lw, lk in zip(log_masses, log_weights, log_multiplicities)
-        ]
-        numerator_bits = _log2_power_sum(num_exponents) / (1.0 - alpha)
-        branch = DimensionBranch.GENERAL
-
+    if not (math.isfinite(value) and math.isfinite(numerator_bits)
+            and math.isfinite(denominator_bits)):
+        raise OrderOutOfRange(f"order {alpha!r} takes the dimension past the double range")
     return DimensionResult(
         alpha=alpha,
-        value=numerator_bits / denominator_bits,
+        value=value,
         numerator_bits=numerator_bits,
         denominator_bits=denominator_bits,
         branch=branch,
@@ -318,7 +304,7 @@ def _sweep(prepare: Callable[[], _PreparedBands], alphas: Iterable[float]) -> li
             if prepared is None:
                 prepared = prepare()
             entries.append(SweepEntry(alpha, _dimension_from_bands(prepared, alpha), None))
-        except (ZeroDenominator, DegenerateFrame) as failure:
+        except (ZeroDenominator, DegenerateFrame, OrderOutOfRange) as failure:
             entries.append(SweepEntry(alpha, None, type(failure).__name__))
     return entries
 
@@ -332,8 +318,10 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     with the number of distinct pairs.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
-    lone singleton of mass one, or order zero on a lone focal element) and
-    :class:`DegenerateFrame` on one-hypothesis frames.
+    lone singleton of mass one, or order zero on a lone focal element),
+    :class:`OrderOutOfRange` when the order is so large or so small that the
+    result leaves the double range, and :class:`DegenerateFrame` on
+    one-hypothesis frames.
     """
     return _dimension_from_bands(_prepare_mass_function(m), float(alpha))
 
@@ -348,10 +336,10 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
     """Evaluate the dimension at each order, collecting per-order errors.
 
     One entry comes back per requested order, in input order; an order that
-    fails (zero denominator, degenerate frame) yields an entry carrying the
-    error name instead of aborting the remaining orders.  The bands' logs
-    are taken once for the whole sweep, and each entry equals what
-    :func:`multifractal_dimension` returns at that order.
+    fails (zero denominator, order out of range, degenerate frame) yields an
+    entry carrying the error name instead of aborting the remaining orders.
+    The bands' logs are taken once for the whole sweep, and each entry
+    equals what :func:`multifractal_dimension` returns at that order.
     """
     return _sweep(lambda: _prepare_mass_function(m), alphas)
 

@@ -466,6 +466,62 @@ def test_subset_that_is_not_a_list_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mass", [None, True, "0.5", [], {}])
+def test_mass_that_is_not_a_json_number_exits_two(tmp_path, capsys, mass):
+    path = write_mass_file(tmp_path / "not_a_number.json", ["a", "b"], [(["a"], mass), (["b"], 0.5)])
+    code, captured = main_in_process(capsys, "spectrum", "--input", path)
+    assert code == 2
+    assert "is not a JSON number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_integer_mass_too_large_for_a_float_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"frame": ["a", "b"], "assignments": [{"subset": ["a"], "mass": 1%s}, '
+        '{"subset": ["b"], "mass": 1}]}' % ("0" * 400),
+        encoding="utf-8",
+    )
+    code, captured = main_in_process(capsys, "spectrum", "--input", str(path))
+    assert code == 2
+    assert "MassOutOfRange" in captured.err
+    assert captured.out == ""
+
+
+def test_order_past_the_double_range_is_an_error_row(capsys):
+    code, captured = main_in_process(
+        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308,2"
+    )
+    assert code == 0
+    _, rows = parse_csv(captured.out)
+    assert rows[0] == ["1e+308", "", "", "", "", "OrderOutOfRange"]
+    assert float(rows[1][1]) == pytest.approx(1.2082137545959064, rel=1e-12)
+    assert "nan" not in captured.out.lower()
+
+
+def test_only_orders_past_the_double_range_exit_three(capsys):
+    code, captured = main_in_process(
+        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308"
+    )
+    assert code == 3
+    assert "nan" not in captured.out.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "max-deng", "--n", "3",
+     "--alpha-start", "0", "--alpha-stop", "1e9", "--alpha-step", "1e-9"],
+    ["sweep", "--family", "max-deng", "--n", "3",
+     "--alpha-start=-1e308", "--alpha-stop", "1e308", "--alpha-step", "1"],
+    ["envelope", "--n", "6", "--samples", "100000000"],
+])
+def test_grids_past_the_cap_exit_two(argv, capsys):
+    code, captured = main_in_process(capsys, *argv)
+    assert code == 2
+    assert "GridTooLarge" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     probe = (
         "import sys, massfractal.cli\n"

@@ -19,7 +19,6 @@ from massfractal.core import (
     FrameOfDiscernment,
     MassFunction,
     ProfileBand,
-    cardinality_profile,
     is_bayesian,
     max_deng_mass,
     max_deng_profile,
@@ -31,6 +30,7 @@ from massfractal.core import (
     vacuous_profile,
     validate_mass_function,
 )
+from massfractal.entropy import as_profile_bands
 from massfractal.errors import (
     DuplicateFocalElement,
     EmptyFocalElement,
@@ -39,7 +39,6 @@ from massfractal.errors import (
     MassFractalError,
     MassOutOfRange,
     NotAFocalElement,
-    NotCardinalitySymmetric,
     SumNotOne,
 )
 
@@ -281,7 +280,7 @@ def test_is_bayesian():
 # --- cardinality profiles ---
 
 def test_profile_of_max_deng_n3():
-    bands = cardinality_profile(max_deng_mass(_frame3()))
+    bands = as_profile_bands(max_deng_mass(_frame3()))
     assert bands == [
         ProfileBand(1, 1 / 19, 3),
         ProfileBand(2, 3 / 19, 3),
@@ -290,26 +289,27 @@ def test_profile_of_max_deng_n3():
 
 
 def test_profile_of_vacuous():
-    assert cardinality_profile(vacuous_mass(FrameOfDiscernment(6))) == [
+    assert as_profile_bands(vacuous_mass(FrameOfDiscernment(6))) == [
         ProfileBand(6, 1.0, 1)
     ]
 
 
-def test_profile_rejects_asymmetric_masses():
+def test_profile_keeps_unequal_singleton_masses_apart():
     m = validate_mass_function(_frame3(), [((0,), 0.2), ((1,), 0.3), ((2,), 0.5)])
-    with pytest.raises(NotCardinalitySymmetric):
-        cardinality_profile(m)
+    assert as_profile_bands(m) == [
+        ProfileBand(1, 0.2, 1), ProfileBand(1, 0.3, 1), ProfileBand(1, 0.5, 1)
+    ]
 
 
 def test_profile_allows_partial_cardinality_classes():
-    # one singleton and one pair: symmetric by vacuity of the equal-mass check
+    # one singleton and one pair: one band each
     m = validate_mass_function(_frame3(), [((0,), 0.2), ((1, 2), 0.8)])
-    assert cardinality_profile(m) == [ProfileBand(1, 0.2, 1), ProfileBand(2, 0.8, 1)]
+    assert as_profile_bands(m) == [ProfileBand(1, 0.2, 1), ProfileBand(2, 0.8, 1)]
 
 
 def test_profile_multiplicities_are_binomial():
     for n in range(1, 11):
-        bands = cardinality_profile(max_deng_mass(FrameOfDiscernment(n)))
+        bands = as_profile_bands(max_deng_mass(FrameOfDiscernment(n)))
         assert len(bands) == n
         assert [band.multiplicity for band in bands] == [
             math.comb(n, k) for k in range(1, n + 1)
@@ -317,12 +317,22 @@ def test_profile_multiplicities_are_binomial():
 
 
 def test_profile_builders_match_extracted_profiles():
+    # the family builders attach their profile as the bands, so the bands
+    # are counted again from the focal elements by validation
+    families = [
+        (max_deng_mass, max_deng_profile),
+        (uniform_powerset_mass, uniform_powerset_profile),
+        (vacuous_mass, vacuous_profile),
+        (uniform_singleton_mass, uniform_singleton_profile),
+    ]
     for n in range(1, 11):
         frame = FrameOfDiscernment(n)
-        assert max_deng_profile(n) == cardinality_profile(max_deng_mass(frame))
-        assert uniform_powerset_profile(n) == cardinality_profile(uniform_powerset_mass(frame))
-        assert vacuous_profile(n) == cardinality_profile(vacuous_mass(frame))
-        assert uniform_singleton_profile(n) == cardinality_profile(uniform_singleton_mass(frame))
+        for family, profile_builder in families:
+            m = family(frame)
+            recounted = validate_mass_function(
+                frame, [(element.members, mass) for element, mass in m.assignments]
+            )
+            assert list(recounted.bands) == profile_builder(n)
 
 
 # --- invariants ---

@@ -21,7 +21,6 @@ from conftest import mask_to_members, oracle_terms, pooled_mass_function, random
 from massfractal.core import (
     FocalElement,
     FrameOfDiscernment,
-    cardinality_profile,
     max_deng_mass,
     max_deng_profile,
     uniform_powerset_mass,
@@ -41,6 +40,7 @@ from massfractal.entropy import (
 from massfractal.errors import (
     DegenerateFrame,
     NotAFocalElement,
+    OrderOutOfRange,
     ZeroDenominator,
 )
 from massfractal.multifractal import (
@@ -322,6 +322,24 @@ def test_sweep_preserves_order_and_isolates_failures():
     assert entries[1].result.value == 0.5
     assert entries[2].result.value == 0.25
     assert entries[1].error is None
+
+
+@pytest.mark.parametrize("m", [
+    max_deng_mass(FrameOfDiscernment(3)), vacuous_mass(FrameOfDiscernment(3)),
+])
+def test_sweep_reports_orders_past_the_double_range(m):
+    # max-Deng overflows its numerator exponents, the lone vacuous element
+    # its denominator and, at the subnormal order, its value 1/alpha
+    entries = dimension_sweep(m, [1e308, -1e308, 1e-310, 2.0])
+    errors = [e.error for e in entries]
+    assert errors[:2] == ["OrderOutOfRange", "OrderOutOfRange"]
+    assert entries[3].result == multifractal_dimension(m, 2.0)
+    for entry in entries:
+        if entry.result is None:
+            with pytest.raises(OrderOutOfRange):
+                multifractal_dimension(m, entry.alpha)
+        else:
+            assert math.isfinite(entry.result.value)
 
 
 def test_sweep_from_profile_matches_direct_calls():
