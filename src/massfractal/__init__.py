@@ -19,7 +19,6 @@ from .core import (
     validate_mass_function,
 )
 from .entropy import (
-    EntropyOrder,
     ProbabilityDistribution,
     deng_entropy,
     deng_entropy_from_profile,
@@ -56,7 +55,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "EntropyOrder",
     "ExactMass",
     "DimensionResult",
     "FocalElement",

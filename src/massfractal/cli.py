@@ -285,46 +285,25 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         entries = dimension_sweep(m, args.alpha)
     else:
         entries = dimension_sweep_from_profile(_FAMILY_PROFILE[args.family](args.n), args.alpha)
-    rows = []
-    json_rows = []
+    columns = ["alpha", "D_alpha", "numerator_bits", "denominator_bits"]
+    records = []
     for entry in entries:
-        if entry.result is None:
-            note = entry.error or ""
-            rows.append([_format_full(entry.alpha), "", "", "", "", note])
-            json_rows.append({"alpha": entry.alpha, "error": entry.error})
-            continue
         r = entry.result
-        note = "outside tabulated range" if entry.alpha < 0 else ""
-        rows.append(
-            [
-                _format_full(r.alpha),
-                _format_full(r.value),
-                r.branch.value,
-                _format_full(r.numerator_bits),
-                _format_full(r.denominator_bits),
-                note,
-            ]
-        )
-        json_rows.append(
-            {
-                "alpha": r.alpha,
-                "D_alpha": r.value,
-                "branch": r.branch.value,
-                "numerator_bits": r.numerator_bits,
-                "denominator_bits": r.denominator_bits,
-                "note": note or None,
-            }
-        )
+        if r is None:
+            records.append({"alpha": entry.alpha, "error": entry.error})
+            continue
+        note = "outside tabulated range" if entry.alpha < 0 else None
+        records.append({"alpha": r.alpha, "D_alpha": r.value, "numerator_bits": r.numerator_bits,
+                        "denominator_bits": r.denominator_bits, "note": note})
     if args.format == "json":
-        _write_text(args.output, _json_text({"rows": json_rows}))
+        _write_text(args.output, _json_text({"rows": records}))
     else:
-        _write_text(
-            args.output,
-            _csv_text(
-                ["alpha", "D_alpha", "branch", "numerator_bits", "denominator_bits", "note"],
-                rows,
-            ),
-        )
+        rows = [
+            [_format_full(record[c]) if c in record else "" for c in columns]
+            + [record.get("note") or record.get("error") or ""]
+            for record in records
+        ]
+        _write_text(args.output, _csv_text(columns + ["note"], rows))
     if entries and all(entry.result is None for entry in entries):
         return EXIT_MATH
     return EXIT_OK
@@ -514,31 +493,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="mass-function JSON file")
         p.add_argument("--family", choices=FAMILIES, help="built-in family name")
         p.add_argument("--n", type=_positive_int, help="frame size for --family")
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-        p.add_argument("--output", help="output file (default stdout)")
-
-    def add_tolerances(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance-grouping", type=_tolerance, default=GROUPING_TOLERANCE)
         p.add_argument("--tolerance-sum", type=_tolerance, default=SUM_TOLERANCE)
 
+    def add_output(p: argparse.ArgumentParser, formats=("csv", "json", "svg")) -> None:
+        p.add_argument("--format", choices=formats, default="csv")
+        p.add_argument("--output", help="output file (default stdout)")
+
     p = sub.add_parser("spectrum", help="multifractal spectrum points")
-    add_source(p); add_output(p); add_tolerances(p)
+    add_source(p); add_output(p)
+    p.add_argument("--tolerance-grouping", type=_tolerance, default=GROUPING_TOLERANCE)
 
     p = sub.add_parser("dimension", help="multifractal dimension at given orders")
-    add_source(p); add_output(p); add_tolerances(p)
+    add_source(p); add_output(p, ("csv", "json"))
     p.add_argument("--alpha", type=_alpha_list, required=True, help="comma-separated orders")
 
     p = sub.add_parser("sweep", help="dimension over an arithmetic order grid")
-    add_source(p); add_output(p); add_tolerances(p)
+    add_source(p); add_output(p, ("csv", "json"))
     p.add_argument("--alpha-start", type=_finite, required=True)
     p.add_argument("--alpha-stop", type=_finite, required=True)
     p.add_argument("--alpha-step", type=_finite, required=True)
 
     p = sub.add_parser("table", help="regenerate a reference table")
     p.add_argument("table_id", metavar="TABLE", help="one of T1..T6")
-    add_output(p)
+    add_output(p, ("csv", "json"))
 
     p = sub.add_parser("family", help="emit a built-in family as a mass-function JSON file")
     p.add_argument("--family", choices=FAMILIES, required=True)

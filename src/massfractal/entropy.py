@@ -1,15 +1,17 @@
 """Shannon, Renyi, and Deng entropies, plus the Renyi information dimension.
 
-All logarithms are base 2; every quantity is reported in bits.  The order
-alpha = 1 is always handled by an exact limit branch, never by evaluating
-1/(1 - alpha) numerically.
+All logarithms are base 2; every quantity is reported in bits.  Renyi
+entropy and the numerator of the multifractal dimension are one quantity,
+log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1, over shares s_i
+summing to one and exponents t_i <= 0, and one kernel evaluates it at every
+order, its limit -sum_i s_i t_i (Shannon, or Deng) at alpha = 1 included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import MassFunction, ProfileBand
 from .errors import (
@@ -21,8 +23,7 @@ from .errors import (
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
-# Orders within this window of 1 route to the exact limit branch.
-LIMIT_ONE_WINDOW = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -53,41 +54,79 @@ class ProbabilityDistribution:
         return sum(1 for p in self.probs if p > 0.0)
 
 
-@dataclass(frozen=True)
-class EntropyOrder:
-    """The Renyi order alpha, with the alpha = 1 limit flag precomputed."""
+def _log2_power_sum(exponents: list[float]) -> float:
+    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
+    top = max(exponents)
+    if len(exponents) == 1:
+        return top
+    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
-    alpha: float
-    is_limit_one: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "is_limit_one", abs(self.alpha - 1.0) < LIMIT_ONE_WINDOW)
+class _NumeratorTerms(NamedTuple):
+    """The order-free part of the kernel: s_i, log2 s_i, t_i and max |t_i|."""
+
+    shares: list[float]
+    log_shares: list[float]
+    exponents: list[float]
+    reach: float
+
+
+def _numerator_terms(log_sizes: list[float], exponents: list[float]) -> _NumeratorTerms:
+    # normalised in the log domain, so a size past the double range is finite
+    total = _log2_power_sum(log_sizes)
+    log_shares = [size - total for size in log_sizes]
+    return _NumeratorTerms(
+        [2.0 ** share for share in log_shares],
+        log_shares,
+        exponents,
+        max(abs(t) for t in exponents),
+    )
+
+
+def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
+    """log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1.
+
+    Every t_i <= 0, so the terms share a sign and do not cancel.  While
+    every |eps * t_i| <= 1, expm1 and log1p keep the value accurate however
+    small eps is; beyond that the max-shifted power sum cannot overflow.
+    """
+    eps = alpha - 1.0
+    if eps == 0.0:
+        return -math.fsum(s * t for s, t in zip(terms.shares, terms.exponents))
+    if abs(eps) * terms.reach <= 1.0:
+        scale = eps * _LN2
+        excess = math.fsum(
+            s * math.expm1(scale * t) for s, t in zip(terms.shares, terms.exponents)
+        )
+        return math.log1p(excess) / -scale
+    return _log2_power_sum(
+        [ls + eps * t for ls, t in zip(terms.log_shares, terms.exponents)]
+    ) / -eps
+
+
+def renyi_entropy(p: ProbabilityDistribution, alpha: float) -> float:
+    """Renyi entropy of order alpha >= 0, in bits.
+
+    log2(sum p_i ** alpha) / (1 - alpha), with Shannon entropy at alpha = 1,
+    over the support only.  The p_i enter normalised to sum to one, so the
+    value is continuous through alpha = 1 also when they sum to one only
+    within the tolerance.
+    """
+    alpha = float(alpha)
+    if alpha < 0.0:
+        raise NegativeOrderUnsupported(
+            f"Renyi entropy of a probability distribution requires order >= 0, got {alpha}"
+        )
+    logs = [math.log2(q) for q in p.support()]
+    return _numerator_bits(_numerator_terms(logs, logs), alpha)
 
 
 def shannon_entropy(p: ProbabilityDistribution) -> float:
-    """-sum p_i log2 p_i in bits, with 0 log 0 taken as 0."""
-    return -math.fsum(q * math.log2(q) for q in p.probs if q > 0.0)
+    """-sum p_i log2 p_i in bits (0 log 0 = 0): Renyi entropy of order 1."""
+    return renyi_entropy(p, 1.0)
 
 
-def renyi_entropy(p: ProbabilityDistribution, order: EntropyOrder) -> float:
-    """Renyi entropy of order alpha >= 0, in bits.
-
-    The alpha = 1 window returns Shannon entropy exactly; elsewhere the value
-    is log2(sum p_i ** alpha) / (1 - alpha), summed over the support only so
-    that small orders never see zero entries.
-    """
-    if order.alpha < 0.0:
-        raise NegativeOrderUnsupported(
-            f"Renyi entropy of a probability distribution requires order >= 0, got {order.alpha}"
-        )
-    if order.is_limit_one:
-        return shannon_entropy(p)
-    power_sum = math.fsum(q ** order.alpha for q in p.support())
-    return math.log2(power_sum) / (1.0 - order.alpha)
-
-
-def renyi_information_dimension(p: ProbabilityDistribution, order: EntropyOrder) -> float:
+def renyi_information_dimension(p: ProbabilityDistribution, alpha: float) -> float:
     """Renyi entropy rescaled by log2 of the support size.
 
     Defined only for supports of at least two points; a point mass has no
@@ -96,7 +135,7 @@ def renyi_information_dimension(p: ProbabilityDistribution, order: EntropyOrder)
     n = p.support_size
     if n < 2:
         raise DegenerateSupport(f"information dimension needs support >= 2, got {n}")
-    return renyi_entropy(p, order) / math.log2(n)
+    return renyi_entropy(p, alpha) / math.log2(n)
 
 
 def as_profile_bands(m: MassFunction) -> list[ProfileBand]:

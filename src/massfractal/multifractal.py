@@ -15,34 +15,32 @@ functions every |A| is 1, the weights collapse, and D_alpha reduces to the
 Renyi information dimension; on the maximum-Deng-entropy family it climbs
 toward log2(3) as the frame grows.
 
-Numerics: numerator and denominator sums both run in the log2 domain with the
-largest exponent factored out, because (m/(2**|A|-1))**alpha underflows for
-large alpha on big frames and (2**|A|-1)**(alpha*m) overflows for large alpha
-on masses near one.  A sum with a single term is returned exactly, with no
-rounding beyond its own exponent arithmetic.
+Numerics: the numerator is the Renyi kernel of :mod:`entropy` over the band
+shares k*m, normalised to sum to one, and exponents log2(m/(2**|A|-1)).  The
+denominator runs in the log2 domain with the largest exponent factored out,
+because (2**|A|-1)**(alpha*m) overflows for large alpha on masses near one.
+A sum with a single term is returned exactly.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FocalElement, MassFunction, ProfileBand
-from .entropy import LIMIT_ONE_WINDOW, as_profile_bands, deng_entropy_from_profile
+from .entropy import (
+    _log2_power_sum,
+    _numerator_bits,
+    _numerator_terms,
+    _NumeratorTerms,
+    as_profile_bands,
+)
 from .errors import DegenerateFrame, OrderOutOfRange, ZeroDenominator
 
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
 GROUPING_TOLERANCE = 1e-9
-
-
-class DimensionBranch(enum.Enum):
-    """Which formula produced a DimensionResult."""
-
-    GENERAL = "general"
-    LIMIT_ONE = "limit_one"
 
 
 @dataclass(frozen=True)
@@ -88,14 +86,14 @@ class DimensionResult:
     """One evaluated multifractal dimension.
 
     ``value`` equals ``numerator_bits / denominator_bits``; both sides of the
-    ratio are kept so callers can inspect the scaling separately.
+    ratio are kept so callers can inspect the scaling separately.  At
+    ``alpha == 1`` the numerator is the Deng entropy.
     """
 
     alpha: float
     value: float
     numerator_bits: float
     denominator_bits: float
-    branch: DimensionBranch
 
 
 @dataclass(frozen=True)
@@ -207,31 +205,25 @@ def spectrum_from_profile(
     return _spectrum_from_bands(_as_bands(profile), n, grouping_tolerance)
 
 
-def _log2_power_sum(exponents: list[float]) -> float:
-    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
-    top = max(exponents)
-    if len(exponents) == 1:
-        return top
-    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
-
-
 class _PreparedBands(NamedTuple):
     """Bands with every order-independent log taken once, ready for any
-    number of orders."""
+    number of orders: the denominator's logs and the numerator's terms."""
 
     bands: list[ProfileBand]
     log_weights: list[float]
     log_multiplicities: list[float]
-    log_masses: list[float]
+    numerator: _NumeratorTerms
 
 
 def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
-    return _PreparedBands(
-        bands,
-        [math.log2(2 ** band.cardinality - 1) for band in bands],
-        [math.log2(band.multiplicity) for band in bands],
-        [math.log2(band.mass) for band in bands],
+    log_weights = [math.log2(2 ** band.cardinality - 1) for band in bands]
+    log_multiplicities = [math.log2(band.multiplicity) for band in bands]
+    log_masses = [math.log2(band.mass) for band in bands]
+    numerator = _numerator_terms(
+        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
+        [lm - lw for lm, lw in zip(log_masses, log_weights)],
     )
+    return _PreparedBands(bands, log_weights, log_multiplicities, numerator)
 
 
 def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
@@ -241,9 +233,7 @@ def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
 
 
 def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
-    bands, log_weights, log_multiplicities, log_masses = prepared
-    limit_one = abs(alpha - 1.0) < LIMIT_ONE_WINDOW
-    branch = DimensionBranch.LIMIT_ONE if limit_one else DimensionBranch.GENERAL
+    bands, log_weights, log_multiplicities, numerator = prepared
 
     # A lone focal element holding the whole unit of mass has the closed form
     # D_alpha = 1/alpha: both log sums collapse to multiples of the same
@@ -258,10 +248,7 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
         if alpha == 0.0:
             raise ZeroDenominator("order 0 zeroes the denominator exponent")
         numerator_bits = log_weight
-        if limit_one:
-            value, denominator_bits = 1.0, log_weight
-        else:
-            value, denominator_bits = 1.0 / alpha, alpha * log_weight
+        value, denominator_bits = 1.0 / alpha, alpha * log_weight
     else:
         den_exponents = [
             alpha * band.mass * lw + lk
@@ -270,14 +257,7 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
         denominator_bits = _log2_power_sum(den_exponents)
         if denominator_bits == 0.0:
             raise ZeroDenominator("the weighted power sum in the denominator is 1")
-        if limit_one:
-            numerator_bits = deng_entropy_from_profile(bands)
-        else:
-            num_exponents = [
-                alpha * (lm - lw) + lw + lk
-                for lm, lw, lk in zip(log_masses, log_weights, log_multiplicities)
-            ]
-            numerator_bits = _log2_power_sum(num_exponents) / (1.0 - alpha)
+        numerator_bits = _numerator_bits(numerator, alpha)
         value = numerator_bits / denominator_bits
 
     if not (math.isfinite(value) and math.isfinite(numerator_bits)
@@ -288,7 +268,6 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
         value=value,
         numerator_bits=numerator_bits,
         denominator_bits=denominator_bits,
-        branch=branch,
     )
 
 
@@ -312,8 +291,11 @@ def _sweep(prepare: Callable[[], _PreparedBands], alphas: Iterable[float]) -> li
 def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     """Order-alpha multifractal dimension of a mass function.
 
-    The order may be any real.  Orders within 1e-12 of 1 take the limit
-    branch, whose numerator is the Deng entropy.  The evaluation reads the
+    The order may be any real; at order 1 the numerator is the Deng entropy.
+    Orders near 1 take the same formula without cancelling, within 1e-12
+    (relative) of the exact value, and the shares k*m enter normalised, so
+    the value is continuous through 1 also when the masses sum to one only
+    within the tolerance.  The evaluation reads the
     exact ``(cardinality, mass)`` bands ``m`` carries, so the cost scales
     with the number of distinct pairs.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from massfractal.core import FrameOfDiscernment, MassFunction, validate_mass_function
 
@@ -68,3 +69,14 @@ def oracle_terms(m: MassFunction) -> list[tuple[int, Fraction, int]]:
     return [
         (element.cardinality, Fraction(mass), 1) for element, mass in m.assignments
     ]
+
+
+def max_deng_exact(n: int) -> list[tuple[int, Fraction, int]]:
+    """The maximum-Deng-entropy family as exact oracle terms."""
+    scale = 3**n - 2**n
+    return [(k, Fraction(2**k - 1, scale), comb(n, k)) for k in range(1, n + 1)]
+
+
+def uniform_powerset_exact(n: int) -> list[tuple[int, Fraction, int]]:
+    """The uniform-powerset family as exact oracle terms."""
+    return [(k, Fraction(1, 2**n - 1), comb(n, k)) for k in range(1, n + 1)]

@@ -29,9 +29,15 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import comb, log2
+from math import log2
 
-from conftest import oracle_terms, random_bayesian, random_mass_function
+from conftest import (
+    max_deng_exact,
+    oracle_terms,
+    random_bayesian,
+    random_mass_function,
+    uniform_powerset_exact,
+)
 from massfractal.core import (
     FrameOfDiscernment,
     max_deng_profile,
@@ -41,7 +47,6 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    EntropyOrder,
     ProbabilityDistribution,
     deng_entropy,
     deng_entropy_from_profile,
@@ -141,15 +146,6 @@ def two_focal_mass():
 def seeded_bayesian_sample():
     rng = random.Random(BAYESIAN_SEED)
     return [random_bayesian(rng, rng.randint(2, 6)) for _ in range(50)]
-
-
-def max_deng_exact(n):
-    scale = 3**n - 2**n
-    return [(k, Fraction(2**k - 1, scale), comb(n, k)) for k in range(1, n + 1)]
-
-
-def uniform_powerset_exact(n):
-    return [(k, Fraction(1, 2**n - 1), comb(n, k)) for k in range(1, n + 1)]
 
 
 def cell_problems(label, value, printed, erratum, exact, alpha):
@@ -348,7 +344,7 @@ def test_criterion_07_bayesian_degeneracy():
         p = ProbabilityDistribution(tuple(mass for _, mass in m.assignments))
         for alpha in (0.5, 2.0, 3.0, 7.0):
             left = multifractal_dimension(m, alpha).value
-            right = renyi_information_dimension(p, EntropyOrder(alpha))
+            right = renyi_information_dimension(p, alpha)
             if abs(left - right) > 1e-10:
                 problems.append(f"sample {index}, order {alpha}: dimension {left!r} "
                                 f"vs information dimension {right!r}")

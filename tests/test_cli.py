@@ -36,6 +36,11 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def csv_records(text):
+    """CSV rows as dicts keyed by the header."""
+    return list(csv.DictReader(text.splitlines()))
+
+
 def write_mass_file(path, labels, assignments):
     payload = {
         "frame": list(labels),
@@ -132,14 +137,11 @@ def test_dimension_of_two_focal_example(two_focal_file):
     proc = run_cli("dimension", "--input", two_focal_file, "--alpha", "1,2,3")
     assert proc.returncode == 0
     header, rows = parse_csv(proc.stdout)
-    assert header == ["alpha", "D_alpha", "branch", "numerator_bits", "denominator_bits", "note"]
+    assert header == ["alpha", "D_alpha", "numerator_bits", "denominator_bits", "note"]
     values = {float(row[0]): float(row[1]) for row in rows}
     assert values[1.0] == pytest.approx(1.1249, abs=5e-4)
     assert values[2.0] == pytest.approx(0.7163, abs=5e-4)
     assert values[3.0] == pytest.approx(0.5054063322490777, abs=1e-6)
-    branches = {float(row[0]): row[2] for row in rows}
-    assert branches[1.0] == "limit_one"
-    assert branches[2.0] == "general"
 
 
 def test_dimension_of_vacuous_family():
@@ -160,16 +162,18 @@ def test_dimension_json_rows(two_focal_file):
         "dimension", "--input", two_focal_file, "--alpha", "1,2", "--format", "json"
     )
     payload = json.loads(proc.stdout)
-    assert [row["branch"] for row in payload["rows"]] == ["limit_one", "general"]
+    assert [sorted(row) for row in payload["rows"]] == [
+        ["D_alpha", "alpha", "denominator_bits", "note", "numerator_bits"]
+    ] * 2
     assert payload["rows"][0]["D_alpha"] == pytest.approx(1.1249, abs=5e-4)
 
 
 def test_negative_order_is_flagged(two_focal_file):
     proc = run_cli("dimension", "--input", two_focal_file, "--alpha=-1,2")
     assert proc.returncode == 0
-    _, rows = parse_csv(proc.stdout)
-    assert rows[0][5] == "outside tabulated range"
-    assert rows[1][5] == ""
+    rows = csv_records(proc.stdout)
+    assert rows[0]["note"] == "outside tabulated range"
+    assert rows[1]["note"] == ""
 
 
 @pytest.mark.parametrize("alpha_args", [["--alpha", "-2,0.5,3"], ["--alpha=-2,0.5,3"]])
@@ -197,10 +201,10 @@ def test_sweep_keeps_going_past_degenerate_orders():
         "--alpha-start", "0", "--alpha-stop", "2", "--alpha-step", "2",
     )
     assert proc.returncode == 0
-    _, rows = parse_csv(proc.stdout)
-    assert rows[0][1] == ""
-    assert rows[0][5] == "ZeroDenominator"
-    assert float(rows[1][1]) == 0.5
+    rows = csv_records(proc.stdout)
+    assert rows[0]["D_alpha"] == ""
+    assert rows[0]["note"] == "ZeroDenominator"
+    assert float(rows[1]["D_alpha"]) == 0.5
 
 
 def test_dimension_fails_when_every_order_degenerates(tmp_path):
@@ -494,9 +498,10 @@ def test_order_past_the_double_range_is_an_error_row(capsys):
         capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308,2"
     )
     assert code == 0
-    _, rows = parse_csv(captured.out)
-    assert rows[0] == ["1e+308", "", "", "", "", "OrderOutOfRange"]
-    assert float(rows[1][1]) == pytest.approx(1.2082137545959064, rel=1e-12)
+    rows = csv_records(captured.out)
+    assert rows[0] == {"alpha": "1e+308", "D_alpha": "", "numerator_bits": "",
+                       "denominator_bits": "", "note": "OrderOutOfRange"}
+    assert float(rows[1]["D_alpha"]) == pytest.approx(1.2082137545959064, rel=1e-12)
     assert "nan" not in captured.out.lower()
 
 
@@ -520,6 +525,44 @@ def test_grids_past_the_cap_exit_two(argv, capsys):
     assert code == 2
     assert "GridTooLarge" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "T4", "--format", "svg"],
+    ["dimension", "--family", "max-deng", "--n", "3", "--alpha", "2", "--format", "svg"],
+    ["sweep", "--family", "max-deng", "--n", "3",
+     "--alpha-start", "1", "--alpha-stop", "2", "--alpha-step", "1", "--format", "svg"],
+])
+def test_formats_a_command_cannot_write_exit_two(argv, capsys):
+    code, captured = main_in_process(capsys, *argv)
+    assert code == 2
+    assert "invalid choice: 'svg'" in captured.err
+    assert captured.out == ""
+
+
+def test_table_writes_json(capsys):
+    code, captured = main_in_process(capsys, "table", "T4", "--format", "json")
+    assert code == 0
+    assert json.loads(captured.out)["table"] == "T4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dimension", "--family", "max-deng", "--n", "3", "--alpha", "2"],
+    ["sweep", "--family", "max-deng", "--n", "3",
+     "--alpha-start", "1", "--alpha-stop", "2", "--alpha-step", "1"],
+])
+def test_grouping_tolerance_belongs_to_spectrum_only(argv, capsys):
+    code, captured = main_in_process(capsys, *argv, "--tolerance-grouping", "0.5")
+    assert code == 2
+    assert "unrecognized arguments: --tolerance-grouping" in captured.err
+    assert captured.out == ""
+    code, _ = main_in_process(capsys, *argv, "--tolerance-sum", "0.5")
+    assert code == 0
+    code, captured = main_in_process(
+        capsys, "spectrum", "--family", "max-deng", "--n", "3", "--tolerance-grouping", "0.9"
+    )
+    assert code == 0
+    assert len(csv_records(captured.out)) == 1
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -9,10 +9,12 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from conftest import pooled_mass_function, random_bayesian, random_mass_function
 from massfractal.core import (
@@ -28,7 +30,6 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    EntropyOrder,
     ProbabilityDistribution,
     as_profile_bands,
     deng_entropy,
@@ -51,6 +52,30 @@ LOG2_19 = 4.247927513443585
 LOG2_7 = 2.807354922057604
 
 
+def _oracle_renyi(probs, alpha):
+    """Renyi entropy in bits at 120 working bits, of the exact rationals the
+    doubles hold, normalised to sum to one; Shannon at alpha = 1."""
+    exact = [Fraction(q) for q in probs if q > 0.0]
+    total = sum(exact)
+    order = Fraction(alpha)
+    with mp.workprec(120):
+        ps = [mp.mpf(q.numerator) / mp.mpf(q.denominator) for q in (q / total for q in exact)]
+        if order == 1:
+            return float(-mp.fsum(q * mp.log(q, 2) for q in ps))
+        a = mp.mpf(order.numerator) / order.denominator
+        return float(mp.log(mp.fsum(mp.power(q, a) for q in ps), 2) / (1 - a))
+
+
+def _relative_error(value, exact):
+    return abs(value - exact) / abs(exact)
+
+
+# order 1 and 1 +- 10**-k for k = 1..15
+NEAR_ONE_ORDERS = (1.0,) + tuple(
+    1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (1, -1)
+)
+
+
 def test_distribution_validation():
     ProbabilityDistribution((0.25, 0.75))
     with pytest.raises(MassOutOfRange):
@@ -65,13 +90,6 @@ def test_distribution_support_skips_zeros():
     assert p.support() == (0.5, 0.5)
 
 
-def test_entropy_order_limit_window():
-    assert EntropyOrder(1.0).is_limit_one
-    assert EntropyOrder(1.0 + 1e-13).is_limit_one
-    assert not EntropyOrder(1.0 + 1e-11).is_limit_one
-    assert not EntropyOrder(2.0).is_limit_one
-
-
 def test_shannon_basics():
     assert shannon_entropy(ProbabilityDistribution((0.5, 0.5))) == 1.0
     assert shannon_entropy(ProbabilityDistribution((1.0,))) == 0.0
@@ -83,28 +101,46 @@ def test_shannon_basics():
 def test_renyi_on_uniform_is_log_n():
     p = ProbabilityDistribution((0.125,) * 8)
     for alpha in (0.0, 0.5, 1.0, 2.0, 17.0):
-        assert renyi_entropy(p, EntropyOrder(alpha)) == pytest.approx(3.0, abs=1e-12)
+        assert renyi_entropy(p, alpha) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_renyi_order_two():
-    value = renyi_entropy(ProbabilityDistribution((0.2, 0.8)), EntropyOrder(2.0))
+    value = renyi_entropy(ProbabilityDistribution((0.2, 0.8)), 2.0)
     assert value == pytest.approx(RENYI2_FIFTH_FOUR_FIFTHS, abs=1e-12)
 
 
 def test_renyi_limit_branch_is_shannon():
     p = ProbabilityDistribution((0.1, 0.2, 0.7))
-    assert renyi_entropy(p, EntropyOrder(1.0)) == shannon_entropy(p)
-    assert renyi_entropy(p, EntropyOrder(1.0 - 1e-13)) == shannon_entropy(p)
+    assert renyi_entropy(p, 1.0) == shannon_entropy(p)
+    # the exact value at 1 - 1e-13 differs from Shannon by about 9e-15
+    alpha = 1.0 - 1e-13
+    assert _relative_error(renyi_entropy(p, alpha), _oracle_renyi(p.probs, alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.25, 0.125, 0.125), (0.1, 0.2, 0.7)])
+def test_renyi_near_order_one_matches_the_oracle(probs):
+    p = ProbabilityDistribution(probs)
+    for alpha in NEAR_ONE_ORDERS + (0.0, 0.5, 2.0, 7.0, 40.0):
+        assert _relative_error(renyi_entropy(p, alpha), _oracle_renyi(probs, alpha)) <= 1e-12, alpha
+
+
+def test_renyi_is_continuous_through_one_on_masses_short_of_one():
+    # sums to 1 - 1e-10, inside the tolerance; the shares are normalised, so
+    # the 1e-10 is not divided by alpha - 1
+    p = ProbabilityDistribution((0.3333333333,) * 3)
+    center = renyi_entropy(p, 1.0)
+    for alpha in (1.0 - 1e-11, 1.0 + 1e-11):
+        assert _relative_error(renyi_entropy(p, alpha), center) <= 1e-12
 
 
 def test_renyi_rejects_negative_orders():
     with pytest.raises(NegativeOrderUnsupported):
-        renyi_entropy(ProbabilityDistribution((0.5, 0.5)), EntropyOrder(-1.0))
+        renyi_entropy(ProbabilityDistribution((0.5, 0.5)), -1.0)
 
 
 def test_renyi_order_zero_counts_support():
     p = ProbabilityDistribution((0.9, 0.1, 0.0))
-    assert renyi_entropy(p, EntropyOrder(0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert renyi_entropy(p, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_renyi_is_nonincreasing_in_order():
@@ -115,7 +151,7 @@ def test_renyi_is_nonincreasing_in_order():
         weights = [rng.randint(1, 100) for _ in range(size)]
         total = sum(weights)
         p = ProbabilityDistribution(tuple(w / total for w in weights))
-        values = [renyi_entropy(p, EntropyOrder(alpha)) for alpha in grid]
+        values = [renyi_entropy(p, alpha) for alpha in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -123,18 +159,18 @@ def test_information_dimension_of_uniform_is_one():
     for n in (2, 5, 9):
         p = ProbabilityDistribution((1.0 / n,) * n)
         for alpha in (0.5, 1.0, 2.0, 7.0):
-            value = renyi_information_dimension(p, EntropyOrder(alpha))
+            value = renyi_information_dimension(p, alpha)
             assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_information_dimension_rejects_point_support():
     with pytest.raises(DegenerateSupport):
-        renyi_information_dimension(ProbabilityDistribution((1.0, 0.0)), EntropyOrder(2.0))
+        renyi_information_dimension(ProbabilityDistribution((1.0, 0.0)), 2.0)
 
 
 def test_information_dimension_binary_support():
     p = ProbabilityDistribution((0.2, 0.8))
-    value = renyi_information_dimension(p, EntropyOrder(2.0))
+    value = renyi_information_dimension(p, 2.0)
     assert value == pytest.approx(RENYI2_FIFTH_FOUR_FIFTHS, abs=1e-12)
 
 

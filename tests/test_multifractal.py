@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,14 @@ from hypothesis import strategies as st
 
 import massfractal.core as core_module
 import massfractal.multifractal as multifractal_module
-from conftest import mask_to_members, oracle_terms, pooled_mass_function, random_mass_function
+from conftest import (
+    mask_to_members,
+    max_deng_exact,
+    oracle_terms,
+    pooled_mass_function,
+    random_mass_function,
+    uniform_powerset_exact,
+)
 from massfractal.core import (
     FocalElement,
     FrameOfDiscernment,
@@ -32,7 +38,6 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    EntropyOrder,
     ProbabilityDistribution,
     as_profile_bands,
     renyi_information_dimension,
@@ -45,7 +50,6 @@ from massfractal.errors import (
 )
 from massfractal.multifractal import (
     GROUPING_TOLERANCE,
-    DimensionBranch,
     asymptotic_anchor_points,
     dimension_from_profile,
     dimension_sweep,
@@ -206,10 +210,8 @@ def test_profile_route_matches_enumeration(n):
 def test_dimension_of_two_focal_example():
     m = example_two_focal()
     d1 = multifractal_dimension(m, 1.0)
-    assert d1.branch is DimensionBranch.LIMIT_ONE
     assert d1.value == pytest.approx(1.1248587308406692, abs=1e-12)
     d2 = multifractal_dimension(m, 2.0)
-    assert d2.branch is DimensionBranch.GENERAL
     assert d2.value == pytest.approx(0.7163027535816686, abs=1e-12)
     d3 = multifractal_dimension(m, 3.0)
     assert d3.value == pytest.approx(0.5054063322490777, abs=1e-12)
@@ -284,7 +286,7 @@ def test_bayesian_dimension_is_renyi_information_dimension():
         p = ProbabilityDistribution(tuple(masses))
         for alpha in (0.5, 1.0, 2.0, 6.0):
             left = multifractal_dimension(m, alpha).value
-            right = renyi_information_dimension(p, EntropyOrder(alpha))
+            right = renyi_information_dimension(p, alpha)
             assert left == pytest.approx(right, abs=1e-10)
 
 
@@ -388,20 +390,13 @@ def test_sweep_and_spectrum_share_one_band_build(monkeypatch):
 
 # --- grouping on exact (cardinality, mass) ---
 
-EPS = sys.float_info.epsilon
 FAR_ORDERS = (-2.0, 0.0, 0.5, 1.5, 2.0, 3.0, 9.0, 29.0, 100.0)
 NEAR_ORDERS = (1 - 1e-4, 1 - 1e-7, 1 - 1e-9, 1.0, 1 + 1e-11, 1 + 1e-9, 1 + 1e-6)
-
-
-def _near_one_allowance(alpha):
-    """How much worse than the one-band-per-element evaluation the grouped
-    one may be against the oracle near alpha = 1: a few ulps on the limit
-    branch, elsewhere one ulp amplified by the 1/(1 - alpha) of the
-    cancelling numerator (grouping moved the error by at most a third of
-    that over 2,400 sampled cases)."""
-    if alpha == 1.0:
-        return 4 * EPS
-    return EPS / abs(alpha - 1.0)
+# order 1 and 1 +- 10**-k for k = 1..15
+NEAR_ONE_ORDERS = (1.0,) + tuple(
+    1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (1, -1)
+)
+ORACLE_TOLERANCE = 1e-12
 
 
 def _relative_error(value, exact):
@@ -428,19 +423,63 @@ def test_grouped_bands_match_one_band_per_element(seed, n, pool_size):
             continue
         assert entry.result == multifractal_dimension(m, alpha)
         got, ref = entry.result, reference.result
-        assert got.branch == ref.branch
         if abs(alpha - 1.0) >= 1e-3:
             for field in ("value", "numerator_bits", "denominator_bits"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0)
         else:
             exact = oracle_dimension(terms, alpha)
-            assert _relative_error(got.value, exact) <= (
-                _relative_error(ref.value, exact) + _near_one_allowance(alpha)
-            )
+            assert _relative_error(got.value, exact) <= ORACLE_TOLERANCE
+            assert _relative_error(ref.value, exact) <= ORACLE_TOLERANCE
     for tolerance in (GROUPING_TOLERANCE, 0.0):
         assert spectrum(m, tolerance).points == spectrum_from_profile(
             per_element, n, tolerance
         ).points
+
+
+# --- through order 1 ---
+
+def _oracle_misses(entries, exact):
+    """(order, error name or relative error) for each entry not within
+    ORACLE_TOLERANCE of the oracle."""
+    misses = []
+    for entry in entries:
+        if entry.result is None:
+            misses.append((entry.alpha, entry.error))
+            continue
+        error = _relative_error(entry.result.value, oracle_dimension(exact, entry.alpha))
+        if error > ORACLE_TOLERANCE:
+            misses.append((entry.alpha, error))
+    return misses
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_family_dimensions_near_order_one_match_the_oracle(n):
+    for profile, exact in (
+        (max_deng_profile(n), max_deng_exact(n)),
+        (uniform_powerset_profile(n), uniform_powerset_exact(n)),
+    ):
+        assert _oracle_misses(dimension_sweep_from_profile(profile, NEAR_ONE_ORDERS), exact) == []
+
+
+def test_large_frame_dimension_near_order_one_matches_the_oracle():
+    entries = dimension_sweep_from_profile(max_deng_profile(400), NEAR_ONE_ORDERS)
+    assert _oracle_misses(entries, max_deng_exact(400)) == []
+
+
+def test_explicit_dimensions_near_order_one_match_the_oracle():
+    rng = random.Random(1618)
+    for _ in range(12):
+        m = pooled_mass_function(rng, rng.randint(5, 7), rng.randint(1, 3))
+        assert _oracle_misses(dimension_sweep(m, NEAR_ONE_ORDERS), oracle_terms(m)) == []
+
+
+def test_dimension_is_continuous_through_one_on_masses_short_of_one():
+    # sums to 1 - 1e-10, inside the tolerance; the shares are normalised, so
+    # the 1e-10 is not divided by alpha - 1
+    m = validate_mass_function(FrameOfDiscernment(3), [((i,), 0.3333333333) for i in range(3)])
+    center = multifractal_dimension(m, 1.0).value
+    for alpha in (1.0 - 1e-11, 1.0 + 1e-11):
+        assert _relative_error(multifractal_dimension(m, alpha).value, center) <= 1e-12
 
 
 # --- envelope and anchors ---
