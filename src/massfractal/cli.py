@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from decimal import Decimal, ROUND_HALF_UP
 
 from .core import (
@@ -246,19 +247,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _write_text(args.output, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
         return EXIT_OK
     if args.format == "json":
-        payload = {
-            "frame_size": result.frame_size,
-            "points": [
-                {
-                    "y": p.y,
-                    "f": p.f,
-                    "mass_value": p.mass_value,
-                    "multiplicity": p.multiplicity,
-                    "representative_cardinality": p.representative_cardinality,
-                }
-                for p in result.points
-            ],
-        }
+        payload = {"frame_size": result.frame_size, "points": [asdict(p) for p in result.points]}
         _write_text(args.output, _json_text(payload))
         return EXIT_OK
     rows = [
@@ -307,6 +296,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     if entries and all(entry.result is None for entry in entries):
         return EXIT_MATH
     return EXIT_OK
+
 
 _EXAMPLE_TWO_FOCAL = (((0,), 0.2), ((1, 2), 0.8))
 

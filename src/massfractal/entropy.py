@@ -10,6 +10,7 @@ order, its limit -sum_i s_i t_i (Shannon, or Deng) at alpha = 1 included.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,6 +25,8 @@ from .errors import (
 PROBABILITY_SUM_TOLERANCE = 1e-9
 
 _LN2 = math.log(2.0)
+# 2**x - 1 is finite below this x, and so is any mean of such terms
+_MAX_EXPONENT = sys.float_info.max_exp - 1
 
 
 @dataclass(frozen=True)
@@ -63,37 +66,52 @@ def _log2_power_sum(exponents: list[float]) -> float:
 
 
 class _NumeratorTerms(NamedTuple):
-    """The order-free part of the kernel: s_i, log2 s_i, t_i and max |t_i|."""
+    """The order-free part of the kernel: s_i, log2 s_i, t_i, max |t_i| and
+    the alpha = 1 value -sum_i s_i t_i."""
 
     shares: list[float]
     log_shares: list[float]
     exponents: list[float]
     reach: float
+    limit: float
 
 
 def _numerator_terms(log_sizes: list[float], exponents: list[float]) -> _NumeratorTerms:
     # normalised in the log domain, so a size past the double range is finite
     total = _log2_power_sum(log_sizes)
     log_shares = [size - total for size in log_sizes]
-    return _NumeratorTerms(
-        [2.0 ** share for share in log_shares],
-        log_shares,
-        exponents,
-        max(abs(t) for t in exponents),
+    shares = [2.0 ** share for share in log_shares]
+    limit = math.fsum(-s * t for s, t in zip(shares, exponents))
+    return _NumeratorTerms(shares, log_shares, exponents, max(map(abs, exponents)), limit)
+
+
+def _deng_terms(profile: Iterable[tuple[int, float, int]]) -> tuple[list[float], list[float], _NumeratorTerms]:
+    """log2(2**|A| - 1) and log2 k for each band, and the kernel terms of the
+    D_alpha numerator: shares k*m and exponents log2(m / (2**|A| - 1))."""
+    bands = list(profile)
+    log_weights = [math.log2(2 ** cardinality - 1) for cardinality, _, _ in bands]
+    log_multiplicities = [math.log2(multiplicity) for _, _, multiplicity in bands]
+    log_masses = [math.log2(mass) for _, mass, _ in bands]
+    return log_weights, log_multiplicities, _numerator_terms(
+        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
+        [lm - lw for lm, lw in zip(log_masses, log_weights)],
     )
 
 
 def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
     """log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1.
 
-    Every t_i <= 0, so the terms share a sign and do not cancel.  While
-    every |eps * t_i| <= 1, expm1 and log1p keep the value accurate however
-    small eps is; beyond that the max-shifted power sum cannot overflow.
+    Every t_i <= 0, so the terms share a sign.  expm1 and log1p keep the
+    value accurate however small eps is, provided the sum is finite and not
+    far below 1: for eps < 0 it is at least 1, and finite while
+    -eps * max |t_i| stays inside the double range; for eps > 0 it is at
+    least 2**(-eps * limit) by Jensen's inequality.  Past those bounds the
+    max-shifted power sum takes over, which cannot overflow.
     """
     eps = alpha - 1.0
     if eps == 0.0:
-        return -math.fsum(s * t for s, t in zip(terms.shares, terms.exponents))
-    if abs(eps) * terms.reach <= 1.0:
+        return terms.limit
+    if (eps * terms.limit <= 1.0) if eps > 0.0 else (-eps * terms.reach < _MAX_EXPONENT):
         scale = eps * _LN2
         excess = math.fsum(
             s * math.expm1(scale * t) for s, t in zip(terms.shares, terms.exponents)
@@ -151,12 +169,12 @@ def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
 
 
 def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[int, float, int]]) -> float:
-    """Deng entropy in bits from (cardinality, mass, multiplicity) bands."""
-    terms = []
-    for cardinality, mass, multiplicity in profile:
-        log_weight = math.log2(2 ** cardinality - 1)
-        terms.append(multiplicity * (mass * (log_weight - math.log2(mass))))
-    return math.fsum(terms)
+    """Deng entropy in bits from (cardinality, mass, multiplicity) bands.
+
+    The numerator of the multifractal dimension at alpha = 1: the masses
+    enter normalised to sum to one, as they do at every other order.
+    """
+    return _deng_terms(profile)[2].limit
 
 
 def deng_entropy(m: MassFunction) -> float:

@@ -30,9 +30,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FocalElement, MassFunction, ProfileBand
 from .entropy import (
+    _deng_terms,
     _log2_power_sum,
     _numerator_bits,
-    _numerator_terms,
     _NumeratorTerms,
     as_profile_bands,
 )
@@ -216,14 +216,7 @@ class _PreparedBands(NamedTuple):
 
 
 def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
-    log_weights = [math.log2(2 ** band.cardinality - 1) for band in bands]
-    log_multiplicities = [math.log2(band.multiplicity) for band in bands]
-    log_masses = [math.log2(band.mass) for band in bands]
-    numerator = _numerator_terms(
-        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
-        [lm - lw for lm, lw in zip(log_masses, log_weights)],
-    )
-    return _PreparedBands(bands, log_weights, log_multiplicities, numerator)
+    return _PreparedBands(bands, *_deng_terms(bands))
 
 
 def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
@@ -293,11 +286,11 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
 
     The order may be any real; at order 1 the numerator is the Deng entropy.
     Orders near 1 take the same formula without cancelling, within 1e-12
-    (relative) of the exact value, and the shares k*m enter normalised, so
-    the value is continuous through 1 also when the masses sum to one only
-    within the tolerance.  The evaluation reads the
-    exact ``(cardinality, mass)`` bands ``m`` carries, so the cost scales
-    with the number of distinct pairs.
+    (relative) of the exact value on every input the tests check, and the
+    shares k*m enter normalised, so the value is continuous through 1 also
+    when the masses sum to one only within the tolerance.  The evaluation
+    reads the exact ``(cardinality, mass)`` bands ``m`` carries, so the cost
+    scales with the number of distinct pairs.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
     lone singleton of mass one, or order zero on a lone focal element),

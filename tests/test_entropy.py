@@ -117,7 +117,9 @@ def test_renyi_limit_branch_is_shannon():
     assert _relative_error(renyi_entropy(p, alpha), _oracle_renyi(p.probs, alpha)) <= 1e-12
 
 
-@pytest.mark.parametrize("probs", [(0.5, 0.25, 0.125, 0.125), (0.1, 0.2, 0.7)])
+@pytest.mark.parametrize(
+    "probs", [(0.5, 0.25, 0.125, 0.125), (0.1, 0.2, 0.7), (1.0 - 2.0 ** -27, 2.0 ** -27)]
+)
 def test_renyi_near_order_one_matches_the_oracle(probs):
     p = ProbabilityDistribution(probs)
     for alpha in NEAR_ONE_ORDERS + (0.0, 0.5, 2.0, 7.0, 40.0):

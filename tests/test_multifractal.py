@@ -40,6 +40,7 @@ from massfractal.core import (
 from massfractal.entropy import (
     ProbabilityDistribution,
     as_profile_bands,
+    deng_entropy,
     renyi_information_dimension,
 )
 from massfractal.errors import (
@@ -473,11 +474,23 @@ def test_explicit_dimensions_near_order_one_match_the_oracle():
         assert _oracle_misses(dimension_sweep(m, NEAR_ONE_ORDERS), oracle_terms(m)) == []
 
 
+def test_skewed_dimension_matches_the_oracle_near_and_far_from_one():
+    # nearly all the mass on a singleton (t close to 0) and a sliver on a
+    # 30-element set (t near -57): the largest |t| is far from the share-weighted one
+    sliver = 2.0 ** -27
+    m = validate_mass_function(
+        FrameOfDiscernment(31), [((0,), 1.0 - sliver), (tuple(range(1, 31)), sliver)]
+    )
+    orders = NEAR_ONE_ORDERS + FAR_ORDERS + (1000.0,)
+    assert _oracle_misses(dimension_sweep(m, orders), oracle_terms(m)) == []
+
+
 def test_dimension_is_continuous_through_one_on_masses_short_of_one():
     # sums to 1 - 1e-10, inside the tolerance; the shares are normalised, so
     # the 1e-10 is not divided by alpha - 1
     m = validate_mass_function(FrameOfDiscernment(3), [((i,), 0.3333333333) for i in range(3)])
     center = multifractal_dimension(m, 1.0).value
+    assert deng_entropy(m) == multifractal_dimension(m, 1.0).numerator_bits
     for alpha in (1.0 - 1e-11, 1.0 + 1e-11):
         assert _relative_error(multifractal_dimension(m, alpha).value, center) <= 1e-12
 
