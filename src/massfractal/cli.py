@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from decimal import Decimal, ROUND_HALF_UP
 
 from .core import (
@@ -247,7 +246,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _write_text(args.output, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
         return EXIT_OK
     if args.format == "json":
-        payload = {"frame_size": result.frame_size, "points": [asdict(p) for p in result.points]}
+        payload = {"frame_size": result.frame_size, "points": [vars(p) for p in result.points]}
         _write_text(args.output, _json_text(payload))
         return EXIT_OK
     rows = [
