@@ -9,7 +9,8 @@ the power set, vacuous, uniform over singletons).
 A validated :class:`MassFunction` maps int bitmasks (bit ``i`` is hypothesis
 ``i``) to masses and keeps the exact ``(cardinality, mass)`` bands that
 entropy, spectrum and dimension read.  :func:`validate_mass_function` checks
-the input in one pass and counts the bands as it goes; nothing groups again.
+the input in one pass and counts the bands once after it; nothing groups
+again.
 
 Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -40,9 +42,21 @@ from .errors import (
 # callers needing larger frames go through the profile builders instead.
 EXPLICIT_SUBSET_CAP = 2 ** 26
 
+# The largest frames the profile builders accept.  Past them a band mass is
+# no longer a positive finite double: from n = 679 the max-Deng singleton
+# mass 1 / (3**n - 2**n) rounds to zero, and from n = 1024 the uniform
+# normaliser 2**n - 1 exceeds the largest double.
+MAX_DENG_PROFILE_N = 678
+UNIFORM_POWERSET_PROFILE_N = 1023
+
 # |sum of masses - 1| must stay within this bound for a mass function to
 # validate.  Input files carry short decimal masses, so 1e-9 is roomy.
 SUM_TOLERANCE = 1e-9
+
+# Validation looks the bits of indices below this up in a dict built per
+# call; an index past it takes the checked path, so a huge frame costs no
+# huge table.
+_LOOKUP_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,19 @@ def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand,
     )
 
 
+def _checked_mask(subset: Iterable, n: int) -> int:
+    """The bitmask of a subset whose distinct indices must each be an int in
+    ``[0, n)``; the first one that is not (in set order) is reported."""
+    mask = 0
+    for index in set(subset):
+        if not isinstance(index, int) or not 0 <= index < n:
+            raise IndexOutOfFrame(
+                f"hypothesis index {index!r} is not an integer in [0, {n})"
+            )
+        mask |= 1 << index
+    return mask
+
+
 def validate_mass_function(
     frame: FrameOfDiscernment,
     raw: Sequence[tuple[Iterable[int], float]],
@@ -185,6 +212,10 @@ def validate_mass_function(
     """Turn a raw list of (subset, mass) pairs into a validated MassFunction.
 
     Each mass is range-checked (NaN fails) before zero masses are dropped.
+    A subset of exact in-frame ints, the common case, gets its mask by one
+    bit lookup per member; any subset the lookup refuses is checked index by
+    index (:func:`_checked_mask`), which names the offending index.  The
+    ``(cardinality, mass)`` bands are counted once, after the loop.
 
     Parameters
     ----------
@@ -202,32 +233,35 @@ def validate_mass_function(
     DuplicateFocalElement, SumNotOne
     """
     n = frame.size
+    bits = {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
     masses: dict[int, float] = {}
-    counts: dict[tuple[int, float], int] = {}
     for subset, mass in raw:
         mass = float(mass)
         if not (0.0 <= mass <= 1.0):
             raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
         if mass == 0.0:
             continue
-        members = set(subset)
-        mask = 0
-        for index in members:
-            if not isinstance(index, int) or not 0 <= index < n:
-                raise IndexOutOfFrame(
-                    f"hypothesis index {index!r} is not an integer in [0, {n})"
-                )
-            mask |= 1 << index
+        if type(subset) is not tuple and type(subset) is not list and iter(subset) is subset:
+            subset = tuple(subset)  # a one-shot iterator, read twice below
+        try:
+            # an int sum keeps floats, numpy ints and other non-int indices
+            # out of the lookup, whose keys they could hash equal to
+            if type(sum(subset)) is not int:
+                raise TypeError
+            mask = 0
+            for index in subset:
+                mask |= bits[index]
+        except (KeyError, TypeError):
+            mask = _checked_mask(subset, n)
         if not mask:
             raise EmptyFocalElement("an empty subset was given positive mass")
         if mask in masses:
-            raise DuplicateFocalElement(f"subset {tuple(sorted(members))} appears twice")
+            raise DuplicateFocalElement(f"subset {tuple(sorted(set(subset)))} appears twice")
         masses[mask] = mass
-        pair = (mask.bit_count(), mass)
-        counts[pair] = counts.get(pair, 0) + 1
     total = math.fsum(masses.values())
     if not abs(total - 1.0) <= sum_tolerance:
         raise SumNotOne(f"masses sum to {total!r}, not 1")
+    counts = Counter(zip(map(int.bit_count, masses), masses.values()))
     return MassFunction(frame, masses, _sorted_bands(counts))
 
 
@@ -288,7 +322,15 @@ def is_bayesian(m: MassFunction) -> bool:
 # function, but without enumerating subsets, so they stay usable far beyond
 # the enumeration cap.
 
+def _check_profile_size(n: int, largest: int, family: str) -> None:
+    if n > largest:
+        raise FrameTooLarge(
+            f"{family} band masses leave the double range past n = {largest}, got n = {n}"
+        )
+
+
 def max_deng_profile(n: int) -> list[ProfileBand]:
+    _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng")
     normalizer = 3 ** n - 2 ** n
     return [
         ProfileBand(k, (2 ** k - 1) / normalizer, math.comb(n, k))
@@ -297,6 +339,7 @@ def max_deng_profile(n: int) -> list[ProfileBand]:
 
 
 def uniform_powerset_profile(n: int) -> list[ProfileBand]:
+    _check_profile_size(n, UNIFORM_POWERSET_PROFILE_N, "uniform-powerset")
     mass = 1.0 / (2 ** n - 1)
     return [ProfileBand(k, mass, math.comb(n, k)) for k in range(1, n + 1)]
 

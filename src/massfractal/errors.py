@@ -14,7 +14,8 @@ class MassFractalError(ValueError):
 # --- mass-function construction and validation ---
 
 class EmptyFocalElement(MassFractalError):
-    """An empty subset was given strictly positive mass."""
+    """An empty subset was given strictly positive mass, or a profile band
+    has a cardinality or multiplicity below one."""
 
 
 class MassOutOfRange(MassFractalError):
@@ -34,7 +35,8 @@ class IndexOutOfFrame(MassFractalError):
 
 
 class FrameTooLarge(MassFractalError):
-    """Explicit power-set enumeration would exceed the subset-count cap."""
+    """Explicit power-set enumeration would exceed the subset-count cap, or a
+    profile builder's band masses would leave the double range."""
 
 
 # --- entropy-side errors ---

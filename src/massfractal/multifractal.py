@@ -24,11 +24,13 @@ A sum with a single term is returned exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import FocalElement, MassFunction, ProfileBand
+from .core import SUM_TOLERANCE, FocalElement, MassFunction, ProfileBand
 from .entropy import (
     _deng_terms,
     _log2_power_sum,
@@ -36,7 +38,14 @@ from .entropy import (
     _NumeratorTerms,
     as_profile_bands,
 )
-from .errors import DegenerateFrame, OrderOutOfRange, ZeroDenominator
+from .errors import (
+    DegenerateFrame,
+    EmptyFocalElement,
+    MassOutOfRange,
+    OrderOutOfRange,
+    SumNotOne,
+    ZeroDenominator,
+)
 
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
@@ -128,7 +137,27 @@ ProfileLike = Iterable[ProfileBand] | Sequence[tuple[int, float, int]]
 
 
 def _as_bands(profile: ProfileLike) -> list[ProfileBand]:
-    return [ProfileBand(int(c), float(m), int(k)) for c, m, k in profile]
+    """The profile as bands, checked as a mass function is: every mass in
+    (0, 1], every cardinality and multiplicity at least 1, and the k*m summing
+    to one within ``SUM_TOLERANCE``."""
+    rows = [(int(c), float(m), int(k)) for c, m, k in profile]
+    if not rows:
+        raise SumNotOne("a profile without bands carries no mass")
+    cardinalities, masses, multiplicities = zip(*rows)
+    # once the checks below pass every term is positive, so a plain sum is
+    # within len(rows) * 2**-53 (relative) of the exact one
+    total = sum(map(operator.mul, masses, multiplicities))
+    if not (min(masses) > 0.0 and max(masses) <= 1.0) or math.isnan(total):
+        raise MassOutOfRange("a band mass lies outside (0, 1]")
+    if min(cardinalities) < 1:
+        raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
+    if min(multiplicities) < 1:
+        raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
+        raise SumNotOne(f"band masses times multiplicities sum to {total!r}, not 1")
+    # tuple.__new__ makes each band in C, skipping the namedtuple's
+    # Python-level constructor; every row is already a checked triple
+    return list(map(tuple.__new__, itertools.repeat(ProfileBand), rows))
 
 
 def _log2_full_range(n: int) -> float:

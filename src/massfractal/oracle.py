@@ -25,6 +25,11 @@ from .errors import MassesNotNormalized, MassOutOfRange, ZeroDenominator
 # well over 50 accurate fractional bits through every summation in scope.
 ORACLE_PRECISION_BITS = 120
 
+# Near order 1 the numerator's sum is near 1, and its log keeps only the bits
+# of sum - 1.  When that cancels more than this many of the working bits, the
+# sum is taken again with the cancelled bits added on.
+_CANCELLATION_SLACK_BITS = 56
+
 RationalLike = Union[int, str, float, Fraction]
 
 
@@ -93,7 +98,9 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
     """Order-alpha multifractal dimension, evaluated at 120 working bits.
 
     The order is taken as an exact rational; ``alpha == 1`` routes to the
-    limit form whose numerator is the Deng entropy.  Raises
+    limit form whose numerator is the Deng entropy.  Near order 1 the
+    numerator is evaluated again with the bits its log cancels added on, so
+    a tiny Deng value keeps its digits there too.  Raises
     :class:`ZeroDenominator` when the denominator log vanishes (a lone
     singleton focal element of mass one, or order zero on such input).
     """
@@ -110,15 +117,25 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
         if denominator == 0:
             raise ZeroDenominator("denominator log2 of the weighted sum is zero")
 
-        if order == 1:
-            numerator = _deng_bits(terms)
-        else:
+        numerator = _deng_bits(terms) if order == 1 else _numerator_bits(terms, order)
+        return float(numerator / denominator)
+
+
+def _numerator_bits(terms: Sequence[tuple[int, ExactMass, int]], order: Fraction):
+    """log2(sum m**alpha * w**(1 - alpha)) / (1 - alpha) at alpha != 1, with
+    the working precision raised by whatever the log cancels near sum = 1."""
+    bits = ORACLE_PRECISION_BITS
+    while True:
+        with mp.workprec(bits):
             a = _to_mpf(order)
             num_sum = mp.mpf(0)
             for cardinality, mass, multiplicity in terms:
                 m = _to_mpf(mass)
                 weight = mp.mpf(2 ** cardinality - 1)
                 num_sum += multiplicity * mp.power(m / weight, a) * weight
-            numerator = mp.log(num_sum, 2) / _to_mpf(1 - order)
-
-        return float(numerator / denominator)
+            # a sum that rounds to 1 has lost all its bits
+            cancelled = -mp.mag(num_sum - 1) if num_sum != 1 else bits
+            needed = ORACLE_PRECISION_BITS + cancelled
+            if cancelled <= _CANCELLATION_SLACK_BITS or bits >= needed:
+                return mp.log(num_sum, 2) / _to_mpf(1 - order)
+        bits = needed

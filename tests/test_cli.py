@@ -565,6 +565,31 @@ def test_grouping_tolerance_belongs_to_spectrum_only(argv, capsys):
     assert len(csv_records(captured.out)) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "uniform-powerset", "--n", "1024",
+     "--alpha-start", "1", "--alpha-stop", "3", "--alpha-step", "1"],
+    ["dimension", "--family", "max-deng", "--n", "679", "--alpha", "2"],
+])
+def test_profile_frames_past_the_double_range_exit_two(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "FrameTooLarge" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("family, largest", [("max-deng", 678), ("uniform-powerset", 1023)])
+def test_profile_frames_up_to_the_limit_run(family, largest, capsys):
+    code, captured = main_in_process(
+        capsys, "dimension", "--family", family, "--n", str(largest), "--alpha", "0.5,2"
+    )
+    assert code == 0
+    assert len(csv_records(captured.out)) == 2
+    code, captured = main_in_process(capsys, "spectrum", "--family", family, "--n", str(largest + 1))
+    assert code == 2
+    assert "FrameTooLarge" in captured.err
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     probe = (
         "import sys, massfractal.cli\n"

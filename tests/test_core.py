@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mask_to_members, random_mass_function
+from conftest import dyadic_masses, mask_to_members, random_mass_function
 from massfractal.core import (
     EXPLICIT_SUBSET_CAP,
     SUM_TOLERANCE,
@@ -430,11 +430,56 @@ def reference_validate(frame, raw, sum_tolerance=SUM_TOLERANCE):
     return tuple(sorted(kept.items(), key=lambda pair: (pair[0].cardinality, pair[0].members)))
 
 
+def set_loop_validate(frame, raw, sum_tolerance=SUM_TOLERANCE):
+    """The checked loop without the bit lookup: one ``set()`` and one
+    ``isinstance`` test per index, bands counted element by element.
+    Raises what validation raises, with the same messages, and returns
+    ``(masses as a list of items, bands)``."""
+    n = frame.size
+    masses, counts = {}, {}
+    for subset, mass in raw:
+        mass = float(mass)
+        if not 0.0 <= mass <= 1.0:
+            raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
+        if mass == 0.0:
+            continue
+        members = set(subset)
+        mask = 0
+        for index in members:
+            if not isinstance(index, int) or not 0 <= index < n:
+                raise IndexOutOfFrame(
+                    f"hypothesis index {index!r} is not an integer in [0, {n})"
+                )
+            mask |= 1 << index
+        if not mask:
+            raise EmptyFocalElement("an empty subset was given positive mass")
+        if mask in masses:
+            raise DuplicateFocalElement(f"subset {tuple(sorted(members))} appears twice")
+        masses[mask] = mass
+        pair = (mask.bit_count(), mass)
+        counts[pair] = counts.get(pair, 0) + 1
+    total = math.fsum(masses.values())
+    if not abs(total - 1.0) <= sum_tolerance:
+        raise SumNotOne(f"masses sum to {total!r}, not 1")
+    return list(masses.items()), [ProfileBand(*pair, k) for pair, k in sorted(counts.items())]
+
+
+# Subset containers the raw pairs may use; ``iter`` gives a one-shot iterator.
+CONTAINERS = {"tuple": tuple, "list": list, "set": set, "iter": iter}
+
+
+def _raw(pairs):
+    """A fresh raw list: each subset in its drawn container."""
+    return [(CONTAINERS[container](subset), mass) for subset, container, mass in pairs]
+
+
 @st.composite
 def raw_inputs_with_faults(draw):
     """Raw pairs on a small frame, valid apart from a few drawn faults:
     negative, float, out-of-frame and repeated indices, permuted duplicate
-    subsets, empty subsets, and zero, negative, too large and NaN masses."""
+    subsets, empty subsets, and zero, negative, too large and NaN masses.
+    Each subset is drawn with a container (see ``CONTAINERS``); the result
+    is ``(frame, pairs)``, and :func:`_raw` builds the input from it."""
     n = draw(st.integers(min_value=1, max_value=5))
     index = st.integers(min_value=0, max_value=n - 1)
     subsets = draw(st.lists(st.lists(index, min_size=1, max_size=4), min_size=1, max_size=6))
@@ -454,7 +499,10 @@ def raw_inputs_with_faults(draw):
     bad_masses = st.sampled_from([0.0, -0.25, 1.5, math.nan])
     for position, bad in draw(st.lists(st.tuples(positions, bad_masses), max_size=2)):
         masses[position] = bad
-    return FrameOfDiscernment(n), list(zip(subsets, masses))
+    containers = draw(st.lists(
+        st.sampled_from(sorted(CONTAINERS)), min_size=len(subsets), max_size=len(subsets)
+    ))
+    return FrameOfDiscernment(n), list(zip(subsets, containers, masses))
 
 
 def _outcome(validate, frame, raw):
@@ -464,12 +512,24 @@ def _outcome(validate, frame, raw):
         return type(error)
 
 
+def _validated_items(frame, raw):
+    m = validate_mass_function(frame, raw)
+    return list(m.masses.items()), list(m.bands)
+
+
+def _outcome_with_message(validate, frame, raw):
+    try:
+        return validate(frame, raw)
+    except MassFractalError as error:
+        return type(error), str(error)
+
+
 @given(raw_inputs_with_faults())
 @settings(max_examples=400, deadline=None)
 def test_one_pass_accepts_and_rejects_what_the_element_rules_do(case):
-    frame, raw = case
-    want = _outcome(reference_validate, frame, raw)
-    got = _outcome(validate_mass_function, frame, raw)
+    frame, pairs = case
+    want = _outcome(reference_validate, frame, _raw(pairs))
+    got = _outcome(validate_mass_function, frame, _raw(pairs))
     if isinstance(want, type):
         assert got is want
         return
@@ -480,3 +540,53 @@ def test_one_pass_accepts_and_rejects_what_the_element_rules_do(case):
         ProfileBand(cardinality, mass, multiplicity)
         for (cardinality, mass), multiplicity in sorted(counts.items())
     ]
+
+
+@given(raw_inputs_with_faults())
+@settings(max_examples=400, deadline=None)
+def test_lookup_path_matches_the_set_loop_to_the_message(case):
+    frame, pairs = case
+    assert _outcome_with_message(_validated_items, frame, _raw(pairs)) == \
+        _outcome_with_message(set_loop_validate, frame, _raw(pairs))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lookup_path_matches_the_set_loop_on_a_large_input(seed):
+    # 20,000 distinct random subsets of a 16-frame with dyadic masses
+    rng = random.Random(seed)
+    masks = rng.sample(range(1, 2 ** 16), 20_000)
+    raw = list(zip(map(mask_to_members, masks), dyadic_masses(rng, len(masks))))
+    frame = FrameOfDiscernment(16)
+    assert _validated_items(frame, raw) == set_loop_validate(frame, raw)
+
+
+# a set's iteration order depends on how it was built: {11, 35} iterates
+# differently from set((11, 35)) on CPython, and the first index out of the
+# frame in the subset's own set order is the one reported
+OUT_OF_FRAME_PAIR = {11, 35}
+
+
+@pytest.mark.parametrize("n, raw, error, message", [
+    (3, [((0, 3), 1.0)], IndexOutOfFrame, "hypothesis index 3 is not an integer in [0, 3)"),
+    (3, [((-1, 0), 1.0)], IndexOutOfFrame, "hypothesis index -1 is not an integer in [0, 3)"),
+    (3, [((10 ** 12,), 1.0)], IndexOutOfFrame,
+     f"hypothesis index {10 ** 12} is not an integer in [0, 3)"),
+    (3, [(OUT_OF_FRAME_PAIR, 1.0)], IndexOutOfFrame,
+     f"hypothesis index {next(iter(set(OUT_OF_FRAME_PAIR)))} is not an integer in [0, 3)"),
+    (3, [((0, 1), 0.5), ((1, 0), 0.5)], DuplicateFocalElement, "subset (0, 1) appears twice"),
+    (10, [((1, 8), 0.5), ((8, 1), 0.5)], DuplicateFocalElement, "subset (1, 8) appears twice"),
+    (3, [([2, 0, 2], 0.5), (iter([0, 2]), 0.5)], DuplicateFocalElement,
+     "subset (0, 2) appears twice"),
+])
+def test_index_error_messages(n, raw, error, message):
+    with pytest.raises(error) as caught:
+        validate_mass_function(FrameOfDiscernment(n), raw)
+    assert str(caught.value) == message
+
+
+def test_indices_past_the_lookup_take_the_checked_path():
+    frame = FrameOfDiscernment(300)
+    m = validate_mass_function(frame, [((0, 299), 0.5), ((298,), 0.5)])
+    assert set(m.masses) == {1 | 1 << 299, 1 << 298}
+    with pytest.raises(IndexOutOfFrame, match="index 300 "):
+        validate_mass_function(frame, [((0, 300), 1.0)])

@@ -25,6 +25,8 @@ from conftest import (
     uniform_powerset_exact,
 )
 from massfractal.core import (
+    MAX_DENG_PROFILE_N,
+    UNIFORM_POWERSET_PROFILE_N,
     FocalElement,
     FrameOfDiscernment,
     max_deng_mass,
@@ -45,8 +47,12 @@ from massfractal.entropy import (
 )
 from massfractal.errors import (
     DegenerateFrame,
+    EmptyFocalElement,
+    FrameTooLarge,
+    MassOutOfRange,
     NotAFocalElement,
     OrderOutOfRange,
+    SumNotOne,
     ZeroDenominator,
 )
 from massfractal.multifractal import (
@@ -590,3 +596,58 @@ def test_dimension_handles_random_inputs_at_varied_orders():
             result = multifractal_dimension(m, alpha)
             assert math.isfinite(result.value)
             assert result.denominator_bits != 0.0
+
+
+# --- checked profile bands ---
+
+PROFILE_ENTRY_POINTS = {
+    "dimension": lambda profile: dimension_from_profile(profile, 2.0),
+    "sweep": lambda profile: dimension_sweep_from_profile(profile, [0.5, 2.0]),
+    "spectrum": lambda profile: spectrum_from_profile(profile, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROFILE_ENTRY_POINTS))
+@pytest.mark.parametrize("profile, error", [
+    ([(2, 0.25, 1), (1, 0.25, 1)], SumNotOne),
+    ([], SumNotOne),
+    ([(0, 0.5, 1), (1, 0.5, 1)], EmptyFocalElement),
+    ([(1, 0.5, 0), (1, 0.5, 1)], EmptyFocalElement),
+    ([(1, -0.5, 1), (2, 1.0, 1), (1, 0.5, 1)], MassOutOfRange),
+    ([(1, 0.5, 1), (2, math.nan, 1), (1, 0.5, 1)], MassOutOfRange),
+    ([(1, 0.5, 1), (2, 1.5, 1)], MassOutOfRange),
+])
+def test_profile_entry_points_check_their_bands(entry, profile, error):
+    with pytest.raises(error):
+        PROFILE_ENTRY_POINTS[entry](profile)
+
+
+def test_profile_sum_tolerance_matches_validation():
+    # k * m within 1e-9 of one passes, as a mass function's sum does
+    assert dimension_from_profile([(1, 0.5, 1), (2, 0.5 - 4e-10, 1)], 2.0).value > 0.0
+    with pytest.raises(SumNotOne):
+        dimension_from_profile([(1, 0.5, 1), (2, 0.5 - 2e-9, 1)], 2.0)
+
+
+@pytest.mark.parametrize("builder, exact, largest", [
+    (max_deng_profile, max_deng_exact, MAX_DENG_PROFILE_N),
+    (uniform_powerset_profile, uniform_powerset_exact, UNIFORM_POWERSET_PROFILE_N),
+])
+def test_profile_builders_work_up_to_their_limit(builder, exact, largest):
+    bands = builder(largest)
+    assert min(band.mass for band in bands) > 0.0
+    for alpha in (0.5, 2.0):
+        got = dimension_from_profile(bands, alpha).value
+        assert got == pytest.approx(oracle_dimension(exact(largest), alpha), rel=1e-12)
+    with pytest.raises(FrameTooLarge):
+        builder(largest + 1)
+    with pytest.raises(FrameTooLarge):
+        builder(10 ** 9)
+
+
+def test_profile_limits_are_where_the_masses_leave_the_doubles():
+    assert 1 / (3 ** MAX_DENG_PROFILE_N - 2 ** MAX_DENG_PROFILE_N) > 0.0
+    assert 1 / (3 ** (MAX_DENG_PROFILE_N + 1) - 2 ** (MAX_DENG_PROFILE_N + 1)) == 0.0
+    assert math.isfinite(float(2 ** UNIFORM_POWERSET_PROFILE_N - 1))
+    with pytest.raises(OverflowError):
+        float(2 ** (UNIFORM_POWERSET_PROFILE_N + 1) - 1)

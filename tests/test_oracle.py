@@ -151,3 +151,16 @@ def test_two_focal_example_both_routes():
         fast = multifractal_dimension(m, alpha).value
         slow = oracle_dimension(TWO_FOCAL_EXACT, Fraction(alpha))
         assert fast == pytest.approx(slow, abs=1e-10)
+
+
+def test_numerator_keeps_its_digits_where_the_log_cancels_near_order_one():
+    # a tiny Deng value at an order within 1e-15 of 1: sum - 1 is ~2e-29, so
+    # 120 working bits alone would leave about seven digits
+    profile = [(1, 1 - Fraction(1, 2 ** 51), 1), (7, Fraction(1, 2 ** 51), 1)]
+    alpha = 1 - 1e-15
+    want = 2.6392834463556538e-14  # at 400 working bits
+    assert oracle_dimension(profile, alpha) == pytest.approx(want, rel=1e-15)
+    m = validate_mass_function(
+        FrameOfDiscernment(7), [((0,), 1 - 2.0 ** -51), (tuple(range(7)), 2.0 ** -51)]
+    )
+    assert multifractal_dimension(m, alpha).value == pytest.approx(want, rel=1e-15)
