@@ -52,7 +52,6 @@ from .core import (
 )
 from .errors import (
     DegenerateFrame,
-    DegenerateSupport,
     GridTooLarge,
     MassFractalError,
     OrderOutOfRange,
@@ -78,7 +77,7 @@ TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
 OUTPUT_DIR_ENV = "MASSFRACTAL_OUTPUT_DIR"
 
-_MATH_ERRORS = (ZeroDenominator, DegenerateFrame, DegenerateSupport, OrderOutOfRange)
+_MATH_ERRORS = (ZeroDenominator, DegenerateFrame, OrderOutOfRange)
 
 # A sweep's order grid and the envelope's samples are refused beyond this
 # many points, before any of them is built.
@@ -522,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_grid(points: float, what: str) -> None:
     if not points <= GRID_CAP:
-        raise GridTooLarge(f"{what} asks for {points:.6g} points; at most {GRID_CAP} are built")
+        # no count in the message: an int past the double range cannot take .6g
+        raise GridTooLarge(f"{what} asks for more than the {GRID_CAP} points that are built at most")
 
 
 def _check_args(args: argparse.Namespace) -> None:

@@ -15,14 +15,17 @@ again.
 Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
-downstream code evaluate frames of size 20..25 without enumerating ``2**n``
-subsets.
+downstream code evaluate frames without enumerating ``2**n`` subsets, up to
+678 and 1023 for the max-Deng and uniform-powerset profiles.  :func:`_as_bands`
+checks outside profiles as :func:`validate_mass_function` checks pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,16 +41,21 @@ from .errors import (
     SumNotOne,
 )
 
-# Explicit power-set materialization is refused beyond this many subsets;
-# callers needing larger frames go through the profile builders instead.
+# The explicit family builders are refused when the masks and the bit table
+# they would build hold more bits than this many 32-bit masks: that admits
+# every subset of a frame of 26 and refuses those of 27, and stops the bit
+# table (n ints of up to n bits) near n = 65,000.  Larger frames go through
+# the profile builders instead.
 EXPLICIT_SUBSET_CAP = 2 ** 26
 
-# The largest frames the profile builders accept.  Past them a band mass is
+# The largest frames the profile builders accept.  Past them a band value is
 # no longer a positive finite double: from n = 679 the max-Deng singleton
-# mass 1 / (3**n - 2**n) rounds to zero, and from n = 1024 the uniform
-# normaliser 2**n - 1 exceeds the largest double.
+# mass 1 / (3**n - 2**n) rounds to zero, from n = 1024 the uniform
+# normaliser 2**n - 1 exceeds the largest double, and the single-band
+# profiles hold n itself and 1 / n.
 MAX_DENG_PROFILE_N = 678
 UNIFORM_POWERSET_PROFILE_N = 1023
+SINGLE_BAND_PROFILE_N = int(sys.float_info.max)
 
 # |sum of masses - 1| must stay within this bound for a mass function to
 # validate.  Input files carry short decimal masses, so 1e-9 is roomy.
@@ -265,17 +273,43 @@ def validate_mass_function(
     return MassFunction(frame, masses, _sorted_bands(counts))
 
 
-def _check_enumerable(n: int) -> None:
-    if 2 ** n > EXPLICIT_SUBSET_CAP:
-        raise FrameTooLarge(
-            f"2**{n} subsets exceed the enumeration cap of 2**26; "
-            "use the cardinality-profile builders for frames this large"
-        )
+def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
+    """The profile as bands, checked as a mass function is: every mass in
+    (0, 1], every cardinality and multiplicity at least 1, and the k*m summing
+    to one within ``SUM_TOLERANCE``.  The sum is taken in the log domain, so
+    a multiplicity past the double range does not overflow it; every term
+    is positive, so a plain sum is within len(rows) * 2**-53 (relative) of
+    the exact one."""
+    rows = [(int(c), float(m), int(k)) for c, m, k in profile]
+    if not rows:
+        raise SumNotOne("a profile without bands carries no mass")
+    cardinalities, masses, multiplicities = zip(*rows)
+    if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
+        raise MassOutOfRange("a band mass lies outside (0, 1]")
+    if min(cardinalities) < 1:
+        raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
+    if min(multiplicities) < 1:
+        raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
+    logs = list(map(operator.add, map(math.log2, masses), map(math.log2, multiplicities)))
+    top = max(logs)
+    shifted = map(operator.sub, logs, itertools.repeat(top))
+    log_total = top + math.log2(sum(map(pow, itertools.repeat(2.0), shifted)))
+    if not (log_total < 1.0 and abs(2.0 ** log_total - 1.0) <= SUM_TOLERANCE):
+        raise SumNotOne(f"band masses times multiplicities sum to 2**{log_total!r}, not 1")
+    # tuple.__new__ makes each band in C, skipping the namedtuple's
+    # Python-level constructor; every row is already a checked triple
+    return list(map(tuple.__new__, itertools.repeat(ProfileBand), rows))
 
 
 def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
     """Every subset of each band's cardinality, carrying that band's mass."""
-    bits = [1 << i for i in range(frame.size)]
+    n = frame.size
+    # the bit table holds 1 << i for each i < n, and each mask at most n bits
+    held = n * (n + 1) // 2 + n * sum(band.multiplicity for band in profile)
+    if held > 32 * EXPLICIT_SUBSET_CAP:
+        raise FrameTooLarge(f"the masks of a frame of {n} would hold {held} bits, past the cap "
+                            f"of {32 * EXPLICIT_SUBSET_CAP}; use the profile builders for frames this large")
+    bits = [1 << i for i in range(n)]
     masses = {
         sum(combo): band.mass
         for band in profile
@@ -291,13 +325,11 @@ def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
     the normalizer is computed with exact integers so no intermediate
     overflows for any enumerable frame.
     """
-    _check_enumerable(frame.size)
     return _symmetric_mass(frame, max_deng_profile(frame.size))
 
 
 def uniform_powerset_mass(frame: FrameOfDiscernment) -> MassFunction:
     """Mass spread evenly over all 2**n - 1 non-empty subsets."""
-    _check_enumerable(frame.size)
     return _symmetric_mass(frame, uniform_powerset_profile(frame.size))
 
 
@@ -323,10 +355,10 @@ def is_bayesian(m: MassFunction) -> bool:
 # the enumeration cap.
 
 def _check_profile_size(n: int, largest: int, family: str) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"frame size must be a positive integer, got {n!r}")
     if n > largest:
-        raise FrameTooLarge(
-            f"{family} band masses leave the double range past n = {largest}, got n = {n}"
-        )
+        raise FrameTooLarge(f"{family} band values leave the double range past n = {largest:.6g}")
 
 
 def max_deng_profile(n: int) -> list[ProfileBand]:
@@ -345,8 +377,10 @@ def uniform_powerset_profile(n: int) -> list[ProfileBand]:
 
 
 def vacuous_profile(n: int) -> list[ProfileBand]:
+    _check_profile_size(n, SINGLE_BAND_PROFILE_N, "vacuous")
     return [ProfileBand(n, 1.0, 1)]
 
 
 def uniform_singleton_profile(n: int) -> list[ProfileBand]:
+    _check_profile_size(n, SINGLE_BAND_PROFILE_N, "uniform-singleton")
     return [ProfileBand(1, 1.0 / n, n)]

@@ -12,17 +12,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .core import MassFunction, ProfileBand
-from .errors import (
-    DegenerateSupport,
-    MassOutOfRange,
-    NegativeOrderUnsupported,
-    SumNotOne,
-)
-
-PROBABILITY_SUM_TOLERANCE = 1e-9
+from .core import MassFunction, ProfileBand, _as_bands
+from .errors import DegenerateSupport, NegativeOrderUnsupported
 
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
@@ -33,20 +26,17 @@ _MAX_EXPONENT = sys.float_info.max_exp - 1
 class ProbabilityDistribution:
     """A discrete probability distribution given as a tuple of reals.
 
-    Zero entries are tolerated on input but never counted as support; the
-    entries must be non-negative and sum to one within 1e-9.
+    Zero entries are tolerated on input but never counted as support.  The
+    other entries are checked as the Bayesian mass function they make, the
+    singleton bands ``(1, p, 1)``: each must lie in (0, 1] (NaN fails), and
+    together they must sum to one within ``core.SUM_TOLERANCE``.
     """
 
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        for p in self.probs:
-            if p < 0.0:
-                raise MassOutOfRange(f"probability {p!r} is negative")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
-            raise SumNotOne(f"probabilities sum to {total!r}, not 1")
+        _as_bands([(1, p, 1) for p in self.probs if p != 0.0])
 
     def support(self) -> tuple[float, ...]:
         """The strictly positive entries."""
@@ -85,11 +75,19 @@ def _numerator_terms(log_sizes: list[float], exponents: list[float]) -> _Numerat
     return _NumeratorTerms(shares, log_shares, exponents, max(map(abs, exponents)), limit)
 
 
-def _deng_terms(profile: Iterable[tuple[int, float, int]]) -> tuple[list[float], list[float], _NumeratorTerms]:
+def _log2_subset_count(k: int) -> float:
+    """log2(2**k - 1), the log of the number of non-empty subsets of a k-set.
+
+    From k = 49 on the value rounds to k itself, so the big int, which at a
+    frame of 10**12 would not fit in memory, is never built.
+    """
+    return math.log2(2 ** k - 1) if k < 49 else float(k)
+
+
+def _deng_terms(bands: list[ProfileBand]) -> tuple[list[float], list[float], _NumeratorTerms]:
     """log2(2**|A| - 1) and log2 k for each band, and the kernel terms of the
     D_alpha numerator: shares k*m and exponents log2(m / (2**|A| - 1))."""
-    bands = list(profile)
-    log_weights = [math.log2(2 ** cardinality - 1) for cardinality, _, _ in bands]
+    log_weights = [_log2_subset_count(cardinality) for cardinality, _, _ in bands]
     log_multiplicities = [math.log2(multiplicity) for _, _, multiplicity in bands]
     log_masses = [math.log2(mass) for _, mass, _ in bands]
     return log_weights, log_multiplicities, _numerator_terms(
@@ -168,13 +166,14 @@ def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
     return list(m.bands)
 
 
-def deng_entropy_from_profile(profile: Iterable[ProfileBand] | Sequence[tuple[int, float, int]]) -> float:
-    """Deng entropy in bits from (cardinality, mass, multiplicity) bands.
+def deng_entropy_from_profile(profile: Iterable[tuple[int, float, int]]) -> float:
+    """Deng entropy in bits from (cardinality, mass, multiplicity) bands,
+    checked as the other profile entry points check them.
 
     The numerator of the multifractal dimension at alpha = 1: the masses
     enter normalised to sum to one, as they do at every other order.
     """
-    return _deng_terms(profile)[2].limit
+    return _deng_terms(_as_bands(profile))[2].limit
 
 
 def deng_entropy(m: MassFunction) -> float:
@@ -183,7 +182,7 @@ def deng_entropy(m: MassFunction) -> float:
     The sum runs over the bands of :func:`as_profile_bands`, one per
     distinct ``(cardinality, mass)`` pair.
     """
-    return deng_entropy_from_profile(as_profile_bands(m))
+    return _deng_terms(as_profile_bands(m))[2].limit
 
 
 def max_deng_entropy_value(n: int) -> float:

@@ -35,8 +35,9 @@ class IndexOutOfFrame(MassFractalError):
 
 
 class FrameTooLarge(MassFractalError):
-    """Explicit power-set enumeration would exceed the subset-count cap, or a
-    profile builder's band masses would leave the double range."""
+    """An explicit family's masks would exceed the bit cap, a profile
+    builder's band values would leave the double range, or the envelope is
+    asked past the largest max-Deng profile."""
 
 
 # --- entropy-side errors ---
@@ -53,7 +54,8 @@ class DegenerateSupport(MassFractalError):
 # --- multifractal-side errors ---
 
 class DegenerateFrame(MassFractalError):
-    """A frame of size one leaves every rescaling denominator at zero."""
+    """A frame of size one leaves the spectrum's rescaling log2(2**n - 1)
+    at zero."""
 
 
 class NotAFocalElement(MassFractalError):

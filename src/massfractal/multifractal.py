@@ -24,28 +24,26 @@ A sum with a single term is returned exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .core import SUM_TOLERANCE, FocalElement, MassFunction, ProfileBand
+from .core import (
+    MAX_DENG_PROFILE_N,
+    FocalElement,
+    MassFunction,
+    ProfileBand,
+    _as_bands,
+)
 from .entropy import (
     _deng_terms,
     _log2_power_sum,
+    _log2_subset_count,
     _numerator_bits,
     _NumeratorTerms,
     as_profile_bands,
 )
-from .errors import (
-    DegenerateFrame,
-    EmptyFocalElement,
-    MassOutOfRange,
-    OrderOutOfRange,
-    SumNotOne,
-    ZeroDenominator,
-)
+from .errors import DegenerateFrame, FrameTooLarge, OrderOutOfRange, ZeroDenominator
 
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
@@ -133,39 +131,12 @@ class QuadraticEnvelope:
         return -self.a * (x - self.root_low) * (x - self.root_high) + 0.0
 
 
-ProfileLike = Iterable[ProfileBand] | Sequence[tuple[int, float, int]]
-
-
-def _as_bands(profile: ProfileLike) -> list[ProfileBand]:
-    """The profile as bands, checked as a mass function is: every mass in
-    (0, 1], every cardinality and multiplicity at least 1, and the k*m summing
-    to one within ``SUM_TOLERANCE``."""
-    rows = [(int(c), float(m), int(k)) for c, m, k in profile]
-    if not rows:
-        raise SumNotOne("a profile without bands carries no mass")
-    cardinalities, masses, multiplicities = zip(*rows)
-    # once the checks below pass every term is positive, so a plain sum is
-    # within len(rows) * 2**-53 (relative) of the exact one
-    total = sum(map(operator.mul, masses, multiplicities))
-    if not (min(masses) > 0.0 and max(masses) <= 1.0) or math.isnan(total):
-        raise MassOutOfRange("a band mass lies outside (0, 1]")
-    if min(cardinalities) < 1:
-        raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
-    if min(multiplicities) < 1:
-        raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
-    if not abs(total - 1.0) <= SUM_TOLERANCE:
-        raise SumNotOne(f"band masses times multiplicities sum to {total!r}, not 1")
-    # tuple.__new__ makes each band in C, skipping the namedtuple's
-    # Python-level constructor; every row is already a checked triple
-    return list(map(tuple.__new__, itertools.repeat(ProfileBand), rows))
-
-
 def _log2_full_range(n: int) -> float:
     if n < 2:
         raise DegenerateFrame(
             f"a frame of size {n} has log2(2**n - 1) = 0; no rescaling is possible"
         )
-    return math.log2(2 ** n - 1)
+    return _log2_subset_count(n)
 
 
 def y_coordinate(m: MassFunction, element: FocalElement) -> float:
@@ -223,7 +194,7 @@ def spectrum(m: MassFunction, grouping_tolerance: float = GROUPING_TOLERANCE) ->
 
 
 def spectrum_from_profile(
-    profile: ProfileLike, n: int, grouping_tolerance: float = GROUPING_TOLERANCE
+    profile: Iterable[tuple[int, float, int]], n: int, grouping_tolerance: float = GROUPING_TOLERANCE
 ) -> Spectrum:
     """Spectrum of a cardinality-symmetric mass function given as bands.
 
@@ -246,12 +217,6 @@ class _PreparedBands(NamedTuple):
 
 def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
     return _PreparedBands(bands, *_deng_terms(bands))
-
-
-def _prepare_mass_function(m: MassFunction) -> _PreparedBands:
-    if m.frame.size < 2:
-        raise DegenerateFrame("the dimension needs a frame of at least two hypotheses")
-    return _prepare(as_profile_bands(m))
 
 
 def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
@@ -293,19 +258,14 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
     )
 
 
-def _sweep(prepare: Callable[[], _PreparedBands], alphas: Iterable[float]) -> list[SweepEntry]:
-    """The one sweep loop: bands are prepared on the first order and reused
-    for every later one; a preparation that fails on a degenerate frame is
-    reported at each order like any other per-order error."""
-    prepared = None
+def _sweep(prepared: _PreparedBands, alphas: Iterable[float]) -> list[SweepEntry]:
+    """The one sweep loop: every order reads the same prepared bands."""
     entries: list[SweepEntry] = []
     for alpha in alphas:
         alpha = float(alpha)
         try:
-            if prepared is None:
-                prepared = prepare()
             entries.append(SweepEntry(alpha, _dimension_from_bands(prepared, alpha), None))
-        except (ZeroDenominator, DegenerateFrame, OrderOutOfRange) as failure:
+        except (ZeroDenominator, OrderOutOfRange) as failure:
             entries.append(SweepEntry(alpha, None, type(failure).__name__))
     return entries
 
@@ -322,15 +282,15 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     scales with the number of distinct pairs.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
-    lone singleton of mass one, or order zero on a lone focal element),
+    lone singleton, as on every one-hypothesis frame, or order zero on a
+    lone focal element), and
     :class:`OrderOutOfRange` when the order is so large or so small that the
-    result leaves the double range, and :class:`DegenerateFrame` on
-    one-hypothesis frames.
+    result leaves the double range.
     """
-    return _dimension_from_bands(_prepare_mass_function(m), float(alpha))
+    return _dimension_from_bands(_prepare(as_profile_bands(m)), float(alpha))
 
 
-def dimension_from_profile(profile: ProfileLike, alpha: float) -> DimensionResult:
+def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
     """Multifractal dimension straight from (cardinality, mass, multiplicity)
     bands, for symmetric families too large to materialize."""
     return _dimension_from_bands(_prepare(_as_bands(profile)), float(alpha))
@@ -340,28 +300,30 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
     """Evaluate the dimension at each order, collecting per-order errors.
 
     One entry comes back per requested order, in input order; an order that
-    fails (zero denominator, order out of range, degenerate frame) yields an
-    entry carrying the error name instead of aborting the remaining orders.
-    The bands' logs are taken once for the whole sweep, and each entry
-    equals what :func:`multifractal_dimension` returns at that order.
+    fails (zero denominator, order out of range) yields an entry carrying
+    the error name instead of aborting the remaining orders.  The bands'
+    logs are taken once for the whole sweep, and each entry equals what
+    :func:`multifractal_dimension` returns at that order.
     """
-    return _sweep(lambda: _prepare_mass_function(m), alphas)
+    return _sweep(_prepare(as_profile_bands(m)), alphas)
 
 
 def dimension_sweep_from_profile(
-    profile: ProfileLike, alphas: Iterable[float]
+    profile: Iterable[tuple[int, float, int]], alphas: Iterable[float]
 ) -> list[SweepEntry]:
     """Profile-band twin of :func:`dimension_sweep`."""
-    bands = _as_bands(profile)
-    return _sweep(lambda: _prepare(bands), alphas)
+    return _sweep(_prepare(_as_bands(profile)), alphas)
 
 
 def quadratic_envelope(n: int) -> QuadraticEnvelope:
     """The asymptotic quadratic envelope of the maximum-Deng-entropy
     spectrum for a frame of size n, with coefficient
-    4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585."""
+    4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
+    served for the max-Deng spectra the profile builder serves."""
     if n < 2:
         raise ValueError(f"the envelope needs a frame of at least 2, got {n}")
+    if n > MAX_DENG_PROFILE_N:
+        raise FrameTooLarge(f"the envelope is served up to n = {MAX_DENG_PROFILE_N}, got n = {n}")
     a = 4.0 * math.log2(math.comb(n, n // 2)) / n
     return QuadraticEnvelope(a=a, n=n)
 
@@ -369,8 +331,6 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
 def asymptotic_anchor_points(n: int) -> tuple[tuple[float, float], ...]:
     """The three limiting spectrum points for the maximum-Deng-entropy
     family: zeros at y = 0.585 and y = 1.585, and the central-binomial
-    apex at y = 1.085."""
-    if n < 2:
-        raise ValueError(f"anchor points need a frame of at least 2, got {n}")
-    middle = math.log2(math.comb(n, n // 2)) / n
+    apex at y = 1.085, a quarter of the envelope's coefficient."""
+    middle = quadratic_envelope(n).a / 4.0
     return ((0.585, 0.0), (1.085, middle), (1.585, 0.0))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dyadic_masses, mask_to_members, random_mass_function
 from massfractal.core import (
     EXPLICIT_SUBSET_CAP,
+    SINGLE_BAND_PROFILE_N,
     SUM_TOLERANCE,
     FocalElement,
     FrameOfDiscernment,
@@ -268,6 +269,34 @@ def test_enumeration_cap():
     # no cap for the families that never materialize the power set
     vacuous_mass(FrameOfDiscernment(27))
     uniform_singleton_mass(FrameOfDiscernment(27))
+
+
+@pytest.mark.parametrize("build", [vacuous_mass, uniform_singleton_mass])
+def test_explicit_families_are_capped_by_the_bits_they_hold(build):
+    # n bit-table ints of up to n bits each: about 5e11 bits at n = 10**6
+    with pytest.raises(FrameTooLarge):
+        build(FrameOfDiscernment(10 ** 6))
+    assert build(FrameOfDiscernment(2000)).frame.size == 2000
+
+
+ALL_PROFILE_BUILDERS = [max_deng_profile, uniform_powerset_profile, vacuous_profile,
+                        uniform_singleton_profile]
+
+
+@pytest.mark.parametrize("builder", ALL_PROFILE_BUILDERS)
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_profile_builders_refuse_frames_below_one(builder, n):
+    with pytest.raises(ValueError):
+        builder(n)
+
+
+@pytest.mark.parametrize("builder", [vacuous_profile, uniform_singleton_profile])
+def test_single_band_profiles_serve_every_double_frame_size(builder):
+    (band,) = builder(SINGLE_BAND_PROFILE_N)
+    assert math.isfinite(float(band.cardinality)) and band.mass > 0.0
+    for n in (SINGLE_BAND_PROFILE_N + 1, 10 ** 400):
+        with pytest.raises(FrameTooLarge):
+            builder(n)
 
 
 def test_is_bayesian():

@@ -31,6 +31,7 @@ from massfractal.core import (
 )
 from massfractal.entropy import (
     ProbabilityDistribution,
+    _log2_subset_count,
     as_profile_bands,
     deng_entropy,
     deng_entropy_from_profile,
@@ -82,6 +83,20 @@ def test_distribution_validation():
         ProbabilityDistribution((-0.1, 1.1))
     with pytest.raises(SumNotOne):
         ProbabilityDistribution((0.3, 0.3))
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.5, 0.5),
+                                   (2.0,), (math.inf, -math.inf)])
+def test_distribution_is_checked_as_singleton_bands(probs):
+    # unchecked, (nan, 0.5, 0.5) would give renyi_entropy a quiet 1.0
+    with pytest.raises(MassOutOfRange):
+        ProbabilityDistribution(probs)
+
+
+def test_subset_count_log_skips_the_big_int():
+    for k in range(1, 5001):
+        assert _log2_subset_count(k) == math.log2(2 ** k - 1)
+    assert _log2_subset_count(10 ** 12) == 1e12
 
 
 def test_distribution_support_skips_zeros():

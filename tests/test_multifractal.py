@@ -43,6 +43,7 @@ from massfractal.entropy import (
     ProbabilityDistribution,
     as_profile_bands,
     deng_entropy,
+    deng_entropy_from_profile,
     renyi_information_dimension,
 )
 from massfractal.errors import (
@@ -309,8 +310,16 @@ def test_order_zero_vacuous_has_no_denominator():
 
 
 def test_dimension_rejects_singleton_frames():
-    with pytest.raises(DegenerateFrame):
-        multifractal_dimension(vacuous_mass(FrameOfDiscernment(1)), 2.0)
+    # a one-hypothesis frame leaves the denominator log2(1) = 0 at every
+    # order, on the mass-function route and the profile route alike
+    m = vacuous_mass(FrameOfDiscernment(1))
+    for alpha in (0.5, 1.0, 2.0):
+        with pytest.raises(ZeroDenominator):
+            multifractal_dimension(m, alpha)
+        with pytest.raises(ZeroDenominator):
+            dimension_from_profile(vacuous_profile(1), alpha)
+    assert dimension_sweep(m, [2.0]) == dimension_sweep_from_profile(vacuous_profile(1), [2.0])
+    assert dimension_sweep(m, [2.0])[0].error == "ZeroDenominator"
 
 
 def test_max_deng_order_one_grows_with_frame_size():
@@ -503,6 +512,15 @@ def test_dimension_is_continuous_through_one_on_masses_short_of_one():
 
 # --- envelope and anchors ---
 
+def test_envelope_is_served_up_to_the_max_deng_limit():
+    assert quadratic_envelope(MAX_DENG_PROFILE_N).n == MAX_DENG_PROFILE_N
+    for build in (quadratic_envelope, asymptotic_anchor_points):
+        with pytest.raises(FrameTooLarge):
+            build(MAX_DENG_PROFILE_N + 1)
+        with pytest.raises(FrameTooLarge):
+            build(10 ** 12)
+
+
 def test_envelope_coefficient_values():
     env = quadratic_envelope(6)
     assert env.a == pytest.approx(2.8812853965915752, abs=1e-14)
@@ -604,6 +622,7 @@ PROFILE_ENTRY_POINTS = {
     "dimension": lambda profile: dimension_from_profile(profile, 2.0),
     "sweep": lambda profile: dimension_sweep_from_profile(profile, [0.5, 2.0]),
     "spectrum": lambda profile: spectrum_from_profile(profile, 2),
+    "deng": deng_entropy_from_profile,
 }
 
 
@@ -620,6 +639,27 @@ PROFILE_ENTRY_POINTS = {
 def test_profile_entry_points_check_their_bands(entry, profile, error):
     with pytest.raises(error):
         PROFILE_ENTRY_POINTS[entry](profile)
+
+
+def test_band_total_is_taken_in_the_log_domain():
+    # the multiplicity is past the double range, but k * m is exactly one
+    for alpha in (0.5, 1.0, 2.0):
+        assert dimension_from_profile([(1, 2.0 ** -1030, 2 ** 1030)], alpha).value == 1.0
+    with pytest.raises(SumNotOne):
+        dimension_from_profile([(1, 1e-310, 2 ** 1030)], 2.0)
+    with pytest.raises(SumNotOne):
+        dimension_from_profile([(1, 1.0, 2 ** 3000)], 2.0)
+
+
+def test_single_band_profiles_at_huge_frames():
+    n = 10 ** 12
+    for alpha in (0.5, 2.0, 3.0):
+        assert dimension_from_profile(vacuous_profile(n), alpha).value == 1.0 / alpha
+    assert dimension_from_profile(uniform_singleton_profile(n), 2.0).value == pytest.approx(1.0, rel=1e-12)
+    (point,) = spectrum_from_profile(vacuous_profile(n), n).points
+    assert (point.y, point.f) == (0.0, 0.0)
+    (point,) = spectrum_from_profile(uniform_singleton_profile(n), n).points
+    assert point.y == pytest.approx(math.log2(n) / n, rel=1e-12)
 
 
 def test_profile_sum_tolerance_matches_validation():
