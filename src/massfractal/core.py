@@ -280,10 +280,14 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
     a multiplicity past the double range does not overflow it; every term
     is positive, so a plain sum is within len(rows) * 2**-53 (relative) of
     the exact one."""
-    rows = [(int(c), float(m), int(k)) for c, m, k in profile]
+    rows = [(int(c), m, int(k)) for c, m, k in profile]
     if not rows:
         raise SumNotOne("a profile without bands carries no mass")
     cardinalities, masses, multiplicities = zip(*rows)
+    try:
+        masses = tuple(map(float, masses))
+    except OverflowError:  # a number past the double range
+        raise MassOutOfRange("a band mass lies outside (0, 1]") from None
     if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
         raise MassOutOfRange("a band mass lies outside (0, 1]")
     if min(cardinalities) < 1:
@@ -298,7 +302,8 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
         raise SumNotOne(f"band masses times multiplicities sum to 2**{log_total!r}, not 1")
     # tuple.__new__ makes each band in C, skipping the namedtuple's
     # Python-level constructor; every row is already a checked triple
-    return list(map(tuple.__new__, itertools.repeat(ProfileBand), rows))
+    return list(map(tuple.__new__, itertools.repeat(ProfileBand),
+                    zip(cardinalities, masses, multiplicities)))
 
 
 def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
@@ -361,19 +366,31 @@ def _check_profile_size(n: int, largest: int, family: str) -> None:
         raise FrameTooLarge(f"{family} band values leave the double range past n = {largest:.6g}")
 
 
+def _binomials(n: int) -> list[int]:
+    """C(n, k) for k = 1..n, each from the one before by the exact
+    recurrence C(n, k) = C(n, k - 1) * (n - k + 1) // k: one small big-int
+    step per k, where math.comb starts afresh each time."""
+    row = []
+    count = 1
+    for k in range(1, n + 1):
+        count = count * (n - k + 1) // k
+        row.append(count)
+    return row
+
+
 def max_deng_profile(n: int) -> list[ProfileBand]:
     _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng")
     normalizer = 3 ** n - 2 ** n
     return [
-        ProfileBand(k, (2 ** k - 1) / normalizer, math.comb(n, k))
-        for k in range(1, n + 1)
+        ProfileBand(k, ((1 << k) - 1) / normalizer, multiplicity)
+        for k, multiplicity in enumerate(_binomials(n), 1)
     ]
 
 
 def uniform_powerset_profile(n: int) -> list[ProfileBand]:
     _check_profile_size(n, UNIFORM_POWERSET_PROFILE_N, "uniform-powerset")
     mass = 1.0 / (2 ** n - 1)
-    return [ProfileBand(k, mass, math.comb(n, k)) for k in range(1, n + 1)]
+    return [ProfileBand(k, mass, multiplicity) for k, multiplicity in enumerate(_binomials(n), 1)]
 
 
 def vacuous_profile(n: int) -> list[ProfileBand]:

@@ -10,12 +10,13 @@ order, its limit -sum_i s_i t_i (Shannon, or Deng) at alpha = 1 included.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import MassFunction, ProfileBand, _as_bands
-from .errors import DegenerateSupport, NegativeOrderUnsupported
+from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported
 
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
@@ -79,20 +80,42 @@ def _log2_subset_count(k: int) -> float:
     """log2(2**k - 1), the log of the number of non-empty subsets of a k-set.
 
     From k = 49 on the value rounds to k itself, so the big int, which at a
-    frame of 10**12 would not fit in memory, is never built.
+    frame of 10**12 would not fit in memory, is never built.  A k past the
+    double range raises :class:`FrameTooLarge`.
     """
-    return math.log2(2 ** k - 1) if k < 49 else float(k)
+    if k < 49:
+        return math.log2(2 ** k - 1)
+    try:
+        return float(k)
+    except OverflowError:
+        raise FrameTooLarge("a set size past the double range has no double log") from None
 
 
-def _deng_terms(bands: list[ProfileBand]) -> tuple[list[float], list[float], _NumeratorTerms]:
-    """log2(2**|A| - 1) and log2 k for each band, and the kernel terms of the
-    D_alpha numerator: shares k*m and exponents log2(m / (2**|A| - 1))."""
-    log_weights = [_log2_subset_count(cardinality) for cardinality, _, _ in bands]
+def _deng_terms(
+    bands: list[ProfileBand],
+) -> tuple[list[ProfileBand], list[float], list[float], _NumeratorTerms]:
+    """The bands by falling share k*m, with log2(2**|A| - 1) and log2 k for
+    each, and the kernel terms of the D_alpha numerator: shares k*m and
+    exponents log2(m / (2**|A| - 1)).
+
+    The order is for speed only.  fsum keeps one partial per
+    non-overlapping piece of its running sum, and terms that rise and fall
+    over hundreds of binades, as cardinality order gives them, make that
+    list long; largest first keeps it short.  fsum is exactly rounded and
+    max ignores order, so no result changes.
+    """
     log_multiplicities = [math.log2(multiplicity) for _, _, multiplicity in bands]
     log_masses = [math.log2(mass) for _, mass, _ in bands]
-    return log_weights, log_multiplicities, _numerator_terms(
-        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
-        [lm - lw for lm, lw in zip(log_masses, log_weights)],
+    log_sizes = list(map(operator.add, log_multiplicities, log_masses))
+    if len(bands) > 1:
+        order = sorted(range(len(bands)), key=log_sizes.__getitem__, reverse=True)
+        bands, log_multiplicities, log_masses, log_sizes = (
+            list(map(column.__getitem__, order))
+            for column in (bands, log_multiplicities, log_masses, log_sizes)
+        )
+    log_weights = [_log2_subset_count(cardinality) for cardinality, _, _ in bands]
+    return bands, log_weights, log_multiplicities, _numerator_terms(
+        log_sizes, list(map(operator.sub, log_masses, log_weights))
     )
 
 
@@ -173,7 +196,7 @@ def deng_entropy_from_profile(profile: Iterable[tuple[int, float, int]]) -> floa
     The numerator of the multifractal dimension at alpha = 1: the masses
     enter normalised to sum to one, as they do at every other order.
     """
-    return _deng_terms(_as_bands(profile))[2].limit
+    return _deng_terms(_as_bands(profile))[3].limit
 
 
 def deng_entropy(m: MassFunction) -> float:
@@ -182,7 +205,7 @@ def deng_entropy(m: MassFunction) -> float:
     The sum runs over the bands of :func:`as_profile_bands`, one per
     distinct ``(cardinality, mass)`` pair.
     """
-    return _deng_terms(as_profile_bands(m))[2].limit
+    return _deng_terms(as_profile_bands(m))[3].limit
 
 
 def max_deng_entropy_value(n: int) -> float:

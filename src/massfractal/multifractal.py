@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -43,7 +44,13 @@ from .entropy import (
     _NumeratorTerms,
     as_profile_bands,
 )
-from .errors import DegenerateFrame, FrameTooLarge, OrderOutOfRange, ZeroDenominator
+from .errors import (
+    DegenerateFrame,
+    FrameTooLarge,
+    IndexOutOfFrame,
+    OrderOutOfRange,
+    ZeroDenominator,
+)
 
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
@@ -154,29 +161,27 @@ def _spectrum_from_bands(
     bands: list[ProfileBand], n: int, grouping_tolerance: float
 ) -> Spectrum:
     scale = _log2_full_range(n)
-    ordered = sorted(bands, key=lambda band: (band.mass, band.cardinality))
-    groups: list[list[ProfileBand]] = []
-    for band in ordered:
-        if groups and band.mass - groups[-1][0].mass <= grouping_tolerance * band.mass:
-            groups[-1].append(band)
+    # each group is [anchor mass, multiplicity, common cardinality or None]
+    groups: list[list] = []
+    for cardinality, mass, multiplicity in sorted(bands, key=itemgetter(1, 0)):
+        if groups and mass - groups[-1][0] <= grouping_tolerance * mass:
+            group = groups[-1]
+            group[1] += multiplicity
+            if group[2] != cardinality:
+                group[2] = None
         else:
-            groups.append([band])
-    points = []
-    for group in groups:
-        anchor = group[0].mass
-        count = sum(band.multiplicity for band in group)
-        cardinalities = {band.cardinality for band in group}
-        representative = cardinalities.pop() if len(cardinalities) == 1 else None
-        points.append(
-            SpectrumPoint(
-                y=(0.0 - math.log2(anchor)) / scale,
-                f=math.log2(count) / scale,
-                mass_value=anchor,
-                multiplicity=count,
-                representative_cardinality=representative,
-            )
+            groups.append([mass, multiplicity, cardinality])
+    points = [
+        SpectrumPoint(
+            y=(0.0 - math.log2(anchor)) / scale,
+            f=math.log2(count) / scale,
+            mass_value=anchor,
+            multiplicity=count,
+            representative_cardinality=representative,
         )
-    points.sort(key=lambda point: point.y)
+        for anchor, count, representative in groups
+    ]
+    points.sort(key=attrgetter("y"))
     return Spectrum(frame_size=n, points=tuple(points))
 
 
@@ -200,14 +205,20 @@ def spectrum_from_profile(
 
     Produces exactly what :func:`spectrum` would on the materialized mass
     function, but the cost scales with the number of cardinality bands, so
-    frames far beyond the enumeration cap stay cheap.
+    frames far beyond the enumeration cap stay cheap.  Raises
+    :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
     """
-    return _spectrum_from_bands(_as_bands(profile), n, grouping_tolerance)
+    bands = _as_bands(profile)
+    largest = max(map(itemgetter(0), bands))
+    if largest > n:
+        raise IndexOutOfFrame(f"a band of {largest}-sets does not fit a frame of {n}")
+    return _spectrum_from_bands(bands, n, grouping_tolerance)
 
 
 class _PreparedBands(NamedTuple):
     """Bands with every order-independent log taken once, ready for any
-    number of orders: the denominator's logs and the numerator's terms."""
+    number of orders: the denominator's logs and the numerator's terms, all
+    in the falling share order of :func:`entropy._deng_terms`."""
 
     bands: list[ProfileBand]
     log_weights: list[float]
@@ -216,7 +227,7 @@ class _PreparedBands(NamedTuple):
 
 
 def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
-    return _PreparedBands(bands, *_deng_terms(bands))
+    return _PreparedBands(*_deng_terms(bands))
 
 
 def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
