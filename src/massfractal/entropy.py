@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import MassFunction, ProfileBand, _as_bands
 from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported
@@ -48,7 +48,7 @@ class ProbabilityDistribution:
         return sum(1 for p in self.probs if p > 0.0)
 
 
-def _log2_power_sum(exponents: list[float]) -> float:
+def _log2_power_sum(exponents: Sequence[float]) -> float:
     """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
     top = max(exponents)
     if len(exponents) == 1:
@@ -67,7 +67,7 @@ class _NumeratorTerms(NamedTuple):
     limit: float
 
 
-def _numerator_terms(log_sizes: list[float], exponents: list[float]) -> _NumeratorTerms:
+def _numerator_terms(log_sizes: Sequence[float], exponents: list[float]) -> _NumeratorTerms:
     # normalised in the log domain, so a size past the double range is finite
     total = _log2_power_sum(log_sizes)
     log_shares = [size - total for size in log_sizes]
@@ -92,8 +92,8 @@ def _log2_subset_count(k: int) -> float:
 
 
 def _deng_terms(
-    bands: list[ProfileBand],
-) -> tuple[list[ProfileBand], list[float], list[float], _NumeratorTerms]:
+    bands: Sequence[ProfileBand],
+) -> tuple[Sequence[ProfileBand], list[float], Sequence[float], _NumeratorTerms]:
     """The bands by falling share k*m, with log2(2**|A| - 1) and log2 k for
     each, and the kernel terms of the D_alpha numerator: shares k*m and
     exponents log2(m / (2**|A| - 1)).
@@ -104,16 +104,16 @@ def _deng_terms(
     list long; largest first keeps it short.  fsum is exactly rounded and
     max ignores order, so no result changes.
     """
-    log_multiplicities = [math.log2(multiplicity) for _, _, multiplicity in bands]
-    log_masses = [math.log2(mass) for _, mass, _ in bands]
+    log_multiplicities = list(map(math.log2, map(operator.itemgetter(2), bands)))
+    log_masses = list(map(math.log2, map(operator.itemgetter(1), bands)))
     log_sizes = list(map(operator.add, log_multiplicities, log_masses))
     if len(bands) > 1:
         order = sorted(range(len(bands)), key=log_sizes.__getitem__, reverse=True)
+        pick = operator.itemgetter(*order)  # one C call lays out each column
         bands, log_multiplicities, log_masses, log_sizes = (
-            list(map(column.__getitem__, order))
-            for column in (bands, log_multiplicities, log_masses, log_sizes)
+            pick(bands), pick(log_multiplicities), pick(log_masses), pick(log_sizes)
         )
-    log_weights = [_log2_subset_count(cardinality) for cardinality, _, _ in bands]
+    log_weights = list(map(_log2_subset_count, map(operator.itemgetter(0), bands)))
     return bands, log_weights, log_multiplicities, _numerator_terms(
         log_sizes, list(map(operator.sub, log_masses, log_weights))
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     MAX_DENG_PROFILE_N,
@@ -220,9 +220,9 @@ class _PreparedBands(NamedTuple):
     number of orders: the denominator's logs and the numerator's terms, all
     in the falling share order of :func:`entropy._deng_terms`."""
 
-    bands: list[ProfileBand]
+    bands: Sequence[ProfileBand]
     log_weights: list[float]
-    log_multiplicities: list[float]
+    log_multiplicities: Sequence[float]
     numerator: _NumeratorTerms
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import pickle
 import random
 from collections import Counter
@@ -14,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import dyadic_masses, mask_to_members, random_mass_function
 from massfractal.core import (
     EXPLICIT_SUBSET_CAP,
+    MAX_DENG_PROFILE_N,
     SINGLE_BAND_PROFILE_N,
     SUM_TOLERANCE,
+    UNIFORM_POWERSET_PROFILE_N,
     FocalElement,
     FrameOfDiscernment,
     MassFunction,
@@ -343,6 +346,34 @@ def test_profile_multiplicities_are_binomial():
         assert [band.multiplicity for band in bands] == [
             math.comb(n, k) for k in range(1, n + 1)
         ]
+
+
+def _max_deng_masses(n):
+    normalizer = 3 ** n - 2 ** n
+    return [(2 ** k - 1) / normalizer for k in range(1, n + 1)]
+
+
+def _uniform_powerset_masses(n):
+    return [1.0 / (2 ** n - 1)] * n
+
+
+@pytest.mark.parametrize("builder, largest, masses", [
+    (max_deng_profile, MAX_DENG_PROFILE_N, _max_deng_masses),
+    (uniform_powerset_profile, UNIFORM_POWERSET_PROFILE_N, _uniform_powerset_masses),
+])
+def test_profile_builders_give_binomial_bands_at_every_size(builder, largest, masses):
+    # Pascal's rule builds each row from the last, independently of the
+    # builders' multiplicative recurrence; math.comb, at about 10 ms a row
+    # near n = 1000, checks a sample of the rows
+    row = [1]
+    for n in range(1, largest + 1):
+        row = [1] + list(map(operator.add, row, row[1:])) + [1]
+        cardinalities, band_masses, multiplicities = zip(*builder(n))
+        assert cardinalities == tuple(range(1, n + 1))
+        assert list(band_masses) == masses(n)
+        assert list(multiplicities) == row[1:]
+        if n <= 40 or n % 97 == 0 or n == largest:
+            assert row == [math.comb(n, k) for k in range(n + 1)]
 
 
 def test_profile_builders_match_extracted_profiles():

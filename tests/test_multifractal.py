@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import massfractal.core as core_module
+import massfractal.entropy as entropy_module
 import massfractal.multifractal as multifractal_module
 from conftest import (
     mask_to_members,
@@ -50,6 +51,7 @@ from massfractal.errors import (
     DegenerateFrame,
     EmptyFocalElement,
     FrameTooLarge,
+    IndexOutOfFrame,
     MassOutOfRange,
     NotAFocalElement,
     OrderOutOfRange,
@@ -691,3 +693,110 @@ def test_profile_limits_are_where_the_masses_leave_the_doubles():
     assert math.isfinite(float(2 ** UNIFORM_POWERSET_PROFILE_N - 1))
     with pytest.raises(OverflowError):
         float(2 ** (UNIFORM_POWERSET_PROFILE_N + 1) - 1)
+
+
+# --- band order ---
+#
+# The kernel takes its bands largest share first, which only makes its fsum
+# calls cheaper: fsum is exactly rounded, so any order of the same bands
+# gives the same bits.
+
+PROFILE_BUILDERS = (max_deng_profile, uniform_powerset_profile, vacuous_profile,
+                    uniform_singleton_profile)
+NEAR_ONE_ORDERS = tuple(1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (-1, 1))
+
+
+@st.composite
+def profiles(draw):
+    """(bands, n) of a pooled random mass function or of a family profile."""
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        n = draw(st.integers(min_value=5, max_value=7))
+        m = pooled_mass_function(random.Random(seed), n, draw(st.integers(1, 3)))
+        return list(m.bands), n
+    n = draw(st.integers(min_value=2, max_value=60) | st.just(400))
+    return draw(st.sampled_from(PROFILE_BUILDERS))(n), n
+
+
+def _profile_outputs(bands, n, orders):
+    return repr((
+        dimension_sweep_from_profile(bands, orders),
+        spectrum_from_profile(bands, n),
+        deng_entropy_from_profile(bands),
+    ))
+
+
+def _unsorted_prepare(bands):
+    """What _prepare gives, with the bands kept in the order given: each
+    log and each order-free sum taken afresh, the share sort left out."""
+    log_multiplicities = [math.log2(k) for _, _, k in bands]
+    log_masses = [math.log2(m) for _, m, _ in bands]
+    log_weights = [entropy_module._log2_subset_count(c) for c, _, _ in bands]
+    numerator = entropy_module._numerator_terms(
+        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
+        [lm - lw for lm, lw in zip(log_masses, log_weights)],
+    )
+    return multifractal_module._PreparedBands(bands, log_weights, log_multiplicities, numerator)
+
+
+@given(
+    profile=profiles(),
+    shuffle_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    far=st.lists(st.floats(min_value=-50.0, max_value=1000.0), max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far):
+    bands, n = profile
+    orders = NEAR_ONE_ORDERS + (-50.0, 0.0, 1.0, 2.0, 1000.0) + tuple(far)
+    shuffled = bands[:]
+    random.Random(shuffle_seed).shuffle(shuffled)
+    expected = _profile_outputs(bands, n, orders)
+    assert _profile_outputs(shuffled, n, orders) == expected
+    assert _profile_outputs(bands[::-1], n, orders) == expected
+    # the public entry points sort every order alike, so the kernel is also
+    # run on the bands as given (cardinality order for the builders),
+    # shuffled and reversed, with no sort at all
+    sweep = repr(dimension_sweep_from_profile(bands, orders))
+    deng = deng_entropy_from_profile(bands)
+    for order in (bands, shuffled, bands[::-1]):
+        prepared = _unsorted_prepare(order)
+        assert repr(multifractal_module._sweep(prepared, orders)) == sweep
+        assert repr(prepared.numerator.limit) == repr(deng)
+
+
+@pytest.mark.parametrize("builder", PROFILE_BUILDERS)
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 400])
+def test_prepare_orders_the_bands_by_falling_share(builder, n):
+    bands = builder(n)
+    prepared = multifractal_module._prepare(bands)
+    assert sorted(prepared.bands) == sorted(bands)
+    log_shares = [math.log2(k) + math.log2(m) for _, m, k in prepared.bands]
+    assert log_shares == sorted(log_shares, reverse=True)
+    assert prepared.numerator.log_shares == sorted(prepared.numerator.log_shares, reverse=True)
+    assert list(prepared.log_multiplicities) == [math.log2(k) for _, _, k in prepared.bands]
+
+
+# --- profile values past the frame or the double range ---
+
+def test_spectrum_profile_must_fit_its_frame():
+    with pytest.raises(IndexOutOfFrame):
+        spectrum_from_profile(vacuous_profile(5), 3)
+    with pytest.raises(IndexOutOfFrame):
+        spectrum_from_profile([(1, 0.5, 1), (4, 0.5, 1)], 3)
+    (point,) = spectrum_from_profile(vacuous_profile(5), 5).points
+    assert point.representative_cardinality == 5
+
+
+def test_profile_mass_past_the_double_range_is_out_of_range():
+    with pytest.raises(MassOutOfRange):
+        dimension_from_profile([(1, 2**1030, 1)], 2.0)
+
+
+def test_profile_cardinality_past_the_double_range_is_too_large():
+    with pytest.raises(FrameTooLarge):
+        dimension_from_profile([(2**1100, 1.0, 1)], 2.0)
+
+
+def test_spectrum_frame_past_the_double_range_is_too_large():
+    with pytest.raises(FrameTooLarge):
+        spectrum_from_profile([(1, 1.0, 1)], 10**400)
