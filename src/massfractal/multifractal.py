@@ -209,9 +209,9 @@ def spectrum_from_profile(
     :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
     """
     bands = _as_bands(profile)
-    largest = max(map(itemgetter(0), bands))
-    if largest > n:
-        raise IndexOutOfFrame(f"a band of {largest}-sets does not fit a frame of {n}")
+    if max(map(itemgetter(0), bands)) > n:
+        # the sizes go unprinted: an int past 4300 digits has no str
+        raise IndexOutOfFrame("a band's subsets are larger than the frame")
     return _spectrum_from_bands(bands, n, grouping_tolerance)
 
 

@@ -783,6 +783,8 @@ def test_spectrum_profile_must_fit_its_frame():
         spectrum_from_profile(vacuous_profile(5), 3)
     with pytest.raises(IndexOutOfFrame):
         spectrum_from_profile([(1, 0.5, 1), (4, 0.5, 1)], 3)
+    with pytest.raises(IndexOutOfFrame):  # a cardinality too long to print
+        spectrum_from_profile([(10**5000, 1.0, 1)], 3)
     (point,) = spectrum_from_profile(vacuous_profile(5), 5).points
     assert point.representative_cardinality == 5
 
