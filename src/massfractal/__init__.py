@@ -40,7 +40,6 @@ from .multifractal import (
     quadratic_envelope,
     spectrum,
     spectrum_from_profile,
-    y_coordinate,
 )
 
 __version__ = "0.1.0"
@@ -91,5 +90,4 @@ __all__ = [
     "vacuous_mass",
     "vacuous_profile",
     "validate_mass_function",
-    "y_coordinate",
 ]

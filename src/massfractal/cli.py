@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -40,13 +41,10 @@ from .core import (
     FrameOfDiscernment,
     MassFunction,
     SUM_TOLERANCE,
-    max_deng_mass,
+    _check_explicit_size,
     max_deng_profile,
-    uniform_powerset_mass,
     uniform_powerset_profile,
-    uniform_singleton_mass,
     uniform_singleton_profile,
-    vacuous_mass,
     vacuous_profile,
     validate_mass_function,
 )
@@ -71,7 +69,14 @@ from .multifractal import (
 
 COMMANDS = ("spectrum", "dimension", "sweep", "table", "family", "envelope")
 
-FAMILIES = ("max-deng", "uniform-powerset", "vacuous", "uniform-singleton")
+_FAMILY_PROFILE = {
+    "max-deng": max_deng_profile,
+    "uniform-powerset": uniform_powerset_profile,
+    "vacuous": vacuous_profile,
+    "uniform-singleton": uniform_singleton_profile,
+}
+
+FAMILIES = tuple(_FAMILY_PROFILE)
 
 TABLE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
 
@@ -118,21 +123,6 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
             raise ValueError(f"mass {mass!r} is not a JSON number")
         raw.append((subset, mass))
     return validate_mass_function(frame, raw, sum_tolerance=sum_tolerance)
-
-
-_FAMILY_MASS = {
-    "max-deng": max_deng_mass,
-    "uniform-powerset": uniform_powerset_mass,
-    "vacuous": vacuous_mass,
-    "uniform-singleton": uniform_singleton_mass,
-}
-
-_FAMILY_PROFILE = {
-    "max-deng": max_deng_profile,
-    "uniform-powerset": uniform_powerset_profile,
-    "vacuous": vacuous_profile,
-    "uniform-singleton": uniform_singleton_profile,
-}
 
 
 # --- output plumbing ---
@@ -296,9 +286,6 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_EXAMPLE_TWO_FOCAL = (((0,), 0.2), ((1, 2), 0.8))
-
-
 def _table_t1_t2(which: str) -> tuple[list[str], list[list[str]]]:
     header = ["frame_size"] + [f"card_{k}" for k in range(1, 7)]
     rows = []
@@ -345,10 +332,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     if table_id in ("T1", "T2"):
         header, rows = _table_t1_t2(table_id)
     elif table_id == "T3":
-        frame = FrameOfDiscernment(3)
-        m = validate_mass_function(frame, list(_EXAMPLE_TWO_FOCAL))
+        # a singleton of mass 0.2 and a 2-set of mass 0.8
         alphas = [3, 9, 15, 21, 27, 33]
-        header, rows = _table_single_row(dimension_sweep(m, alphas), alphas)
+        entries = dimension_sweep_from_profile([(1, 0.2, 1), (2, 0.8, 1)], alphas)
+        header, rows = _table_single_row(entries, alphas)
     elif table_id == "T4":
         alphas = [1, 4, 7, 10, 13, 16, 19]
         entries = dimension_sweep_from_profile(vacuous_profile(5), alphas)
@@ -369,16 +356,22 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    m = _FAMILY_MASS[args.family](FrameOfDiscernment(args.n))
-    labels = m.frame.effective_labels()
+    """Write the family's bands subset by subset, in the order
+    ``MassFunction.assignments`` sorts them into: by cardinality, then
+    lexicographically by member index."""
+    profile = _FAMILY_PROFILE[args.family](args.n)
+    # the explicit builders' cap: the document holds what <family>_mass builds
+    _check_explicit_size(args.n, profile)
+    labels = FrameOfDiscernment(args.n).effective_labels()
     payload = {
         "frame": list(labels),
         "assignments": [
-            {"subset": [labels[i] for i in element.members], "mass": mass}
-            for element, mass in m.assignments
+            {"subset": list(subset), "mass": band.mass}
+            for band in profile
+            for subset in itertools.combinations(labels, band.cardinality)
         ],
     }
-    _write_text(args.emit or args.output, _json_text(payload))
+    _write_text(args.emit, _json_text(payload))
     return EXIT_OK
 
 
@@ -509,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--emit", help="output file for the JSON document (default stdout)")
-    p.add_argument("--output", help="alias for --emit")
 
     p = sub.add_parser("envelope", help="quadratic envelope of the max-Deng spectrum")
     p.add_argument("--n", type=_positive_int, required=True)

@@ -173,10 +173,6 @@ class MassFunction:
         return tuple((FocalElement(members), mass) for _, members, mass in rows)
 
     @property
-    def focal_elements(self) -> tuple[FocalElement, ...]:
-        return tuple(element for element, _ in self.assignments)
-
-    @property
     def focal_count(self) -> int:
         return len(self.masses)
 
@@ -275,15 +271,24 @@ def validate_mass_function(
 
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
     """The profile as bands, checked as a mass function is: every mass in
-    (0, 1], every cardinality and multiplicity at least 1, and the k*m summing
-    to one within ``SUM_TOLERANCE``.  The sum is taken in the log domain, so
-    a multiplicity past the double range does not overflow it; every term
-    is positive, so a plain sum is within len(rows) * 2**-53 (relative) of
-    the exact one."""
-    rows = [(int(c), m, int(k)) for c, m, k in profile]
+    (0, 1], every cardinality and multiplicity a whole number of at least 1,
+    and the k*m summing to one within ``SUM_TOLERANCE``.  The sum is taken
+    in the log domain, so a multiplicity past the double range does not
+    overflow it; every term is positive, so a plain sum is within
+    len(rows) * 2**-53 (relative) of the exact one."""
+    rows = list(profile)
     if not rows:
         raise SumNotOne("a profile without bands carries no mass")
-    cardinalities, masses, multiplicities = zip(*rows)
+    # strict: a row of other than three values is refused, not truncated
+    cardinalities, masses, multiplicities = zip(*rows, strict=True)
+    # a fraction, a string, an infinity or a NaN does not round-trip int()
+    try:
+        whole = tuple(map(int, cardinalities)), tuple(map(int, multiplicities))
+    except (OverflowError, ValueError, TypeError):
+        whole = None
+    if whole != (cardinalities, multiplicities):
+        raise EmptyFocalElement("a band cardinality or multiplicity is not a whole number")
+    cardinalities, multiplicities = whole
     try:
         masses = tuple(map(float, masses))
     except OverflowError:  # a number past the double range
@@ -306,14 +311,19 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
                     zip(cardinalities, masses, multiplicities)))
 
 
-def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
-    """Every subset of each band's cardinality, carrying that band's mass."""
-    n = frame.size
+def _check_explicit_size(n: int, profile: list[ProfileBand]) -> None:
+    """Refuse a family whose every subset, as a mask, would pass the cap."""
     # the bit table holds 1 << i for each i < n, and each mask at most n bits
     held = n * (n + 1) // 2 + n * sum(band.multiplicity for band in profile)
     if held > 32 * EXPLICIT_SUBSET_CAP:
         raise FrameTooLarge(f"the masks of a frame of {n} would hold {held} bits, past the cap "
                             f"of {32 * EXPLICIT_SUBSET_CAP}; use the profile builders for frames this large")
+
+
+def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
+    """Every subset of each band's cardinality, carrying that band's mass."""
+    n = frame.size
+    _check_explicit_size(n, profile)
     bits = [1 << i for i in range(n)]
     masses = {
         sum(combo): band.mass

@@ -31,7 +31,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     MAX_DENG_PROFILE_N,
-    FocalElement,
     MassFunction,
     ProfileBand,
     _as_bands,
@@ -144,17 +143,6 @@ def _log2_full_range(n: int) -> float:
             f"a frame of size {n} has log2(2**n - 1) = 0; no rescaling is possible"
         )
     return _log2_subset_count(n)
-
-
-def y_coordinate(m: MassFunction, element: FocalElement) -> float:
-    """Rescaled mass exponent of one focal element of m.
-
-    Raises :class:`DegenerateFrame` on one-hypothesis frames and
-    :class:`NotAFocalElement` when the subset carries no mass.
-    """
-    scale = _log2_full_range(m.frame.size)
-    mass = m.mass_of(element)
-    return (0.0 - math.log2(mass)) / scale
 
 
 def _spectrum_from_bands(

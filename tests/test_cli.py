@@ -17,6 +17,21 @@ import sys
 import pytest
 
 from massfractal import cli
+from massfractal.core import (
+    FrameOfDiscernment,
+    max_deng_mass,
+    uniform_powerset_mass,
+    uniform_singleton_mass,
+    vacuous_mass,
+)
+from massfractal.errors import FrameTooLarge
+
+FAMILY_MASS = {
+    "max-deng": max_deng_mass,
+    "uniform-powerset": uniform_powerset_mass,
+    "vacuous": vacuous_mass,
+    "uniform-singleton": uniform_singleton_mass,
+}
 
 
 def run_cli(*args, env_extra=None):
@@ -288,6 +303,45 @@ def test_family_document_shape():
     payload = json.loads(proc.stdout)
     assert payload["frame"] == ["h1", "h2", "h3"]
     assert payload["assignments"] == [{"subset": ["h1", "h2", "h3"], "mass": 1.0}]
+
+
+# the frames each family refuses: past the explicit builders' mask-bit cap,
+# or past the double range of its band values
+REFUSED_FRAMES = {
+    "max-deng": (27, 700),
+    "uniform-powerset": (27, 1024),
+    "vacuous": (10 ** 6,),
+    "uniform-singleton": (10 ** 6,),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_MASS))
+def test_family_document_is_the_explicit_mass_function(family, capsys):
+    build = FAMILY_MASS[family]
+    for n in range(1, 11):
+        code, captured = main_in_process(capsys, "family", "--family", family, "--n", str(n))
+        assert code == 0
+        m = build(FrameOfDiscernment(n))
+        labels = list(m.frame.effective_labels())
+        want = [([labels[i] for i in element.members], mass) for element, mass in m.assignments]
+        document = json.loads(captured.out)
+        assert document["frame"] == labels
+        assert [(a["subset"], a["mass"]) for a in document["assignments"]] == want
+    for n in REFUSED_FRAMES[family]:
+        with pytest.raises(FrameTooLarge) as refused:
+            build(FrameOfDiscernment(n))
+        code, captured = main_in_process(capsys, "family", "--family", family, "--n", str(n))
+        assert code == 2
+        assert captured.err == f"error: FrameTooLarge: {refused.value}\n"
+        assert captured.out == ""
+
+
+def test_family_has_no_output_alias(tmp_path, capsys):
+    code, captured = main_in_process(capsys, "family", "--family", "vacuous", "--n", "3",
+                                     "--output", str(tmp_path / "x.json"))
+    assert code == 2
+    assert "unrecognized arguments: --output" in captured.err
+    assert captured.out == ""
 
 
 # --- envelope ---

@@ -252,7 +252,7 @@ def test_vacuous_family():
     assert m.assignments == ((FocalElement((0, 1, 2)), 1.0),)
     assert vacuous_mass(FrameOfDiscernment(1)).focal_count == 1
     big = vacuous_mass(FrameOfDiscernment(20))
-    assert big.focal_elements[0].cardinality == 20
+    assert big.assignments[0][0].cardinality == 20
 
 
 def test_uniform_singleton_family():

@@ -28,7 +28,6 @@ from conftest import (
 from massfractal.core import (
     MAX_DENG_PROFILE_N,
     UNIFORM_POWERSET_PROFILE_N,
-    FocalElement,
     FrameOfDiscernment,
     max_deng_mass,
     max_deng_profile,
@@ -53,7 +52,6 @@ from massfractal.errors import (
     FrameTooLarge,
     IndexOutOfFrame,
     MassOutOfRange,
-    NotAFocalElement,
     OrderOutOfRange,
     SumNotOne,
     ZeroDenominator,
@@ -68,7 +66,6 @@ from massfractal.multifractal import (
     quadratic_envelope,
     spectrum,
     spectrum_from_profile,
-    y_coordinate,
 )
 from massfractal.oracle import oracle_dimension
 
@@ -94,34 +91,6 @@ F_TABLE = {
 
 def example_two_focal():
     return validate_mass_function(FrameOfDiscernment(3), EXAMPLE_TWO_FOCAL)
-
-
-# --- y coordinate ---
-
-def test_y_coordinate_of_max_deng_singleton():
-    m = max_deng_mass(FrameOfDiscernment(3))
-    value = y_coordinate(m, FocalElement.from_members((0,)))
-    assert value == pytest.approx(1.5131423106025146, abs=1e-14)
-    assert value == pytest.approx(math.log2(19) / math.log2(7), abs=1e-14)
-
-
-def test_y_coordinate_rejects_non_focal_subsets():
-    m = vacuous_mass(FrameOfDiscernment(3))
-    with pytest.raises(NotAFocalElement):
-        y_coordinate(m, FocalElement.from_members((0,)))
-
-
-def test_y_coordinate_rejects_singleton_frames():
-    m = vacuous_mass(FrameOfDiscernment(1))
-    with pytest.raises(DegenerateFrame):
-        y_coordinate(m, FocalElement.from_members((0,)))
-
-
-def test_unit_mass_maps_to_positive_zero():
-    m = vacuous_mass(FrameOfDiscernment(4))
-    value = y_coordinate(m, FocalElement.from_members((0, 1, 2, 3)))
-    assert value == 0.0
-    assert math.copysign(1.0, value) == 1.0
 
 
 # --- spectrum ---
@@ -169,11 +138,14 @@ def test_uniform_powerset_collapses_to_one_point():
 
 
 def test_vacuous_spectrum_sits_at_the_origin():
-    sp = spectrum(vacuous_mass(FrameOfDiscernment(5)))
-    assert len(sp.points) == 1
-    assert sp.points[0].y == 0.0
-    assert sp.points[0].f == 0.0
-    assert sp.points[0].multiplicity == 1
+    for sp in (spectrum(vacuous_mass(FrameOfDiscernment(5))),
+               spectrum_from_profile(vacuous_profile(5), 5)):
+        assert len(sp.points) == 1
+        assert sp.points[0].y == 0.0
+        # the unit mass's y is a positive zero, not -0.0
+        assert math.copysign(1.0, sp.points[0].y) == 1.0
+        assert sp.points[0].f == 0.0
+        assert sp.points[0].multiplicity == 1
 
 
 def test_equal_masses_merge_across_cardinalities():
@@ -200,7 +172,7 @@ def test_grouping_tolerance_merges_then_splits():
     assert [p.multiplicity for p in split.points] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_profile_route_matches_enumeration(n):
     frame = FrameOfDiscernment(n)
     families = [
@@ -210,6 +182,13 @@ def test_profile_route_matches_enumeration(n):
         (uniform_singleton_mass, uniform_singleton_profile),
     ]
     for build_mass, build_profile in families:
+        if n == 1:
+            # log2(2**1 - 1) = 0 leaves nothing to rescale by
+            with pytest.raises(DegenerateFrame):
+                spectrum(build_mass(frame))
+            with pytest.raises(DegenerateFrame):
+                spectrum_from_profile(build_profile(n), n)
+            continue
         from_elements = spectrum(build_mass(frame))
         from_bands = spectrum_from_profile(build_profile(n), n)
         assert from_elements == from_bands
@@ -637,10 +616,25 @@ PROFILE_ENTRY_POINTS = {
     ([(1, -0.5, 1), (2, 1.0, 1), (1, 0.5, 1)], MassOutOfRange),
     ([(1, 0.5, 1), (2, math.nan, 1), (1, 0.5, 1)], MassOutOfRange),
     ([(1, 0.5, 1), (2, 1.5, 1)], MassOutOfRange),
+    ([(1, 0.5, 2.5)], EmptyFocalElement),
+    ([(1.5, 1.0, 1)], EmptyFocalElement),
+    ([("2", 1.0, 1)], EmptyFocalElement),
+    ([(math.inf, 1.0, 1)], EmptyFocalElement),
+    ([(1, 0.5, math.nan), (1, 0.5, 1)], EmptyFocalElement),
 ])
 def test_profile_entry_points_check_their_bands(entry, profile, error):
     with pytest.raises(error):
         PROFILE_ENTRY_POINTS[entry](profile)
+
+
+@pytest.mark.parametrize("profile", [
+    [(1, 0.5, 2, 7)],
+    [(1, 0.5, 1), (1, 0.5, 1, 7)],
+    [(1, 0.5, 1), (1, 0.5)],
+])
+def test_band_rows_hold_three_values(profile):
+    with pytest.raises(ValueError):
+        dimension_from_profile(profile, 2.0)
 
 
 def test_band_total_is_taken_in_the_log_domain():
