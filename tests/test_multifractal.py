@@ -138,14 +138,19 @@ def test_uniform_powerset_collapses_to_one_point():
 
 
 def test_vacuous_spectrum_sits_at_the_origin():
-    for sp in (spectrum(vacuous_mass(FrameOfDiscernment(5))),
-               spectrum_from_profile(vacuous_profile(5), 5)):
-        assert len(sp.points) == 1
-        assert sp.points[0].y == 0.0
-        # the unit mass's y is a positive zero, not -0.0
-        assert math.copysign(1.0, sp.points[0].y) == 1.0
-        assert sp.points[0].f == 0.0
-        assert sp.points[0].multiplicity == 1
+    sp = spectrum(vacuous_mass(FrameOfDiscernment(5)))
+    assert len(sp.points) == 1
+    assert sp.points[0].y == 0.0
+    assert sp.points[0].f == 0.0
+    assert sp.points[0].multiplicity == 1
+
+
+def test_unit_mass_maps_to_positive_zero():
+    for sp in (spectrum(vacuous_mass(FrameOfDiscernment(4))),
+               spectrum_from_profile(vacuous_profile(4), 4)):
+        (point,) = sp.points
+        assert point.y == 0.0
+        assert math.copysign(1.0, point.y) == 1.0
 
 
 def test_equal_masses_merge_across_cardinalities():
