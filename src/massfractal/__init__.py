@@ -7,7 +7,6 @@ from .core import (
     FrameOfDiscernment,
     MassFunction,
     ProfileBand,
-    is_bayesian,
     max_deng_mass,
     max_deng_profile,
     uniform_powerset_mass,
@@ -22,7 +21,6 @@ from .entropy import (
     ProbabilityDistribution,
     deng_entropy,
     deng_entropy_from_profile,
-    max_deng_entropy_value,
     renyi_entropy,
     renyi_information_dimension,
     shannon_entropy,
@@ -70,8 +68,6 @@ __all__ = [
     "dimension_from_profile",
     "dimension_sweep",
     "dimension_sweep_from_profile",
-    "is_bayesian",
-    "max_deng_entropy_value",
     "max_deng_mass",
     "max_deng_profile",
     "multifractal_dimension",

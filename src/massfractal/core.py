@@ -37,7 +37,6 @@ from .errors import (
     FrameTooLarge,
     IndexOutOfFrame,
     MassOutOfRange,
-    NotAFocalElement,
     SumNotOne,
 )
 
@@ -103,40 +102,11 @@ class FrameOfDiscernment:
         return tuple(f"h{i + 1}" for i in range(self.size))
 
 
-@dataclass(frozen=True)
-class FocalElement:
-    """A non-empty subset of the frame, stored as a sorted index tuple.
-
-    The canonical ascending order makes equality and hashing coincide with
-    set semantics while keeping iteration order deterministic.
-    """
+class FocalElement(NamedTuple):
+    """A focal element as the ascending tuple of its hypothesis indices, as
+    :attr:`MassFunction.assignments` yields it."""
 
     members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.members) == 0:
-            raise EmptyFocalElement("a focal element must be a non-empty subset")
-        previous = -1
-        for index in self.members:
-            if not isinstance(index, int) or index < 0:
-                raise IndexOutOfFrame(f"hypothesis index {index!r} is not a non-negative integer")
-            if index <= previous:
-                raise ValueError("focal element members must be strictly ascending; use from_members")
-            previous = index
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "FocalElement":
-        """Build a focal element from any iterable of indices, deduplicated."""
-        return cls(tuple(sorted(set(members))))
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.members)
-
-    @property
-    def mask(self) -> int:
-        """The bitmask with bit ``i`` set for each member ``i``."""
-        return sum(1 << index for index in self.members)
 
 
 class ProfileBand(NamedTuple):
@@ -176,16 +146,6 @@ class MassFunction:
     def focal_count(self) -> int:
         return len(self.masses)
 
-    def mass_of(self, element: FocalElement) -> float:
-        """Mass of ``element``, raising :class:`NotAFocalElement` if absent."""
-        if not self.contains(element):
-            raise NotAFocalElement(f"subset {element.members} carries no mass under this assignment")
-        return self.masses[element.mask]
-
-    def contains(self, element: FocalElement) -> bool:
-        # an index past the frame is never focal, and its mask is never built
-        return element.members[-1] < self.frame.size and element.mask in self.masses
-
 
 def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand, ...]:
     """Counted ``(cardinality, mass)`` pairs as bands, sorted by pair."""
@@ -193,6 +153,14 @@ def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand,
         ProfileBand(cardinality, mass, multiplicity)
         for (cardinality, mass), multiplicity in sorted(counts.items())
     )
+
+
+def _as_mass(value) -> float:
+    """A mass as a float.  Strings, bytes and bools, which float() would
+    read, are refused: none of them is a number."""
+    if isinstance(value, (str, bytes, bytearray, bool)):
+        raise MassOutOfRange(f"mass {value!r} is not a number")
+    return float(value)
 
 
 def _checked_mask(subset: Iterable, n: int) -> int:
@@ -215,7 +183,8 @@ def validate_mass_function(
 ) -> MassFunction:
     """Turn a raw list of (subset, mass) pairs into a validated MassFunction.
 
-    Each mass is range-checked (NaN fails) before zero masses are dropped.
+    Each mass is range-checked (NaN fails) before zero masses are dropped;
+    a string, bytes or bool mass is refused, not parsed.
     A subset of exact in-frame ints, the common case, gets its mask by one
     bit lookup per member; any subset the lookup refuses is checked index by
     index (:func:`_checked_mask`), which names the offending index.  The
@@ -240,7 +209,8 @@ def validate_mass_function(
     bits = {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
     masses: dict[int, float] = {}
     for subset, mass in raw:
-        mass = float(mass)
+        if type(mass) is not float:
+            mass = _as_mass(mass)
         if not (0.0 <= mass <= 1.0):
             raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
         if mass == 0.0:
@@ -270,9 +240,9 @@ def validate_mass_function(
 
 
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
-    """The profile as bands, checked as a mass function is: every mass in
-    (0, 1], every cardinality and multiplicity a whole number of at least 1,
-    and the k*m summing to one within ``SUM_TOLERANCE``.  The sum is taken
+    """The profile as bands, checked as a mass function is: every mass a
+    number in (0, 1], every cardinality and multiplicity a whole number of
+    at least 1, and the k*m summing to one within ``SUM_TOLERANCE``.  The sum is taken
     in the log domain, so a multiplicity past the double range does not
     overflow it; every term is positive, so a plain sum is within
     len(rows) * 2**-53 (relative) of the exact one."""
@@ -290,7 +260,8 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
         raise EmptyFocalElement("a band cardinality or multiplicity is not a whole number")
     cardinalities, multiplicities = whole
     try:
-        masses = tuple(map(float, masses))
+        if set(map(type, masses)) != {float}:
+            masses = tuple(map(_as_mass, masses))
     except OverflowError:  # a number past the double range
         raise MassOutOfRange("a band mass lies outside (0, 1]") from None
     if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
@@ -356,11 +327,6 @@ def vacuous_mass(frame: FrameOfDiscernment) -> MassFunction:
 def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
     """The Bayesian mass function m({h_i}) = 1/n for every hypothesis."""
     return _symmetric_mass(frame, uniform_singleton_profile(frame.size))
-
-
-def is_bayesian(m: MassFunction) -> bool:
-    """True iff every focal element is a singleton."""
-    return all(band.cardinality == 1 for band in m.bands)
 
 
 # --- profile builders for the canonical families ---

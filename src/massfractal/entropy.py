@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MassFunction, ProfileBand, _as_bands
+from .core import MassFunction, ProfileBand, _as_bands, _as_mass
 from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported
 
 _LN2 = math.log(2.0)
@@ -29,23 +29,20 @@ class ProbabilityDistribution:
 
     Zero entries are tolerated on input but never counted as support.  The
     other entries are checked as the Bayesian mass function they make, the
-    singleton bands ``(1, p, 1)``: each must lie in (0, 1] (NaN fails), and
+    singleton bands ``(1, p, 1)``: each must be a number in (0, 1] (NaN
+    fails; a string, bytes or bool is refused, not parsed), and
     together they must sum to one within ``core.SUM_TOLERANCE``.
     """
 
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "probs", tuple(map(_as_mass, self.probs)))
         _as_bands([(1, p, 1) for p in self.probs if p != 0.0])
 
     def support(self) -> tuple[float, ...]:
         """The strictly positive entries."""
         return tuple(p for p in self.probs if p > 0.0)
-
-    @property
-    def support_size(self) -> int:
-        return sum(1 for p in self.probs if p > 0.0)
 
 
 def _log2_power_sum(exponents: Sequence[float]) -> float:
@@ -91,9 +88,12 @@ def _log2_subset_count(k: int) -> float:
         raise FrameTooLarge("a set size past the double range has no double log") from None
 
 
-def _deng_terms(
-    bands: Sequence[ProfileBand],
-) -> tuple[Sequence[ProfileBand], list[float], Sequence[float], _NumeratorTerms]:
+# What _deng_terms returns: the bands, their log2(2**|A| - 1) and log2 k,
+# and the numerator's kernel terms, all in falling share order.
+_DengTerms = tuple[Sequence[ProfileBand], list[float], Sequence[float], _NumeratorTerms]
+
+
+def _deng_terms(bands: Sequence[ProfileBand]) -> _DengTerms:
     """The bands by falling share k*m, with log2(2**|A| - 1) and log2 k for
     each, and the kernel terms of the D_alpha numerator: shares k*m and
     exponents log2(m / (2**|A| - 1)).
@@ -171,7 +171,7 @@ def renyi_information_dimension(p: ProbabilityDistribution, alpha: float) -> flo
     Defined only for supports of at least two points; a point mass has no
     scale to measure against.
     """
-    n = p.support_size
+    n = len(p.support())
     if n < 2:
         raise DegenerateSupport(f"information dimension needs support >= 2, got {n}")
     return renyi_entropy(p, alpha) / math.log2(n)
@@ -207,13 +207,3 @@ def deng_entropy(m: MassFunction) -> float:
     """
     return _deng_terms(as_profile_bands(m))[3].limit
 
-
-def max_deng_entropy_value(n: int) -> float:
-    """log2(3**n - 2**n): the Deng entropy ceiling for a frame of size n.
-
-    The power difference is taken over exact integers, so there is no
-    overflow at any frame size before the single rounding in the log.
-    """
-    if n < 1:
-        raise ValueError(f"frame size must be positive, got {n}")
-    return math.log2(3 ** n - 2 ** n)

@@ -58,10 +58,6 @@ class DegenerateFrame(MassFractalError):
     at zero."""
 
 
-class NotAFocalElement(MassFractalError):
-    """The queried subset carries no mass under the given mass function."""
-
-
 class ZeroDenominator(MassFractalError):
     """The dimension denominator log2(sum of weighted terms) is zero."""
 

@@ -19,15 +19,18 @@ Numerics: the numerator is the Renyi kernel of :mod:`entropy` over the band
 shares k*m, normalised to sum to one, and exponents log2(m/(2**|A|-1)).  The
 denominator runs in the log2 domain with the largest exponent factored out,
 because (2**|A|-1)**(alpha*m) overflows for large alpha on masses near one.
-A sum with a single term is returned exactly.
+A sum with a single term is returned exactly, and a sum within a factor 2 of
+one is taken as log1p of its excess over one, which does not cancel at
+negative orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from .core import (
     MAX_DENG_PROFILE_N,
@@ -37,10 +40,11 @@ from .core import (
 )
 from .entropy import (
     _deng_terms,
+    _DengTerms,
+    _LN2,
     _log2_power_sum,
     _log2_subset_count,
     _numerator_bits,
-    _NumeratorTerms,
     as_profile_bands,
 )
 from .errors import (
@@ -88,10 +92,6 @@ class Spectrum:
 
     frame_size: int
     points: tuple[SpectrumPoint, ...]
-
-    @property
-    def multiplicity_total(self) -> int:
-        return sum(point.multiplicity for point in self.points)
 
 
 @dataclass(frozen=True)
@@ -203,23 +203,8 @@ def spectrum_from_profile(
     return _spectrum_from_bands(bands, n, grouping_tolerance)
 
 
-class _PreparedBands(NamedTuple):
-    """Bands with every order-independent log taken once, ready for any
-    number of orders: the denominator's logs and the numerator's terms, all
-    in the falling share order of :func:`entropy._deng_terms`."""
-
-    bands: Sequence[ProfileBand]
-    log_weights: list[float]
-    log_multiplicities: Sequence[float]
-    numerator: _NumeratorTerms
-
-
-def _prepare(bands: list[ProfileBand]) -> _PreparedBands:
-    return _PreparedBands(*_deng_terms(bands))
-
-
-def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionResult:
-    bands, log_weights, log_multiplicities, numerator = prepared
+def _dimension_from_bands(terms: _DengTerms, alpha: float) -> DimensionResult:
+    bands, log_weights, log_multiplicities, numerator = terms
 
     # A lone focal element holding the whole unit of mass has the closed form
     # D_alpha = 1/alpha: both log sums collapse to multiples of the same
@@ -241,6 +226,18 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
             for band, lw, lk in zip(bands, log_weights, log_multiplicities)
         ]
         denominator_bits = _log2_power_sum(den_exponents)
+        if -1.0 < denominator_bits < 1.0 and len(den_exponents) > 1:
+            # Within a factor 2 of 1 the log of the rounded sum keeps only
+            # the bits of sum - 1 that the rounding left, which at negative
+            # orders, where every term but a singleton's falls towards 0, is
+            # none.  fsum rounds sum - 1 once, and log1p keeps its bits.
+            excess = math.fsum([*map(pow, repeat(2.0), den_exponents), -1.0])
+            if excess == 0.0 and max(den_exponents) == 0.0:
+                # a singleton's term is exactly 1 and every other one
+                # underflowed: the exact denominator is positive, but no
+                # double holds it
+                raise OrderOutOfRange(f"order {alpha!r} takes the denominator below the double range")
+            denominator_bits = math.log1p(excess) / _LN2
         if denominator_bits == 0.0:
             raise ZeroDenominator("the weighted power sum in the denominator is 1")
         numerator_bits = _numerator_bits(numerator, alpha)
@@ -257,13 +254,14 @@ def _dimension_from_bands(prepared: _PreparedBands, alpha: float) -> DimensionRe
     )
 
 
-def _sweep(prepared: _PreparedBands, alphas: Iterable[float]) -> list[SweepEntry]:
-    """The one sweep loop: every order reads the same prepared bands."""
+def _sweep(terms: _DengTerms, alphas: Iterable[float]) -> list[SweepEntry]:
+    """The one sweep loop: every order reads the same band terms, whose
+    order-independent logs :func:`entropy._deng_terms` took once."""
     entries: list[SweepEntry] = []
     for alpha in alphas:
         alpha = float(alpha)
         try:
-            entries.append(SweepEntry(alpha, _dimension_from_bands(prepared, alpha), None))
+            entries.append(SweepEntry(alpha, _dimension_from_bands(terms, alpha), None))
         except (ZeroDenominator, OrderOutOfRange) as failure:
             entries.append(SweepEntry(alpha, None, type(failure).__name__))
     return entries
@@ -286,13 +284,13 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     :class:`OrderOutOfRange` when the order is so large or so small that the
     result leaves the double range.
     """
-    return _dimension_from_bands(_prepare(as_profile_bands(m)), float(alpha))
+    return _dimension_from_bands(_deng_terms(as_profile_bands(m)), float(alpha))
 
 
 def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
     """Multifractal dimension straight from (cardinality, mass, multiplicity)
     bands, for symmetric families too large to materialize."""
-    return _dimension_from_bands(_prepare(_as_bands(profile)), float(alpha))
+    return _dimension_from_bands(_deng_terms(_as_bands(profile)), float(alpha))
 
 
 def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry]:
@@ -304,14 +302,14 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
     logs are taken once for the whole sweep, and each entry equals what
     :func:`multifractal_dimension` returns at that order.
     """
-    return _sweep(_prepare(as_profile_bands(m)), alphas)
+    return _sweep(_deng_terms(as_profile_bands(m)), alphas)
 
 
 def dimension_sweep_from_profile(
     profile: Iterable[tuple[int, float, int]], alphas: Iterable[float]
 ) -> list[SweepEntry]:
     """Profile-band twin of :func:`dimension_sweep`."""
-    return _sweep(_prepare(_as_bands(profile)), alphas)
+    return _sweep(_deng_terms(_as_bands(profile)), alphas)
 
 
 def quadratic_envelope(n: int) -> QuadraticEnvelope:

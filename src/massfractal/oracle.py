@@ -25,10 +25,16 @@ from .errors import MassesNotNormalized, MassOutOfRange, ZeroDenominator
 # well over 50 accurate fractional bits through every summation in scope.
 ORACLE_PRECISION_BITS = 120
 
-# Near order 1 the numerator's sum is near 1, and its log keeps only the bits
-# of sum - 1.  When that cancels more than this many of the working bits, the
+# Near order 1 the numerator's sum is near 1, and at negative orders with a
+# singleton so is the denominator's; a log then keeps only the bits of
+# sum - 1.  When that cancels more than this many of the working bits, the
 # sum is taken again with the cancelled bits added on.
 _CANCELLATION_SLACK_BITS = 56
+
+# A sum still exactly 1 at this many working bits is taken as 1.  The
+# denominator's log is then 0, or so small that no double holds the
+# dimension.
+_MAX_PRECISION_BITS = 4096
 
 RationalLike = Union[int, str, float, Fraction]
 
@@ -99,8 +105,9 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
 
     The order is taken as an exact rational; ``alpha == 1`` routes to the
     limit form whose numerator is the Deng entropy.  Near order 1 the
-    numerator is evaluated again with the bits its log cancels added on, so
-    a tiny Deng value keeps its digits there too.  Raises
+    numerator, and at negative orders the denominator, is evaluated again
+    with the bits its log cancels added on, so a tiny Deng value, or a
+    denominator sum of 1 + 2**-700, keeps its digits.  Raises
     :class:`ZeroDenominator` when the denominator log vanishes (a lone
     singleton focal element of mass one, or order zero on such input).
     """
@@ -108,12 +115,14 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
     with mp.workprec(ORACLE_PRECISION_BITS):
         terms = _exact_terms(profile)
 
-        den_sum = mp.mpf(0)
-        for cardinality, mass, multiplicity in terms:
-            weight = mp.mpf(2 ** cardinality - 1)
-            exponent = _to_mpf(order * mass)
-            den_sum += multiplicity * mp.power(weight, exponent)
-        denominator = mp.log(den_sum, 2)
+        def den_sum():
+            total = mp.mpf(0)
+            for cardinality, mass, multiplicity in terms:
+                weight = mp.mpf(2 ** cardinality - 1)
+                total += multiplicity * mp.power(weight, _to_mpf(order * mass))
+            return total
+
+        denominator = _log2_of_sum(den_sum)
         if denominator == 0:
             raise ZeroDenominator("denominator log2 of the weighted sum is zero")
 
@@ -122,20 +131,35 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
 
 
 def _numerator_bits(terms: Sequence[tuple[int, ExactMass, int]], order: Fraction):
-    """log2(sum m**alpha * w**(1 - alpha)) / (1 - alpha) at alpha != 1, with
-    the working precision raised by whatever the log cancels near sum = 1."""
+    """log2(sum m**alpha * w**(1 - alpha)) / (1 - alpha) at alpha != 1."""
+    def num_sum():
+        a = _to_mpf(order)
+        total = mp.mpf(0)
+        for cardinality, mass, multiplicity in terms:
+            m = _to_mpf(mass)
+            weight = mp.mpf(2 ** cardinality - 1)
+            total += multiplicity * mp.power(m / weight, a) * weight
+        return total
+
+    return _log2_of_sum(num_sum) / _to_mpf(1 - order)
+
+
+def _log2_of_sum(power_sum):
+    """log2 of the sum ``power_sum()`` takes at the working precision it is
+    called in: first at 120 bits, then with whatever its log cancels near 1
+    added on.  A sum that rounds to 1 has lost all its bits, so the
+    precision is doubled until it does not, up to ``_MAX_PRECISION_BITS``."""
     bits = ORACLE_PRECISION_BITS
     while True:
         with mp.workprec(bits):
-            a = _to_mpf(order)
-            num_sum = mp.mpf(0)
-            for cardinality, mass, multiplicity in terms:
-                m = _to_mpf(mass)
-                weight = mp.mpf(2 ** cardinality - 1)
-                num_sum += multiplicity * mp.power(m / weight, a) * weight
-            # a sum that rounds to 1 has lost all its bits
-            cancelled = -mp.mag(num_sum - 1) if num_sum != 1 else bits
-            needed = ORACLE_PRECISION_BITS + cancelled
-            if cancelled <= _CANCELLATION_SLACK_BITS or bits >= needed:
-                return mp.log(num_sum, 2) / _to_mpf(1 - order)
-        bits = needed
+            total = power_sum()
+            if total == 1:
+                needed = 2 * bits
+            else:
+                cancelled = -mp.mag(total - 1)
+                needed = ORACLE_PRECISION_BITS + cancelled
+                if cancelled <= _CANCELLATION_SLACK_BITS or bits >= needed:
+                    return mp.log(total, 2)
+            if bits >= _MAX_PRECISION_BITS:
+                return mp.log(total, 2)
+        bits = min(needed, _MAX_PRECISION_BITS)

@@ -67,7 +67,7 @@ def random_bayesian(rng: random.Random, n: int) -> MassFunction:
 def oracle_terms(m: MassFunction) -> list[tuple[int, Fraction, int]]:
     """One exact term per focal element, mirroring the stored doubles."""
     return [
-        (element.cardinality, Fraction(mass), 1) for element, mass in m.assignments
+        (len(element.members), Fraction(mass), 1) for element, mass in m.assignments
     ]
 
 

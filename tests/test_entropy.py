@@ -35,7 +35,6 @@ from massfractal.entropy import (
     as_profile_bands,
     deng_entropy,
     deng_entropy_from_profile,
-    max_deng_entropy_value,
     renyi_entropy,
     renyi_information_dimension,
     shannon_entropy,
@@ -86,7 +85,8 @@ def test_distribution_validation():
 
 
 @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.5, 0.5),
-                                   (2.0,), (math.inf, -math.inf)])
+                                   (2.0,), (math.inf, -math.inf),
+                                   ("0.5", "0.5"), (b"1",), (True,)])
 def test_distribution_is_checked_as_singleton_bands(probs):
     # unchecked, (nan, 0.5, 0.5) would give renyi_entropy a quiet 1.0
     with pytest.raises(MassOutOfRange):
@@ -101,7 +101,7 @@ def test_subset_count_log_skips_the_big_int():
 
 def test_distribution_support_skips_zeros():
     p = ProbabilityDistribution((0.5, 0.0, 0.5))
-    assert p.support_size == 2
+    assert len(p.support()) == 2
     assert p.support() == (0.5, 0.5)
 
 
@@ -211,17 +211,20 @@ def test_deng_of_vacuous():
 
 
 def test_max_deng_entropy_value():
-    assert max_deng_entropy_value(1) == 0.0
-    assert max_deng_entropy_value(3) == pytest.approx(LOG2_19, abs=1e-14)
-    assert max_deng_entropy_value(100) == pytest.approx(100 * math.log2(3), rel=1e-9)
+    # the family reaches the ceiling log2(3**n - 2**n): 0, log2 19, and about
+    # n log2 3
+    assert deng_entropy(max_deng_mass(FrameOfDiscernment(1))) == 0.0
+    assert deng_entropy_from_profile(max_deng_profile(3)) == pytest.approx(LOG2_19, abs=1e-14)
+    assert deng_entropy_from_profile(max_deng_profile(100)) == pytest.approx(
+        100 * math.log2(3), rel=1e-9)
     with pytest.raises(ValueError):
-        max_deng_entropy_value(0)
+        max_deng_profile(0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_deng_matches_its_closed_form_ceiling(n):
     value = deng_entropy(max_deng_mass(FrameOfDiscernment(n)))
-    assert value == pytest.approx(max_deng_entropy_value(n), abs=1e-12)
+    assert value == pytest.approx(math.log2(3 ** n - 2 ** n), abs=1e-12)
 
 
 def test_bayesian_deng_equals_shannon():
@@ -236,7 +239,7 @@ def test_bayesian_deng_equals_shannon():
 def test_deng_never_exceeds_the_ceiling():
     rng = random.Random(31337)
     for n in range(2, 7):
-        ceiling = max_deng_entropy_value(n)
+        ceiling = math.log2(3 ** n - 2 ** n)
         for _ in range(200):
             m = random_mass_function(rng, n)
             value = deng_entropy(m)
@@ -270,7 +273,7 @@ def test_profile_and_enumeration_paths_agree(n):
         assert as_profile_bands(round_tripped) == profile_builder(n)
         by_bands = deng_entropy_from_profile(as_profile_bands(m))
         element_bands = [
-            (element.cardinality, mass, 1) for element, mass in m.assignments
+            (len(element.members), mass, 1) for element, mass in m.assignments
         ]
         by_elements = deng_entropy_from_profile(element_bands)
         assert abs(by_bands - by_elements) <= 1e-12
@@ -292,5 +295,5 @@ def test_band_builder_groups_exact_pairs(seed, n, pool_size):
     for band in bands:
         assert band.multiplicity == sum(
             1 for element, mass in m.assignments
-            if (element.cardinality, mass) == (band.cardinality, band.mass)
+            if (len(element.members), mass) == (band.cardinality, band.mass)
         )

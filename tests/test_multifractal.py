@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ import massfractal.core as core_module
 import massfractal.entropy as entropy_module
 import massfractal.multifractal as multifractal_module
 from conftest import (
+    dyadic_masses,
     mask_to_members,
     max_deng_exact,
     oracle_terms,
@@ -113,7 +115,7 @@ def test_spectrum_of_max_deng_three():
     assert single.f == pair.f
     assert single.multiplicity == 3
     assert single.representative_cardinality == 1
-    assert sp.multiplicity_total == 7
+    assert sum(point.multiplicity for point in sp.points) == 7
 
 
 @pytest.mark.parametrize("n", sorted(Y_TABLE))
@@ -413,7 +415,7 @@ def _relative_error(value, exact):
 @settings(max_examples=60, deadline=None)
 def test_grouped_bands_match_one_band_per_element(seed, n, pool_size):
     m = pooled_mass_function(random.Random(seed), n, pool_size)
-    per_element = [(element.cardinality, mass, 1) for element, mass in m.assignments]
+    per_element = [(len(element.members), mass, 1) for element, mass in m.assignments]
     orders = FAR_ORDERS + NEAR_ORDERS
     grouped = dimension_sweep(m, orders)
     ungrouped = dimension_sweep_from_profile(per_element, orders)
@@ -466,6 +468,64 @@ def test_family_dimensions_near_order_one_match_the_oracle(n):
 def test_large_frame_dimension_near_order_one_matches_the_oracle():
     entries = dimension_sweep_from_profile(max_deng_profile(400), NEAR_ONE_ORDERS)
     assert _oracle_misses(entries, max_deng_exact(400)) == []
+
+
+# --- negative orders with a singleton ---
+#
+# A singleton's denominator term is exactly 1 and every other term falls
+# towards 0 as the order falls, so the denominator sum tends to 1 from above.
+# Each order either agrees with the oracle or, where the other terms have
+# underflowed and no double holds the denominator, raises OrderOutOfRange.
+
+NEGATIVE_ORDERS = tuple(float(a) for a in range(-1000, 1, 5)) + (-59.5, -0.5, -1e-9)
+SINGLETON_PROFILES = [
+    [(1, 0.5, 1), (2, 0.5, 1)],
+    [(1, 0.25, 1), (3, 0.75, 1)],
+    [(1, 0.125, 1), (2, 0.375, 1), (4, 0.5, 1)],
+    [(1, 0.5, 1), (2, 0.25, 2)],
+]
+
+
+def _misses_but_out_of_range(entries, exact):
+    return [miss for miss in _oracle_misses(entries, exact) if miss[1] != "OrderOutOfRange"]
+
+
+@pytest.mark.parametrize("profile", SINGLETON_PROFILES)
+def test_negative_orders_with_a_singleton_match_the_oracle(profile):
+    # at order -60 on the first profile the sum is 1 + 3**-30, and the log
+    # of that sum rounded to a double is 0.57% off
+    exact = [(c, Fraction(m), k) for c, m, k in profile]
+    entries = dimension_sweep_from_profile(profile, NEGATIVE_ORDERS)
+    assert _misses_but_out_of_range(entries, exact) == []
+    assert entries[NEGATIVE_ORDERS.index(-60.0)].result is not None
+
+
+def test_singleton_alone_past_the_double_range_is_out_of_range():
+    # 3**(-0.75 * 1000) underflows to 0; the exact denominator is positive
+    with pytest.raises(OrderOutOfRange):
+        dimension_from_profile([(1, 0.25, 1), (3, 0.75, 1)], -1000.0)
+
+
+@st.composite
+def mass_functions_with_a_singleton(draw):
+    """A random dyadic mass function on 2..6 hypotheses with a singleton
+    among its focal elements."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=6))
+    singleton = 1 << rng.randrange(n)
+    others = [mask for mask in range(1, 2**n) if mask != singleton]
+    masks = [singleton] + rng.sample(others, rng.randint(1, min(7, len(others))))
+    raw = [(mask_to_members(mask), mass) for mask, mass in zip(masks, dyadic_masses(rng, len(masks)))]
+    return validate_mass_function(FrameOfDiscernment(n), raw)
+
+
+@given(
+    m=mass_functions_with_a_singleton(),
+    orders=st.lists(st.floats(min_value=-1000.0, max_value=0.0), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_negative_orders_on_random_inputs_with_a_singleton_match_the_oracle(m, orders):
+    assert _misses_but_out_of_range(dimension_sweep(m, orders), oracle_terms(m)) == []
 
 
 def test_explicit_dimensions_near_order_one_match_the_oracle():
@@ -576,7 +636,7 @@ def random_masses(draw):
 @settings(max_examples=120, deadline=None)
 def test_spectrum_partitions_the_focal_elements(m):
     sp = spectrum(m)
-    assert sp.multiplicity_total == m.focal_count
+    assert sum(point.multiplicity for point in sp.points) == m.focal_count
     assert all(p.multiplicity >= 1 for p in sp.points)
     ys = [p.y for p in sp.points]
     assert ys == sorted(ys)
@@ -626,6 +686,9 @@ PROFILE_ENTRY_POINTS = {
     ([("2", 1.0, 1)], EmptyFocalElement),
     ([(math.inf, 1.0, 1)], EmptyFocalElement),
     ([(1, 0.5, math.nan), (1, 0.5, 1)], EmptyFocalElement),
+    ([(1, "0.5", 2)], MassOutOfRange),
+    ([(1, b"1", 1)], MassOutOfRange),
+    ([(1, True, 1)], MassOutOfRange),
 ])
 def test_profile_entry_points_check_their_bands(entry, profile, error):
     with pytest.raises(error):
@@ -725,8 +788,8 @@ def _profile_outputs(bands, n, orders):
     ))
 
 
-def _unsorted_prepare(bands):
-    """What _prepare gives, with the bands kept in the order given: each
+def _unsorted_terms(bands):
+    """What _deng_terms gives, with the bands kept in the order given: each
     log and each order-free sum taken afresh, the share sort left out."""
     log_multiplicities = [math.log2(k) for _, _, k in bands]
     log_masses = [math.log2(m) for _, m, _ in bands]
@@ -735,7 +798,7 @@ def _unsorted_prepare(bands):
         [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
         [lm - lw for lm, lw in zip(log_masses, log_weights)],
     )
-    return multifractal_module._PreparedBands(bands, log_weights, log_multiplicities, numerator)
+    return bands, log_weights, log_multiplicities, numerator
 
 
 @given(
@@ -758,21 +821,22 @@ def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far
     sweep = repr(dimension_sweep_from_profile(bands, orders))
     deng = deng_entropy_from_profile(bands)
     for order in (bands, shuffled, bands[::-1]):
-        prepared = _unsorted_prepare(order)
-        assert repr(multifractal_module._sweep(prepared, orders)) == sweep
-        assert repr(prepared.numerator.limit) == repr(deng)
+        terms = _unsorted_terms(order)
+        assert repr(multifractal_module._sweep(terms, orders)) == sweep
+        assert repr(terms[3].limit) == repr(deng)
 
 
 @pytest.mark.parametrize("builder", PROFILE_BUILDERS)
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 400])
 def test_prepare_orders_the_bands_by_falling_share(builder, n):
+    # the sweep's one preparation step is entropy._deng_terms
     bands = builder(n)
-    prepared = multifractal_module._prepare(bands)
-    assert sorted(prepared.bands) == sorted(bands)
-    log_shares = [math.log2(k) + math.log2(m) for _, m, k in prepared.bands]
+    ordered, _, log_multiplicities, numerator = entropy_module._deng_terms(bands)
+    assert sorted(ordered) == sorted(bands)
+    log_shares = [math.log2(k) + math.log2(m) for _, m, k in ordered]
     assert log_shares == sorted(log_shares, reverse=True)
-    assert prepared.numerator.log_shares == sorted(prepared.numerator.log_shares, reverse=True)
-    assert list(prepared.log_multiplicities) == [math.log2(k) for _, _, k in prepared.bands]
+    assert numerator.log_shares == sorted(numerator.log_shares, reverse=True)
+    assert list(log_multiplicities) == [math.log2(k) for _, _, k in ordered]
 
 
 # --- profile values past the frame or the double range ---

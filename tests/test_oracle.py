@@ -164,3 +164,12 @@ def test_numerator_keeps_its_digits_where_the_log_cancels_near_order_one():
         FrameOfDiscernment(7), [((0,), 1 - 2.0 ** -51), (tuple(range(7)), 2.0 ** -51)]
     )
     assert multifractal_dimension(m, alpha).value == pytest.approx(want, rel=1e-15)
+
+
+def test_denominator_keeps_its_digits_where_the_log_cancels_at_negative_orders():
+    # at order -300 the denominator sum is 1 + 3**-150, which 120 working
+    # bits round to 1; the value is (300 + log2(1 + 3**301)) / 301 over
+    # log2(1 + 3**-150), here at 400 working bits
+    want = 6.620783566991185e+71
+    assert oracle_dimension([(1, Fraction(1, 2), 1), (2, Fraction(1, 2), 1)], -300) == \
+        pytest.approx(want, rel=1e-15)

@@ -1,0 +1,55 @@
+"""The package's public surface: every exported name resolves, and the
+per-element query API the core no longer has stays gone.
+
+Run against the installed package as well as the source tree, so an export
+left behind by a deletion fails on the wheel too.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import massfractal
+
+# Every value depends on a focal element only through its (|A|, m(A)) pair,
+# which the bitmask masses and bands hold; these per-element helpers were
+# removed with nothing left to call them.
+REMOVED = [
+    "is_bayesian",
+    "max_deng_entropy_value",
+    "core.is_bayesian",
+    "core.FocalElement.from_members",
+    "core.FocalElement.cardinality",
+    "core.FocalElement.mask",
+    "core.MassFunction.mass_of",
+    "core.MassFunction.contains",
+    "entropy.max_deng_entropy_value",
+    "entropy.ProbabilityDistribution.support_size",
+    "errors.NotAFocalElement",
+    "multifractal.Spectrum.multiplicity_total",
+    "multifractal._PreparedBands",
+    "multifractal._prepare",
+]
+
+
+def test_exports_are_listed_once():
+    assert len(set(massfractal.__all__)) == len(massfractal.__all__)
+
+
+@pytest.mark.parametrize("name", massfractal.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(massfractal, name) is not None
+
+
+@pytest.mark.parametrize("path", REMOVED)
+def test_removed_names_do_not_resolve(path):
+    *owner_path, name = path.split(".")
+    owner = massfractal
+    if owner_path:
+        owner = importlib.import_module(f"massfractal.{owner_path[0]}")
+        for attribute in owner_path[1:]:
+            owner = getattr(owner, attribute)
+    assert not hasattr(owner, name)
+    assert name not in massfractal.__all__
