@@ -156,11 +156,17 @@ def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand,
 
 
 def _as_mass(value) -> float:
-    """A mass as a float.  Strings, bytes and bools, which float() would
-    read, are refused: none of them is a number."""
+    """A mass as a float.  A string, bytes or bool, which float() would
+    read, is refused, and so is anything float() cannot read or holds only
+    past the double range."""
     if isinstance(value, (str, bytes, bytearray, bool)):
         raise MassOutOfRange(f"mass {value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except TypeError:
+        raise MassOutOfRange(f"a mass of type {type(value).__name__} is not a number") from None
+    except OverflowError:
+        raise MassOutOfRange("a mass lies past the double range") from None
 
 
 def _checked_mask(subset: Iterable, n: int) -> int:
@@ -259,11 +265,8 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
     if whole != (cardinalities, multiplicities):
         raise EmptyFocalElement("a band cardinality or multiplicity is not a whole number")
     cardinalities, multiplicities = whole
-    try:
-        if set(map(type, masses)) != {float}:
-            masses = tuple(map(_as_mass, masses))
-    except OverflowError:  # a number past the double range
-        raise MassOutOfRange("a band mass lies outside (0, 1]") from None
+    if set(map(type, masses)) != {float}:
+        masses = tuple(map(_as_mass, masses))
     if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
         raise MassOutOfRange("a band mass lies outside (0, 1]")
     if min(cardinalities) < 1:

@@ -116,11 +116,16 @@ def test_validate_rejects_nan_mass():
         validate_mass_function(FrameOfDiscernment(2), [((0,), 1.0), ((1,), math.nan)])
 
 
-@pytest.mark.parametrize("mass", ["1", b"1", True])
+@pytest.mark.parametrize("mass", ["1", b"1", True, None, 1j, [1.0]])
 def test_validate_refuses_masses_that_are_not_numbers(mass):
-    # float() reads each of these as 1.0
+    # float() reads the first three as 1.0, and cannot read the rest
     with pytest.raises(MassOutOfRange, match="is not a number"):
         validate_mass_function(FrameOfDiscernment(2), [((0,), mass)])
+
+
+def test_validate_refuses_a_mass_past_the_double_range():
+    with pytest.raises(MassOutOfRange):
+        validate_mass_function(FrameOfDiscernment(2), [((0,), 10 ** 400)])
 
 
 def test_validate_takes_masses_of_any_number_type():

@@ -86,7 +86,7 @@ def test_distribution_validation():
 
 @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.5, 0.5),
                                    (2.0,), (math.inf, -math.inf),
-                                   ("0.5", "0.5"), (b"1",), (True,)])
+                                   ("0.5", "0.5"), (b"1",), (True,), (None,), (10 ** 400,)])
 def test_distribution_is_checked_as_singleton_bands(probs):
     # unchecked, (nan, 0.5, 0.5) would give renyi_entropy a quiet 1.0
     with pytest.raises(MassOutOfRange):

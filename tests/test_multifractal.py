@@ -689,6 +689,7 @@ PROFILE_ENTRY_POINTS = {
     ([(1, "0.5", 2)], MassOutOfRange),
     ([(1, b"1", 1)], MassOutOfRange),
     ([(1, True, 1)], MassOutOfRange),
+    ([(1, None, 1)], MassOutOfRange),
 ])
 def test_profile_entry_points_check_their_bands(entry, profile, error):
     with pytest.raises(error):
