@@ -248,9 +248,9 @@ def validate_mass_function(
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
     """The profile as bands, checked as a mass function is: every mass a
     number in (0, 1], every cardinality and multiplicity a whole number of
-    at least 1, and the k*m summing to one within ``SUM_TOLERANCE``.  The sum is taken
-    in the log domain, so a multiplicity past the double range does not
-    overflow it; every term is positive, so a plain sum is within
+    at least 1, and the k*m summing to one within ``SUM_TOLERANCE``.  The
+    sum is taken in the log domain, so a multiplicity past the double range
+    does not overflow it; every term is positive, so a plain sum is within
     len(rows) * 2**-53 (relative) of the exact one."""
     rows = list(profile)
     if not rows:

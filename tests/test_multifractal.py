@@ -474,8 +474,8 @@ def test_large_frame_dimension_near_order_one_matches_the_oracle():
 #
 # A singleton's denominator term is exactly 1 and every other term falls
 # towards 0 as the order falls, so the denominator sum tends to 1 from above.
-# Each order either agrees with the oracle or, where the other terms have
-# underflowed and no double holds the denominator, raises OrderOutOfRange.
+# Each order either agrees with the oracle or raises OrderOutOfRange: where
+# the other terms have underflowed, or the value passes the largest double.
 
 NEGATIVE_ORDERS = tuple(float(a) for a in range(-1000, 1, 5)) + (-59.5, -0.5, -1e-9)
 SINGLETON_PROFILES = [
