@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal, ROUND_HALF_UP
 
 from .core import (
     FrameOfDiscernment,
@@ -113,11 +112,14 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
     for entry in document["assignments"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list) or "mass" not in entry:
             raise ValueError("each assignment needs a 'subset' list of labels and a 'mass'")
-        subset = []
-        for label in entry["subset"]:
-            if not isinstance(label, str) or label not in index_of:
-                raise ValueError(f"subset label {label!r} is not in the frame")
-            subset.append(index_of[label])
+        try:
+            # the keys are strings, so any other label is a KeyError, or a
+            # TypeError when unhashable
+            subset = list(map(index_of.__getitem__, entry["subset"]))
+        except (KeyError, TypeError):
+            label = next(label for label in entry["subset"]
+                         if not isinstance(label, str) or label not in index_of)
+            raise ValueError(f"subset label {label!r} is not in the frame") from None
         mass = entry["mass"]
         if not isinstance(mass, float):
             raise ValueError(f"mass {mass!r} is not a JSON number")
@@ -159,6 +161,8 @@ def _format_full(value: float) -> str:
 
 
 def _format4(value: float) -> str:
+    # imported here: only the tables print four places
+    from decimal import Decimal, ROUND_HALF_UP
     quantized = Decimal(repr(float(value))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
     return format(quantized, "f")
 
@@ -235,7 +239,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _write_text(args.output, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
         return EXIT_OK
     if args.format == "json":
-        payload = {"frame_size": result.frame_size, "points": [vars(p) for p in result.points]}
+        payload = {"frame_size": result.frame_size, "points": [p._asdict() for p in result.points]}
         _write_text(args.output, _json_text(payload))
         return EXIT_OK
     rows = [
@@ -358,20 +362,23 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     """Write the family's bands subset by subset, in the order
     ``MassFunction.assignments`` sorts them into: by cardinality, then
-    lexicographically by member index."""
+    lexicographically by member index.
+
+    The text is what ``json.dumps`` writes for the document's dict, pieced
+    together from labels quoted once and each band's mass text, so that no
+    dict is built per subset."""
     profile = _FAMILY_PROFILE[args.family](args.n)
     # the explicit builders' cap: the document holds what <family>_mass builds
     _check_explicit_size(args.n, profile)
-    labels = FrameOfDiscernment(args.n).effective_labels()
-    payload = {
-        "frame": list(labels),
-        "assignments": [
-            {"subset": list(subset), "mass": band.mass}
-            for band in profile
-            for subset in itertools.combinations(labels, band.cardinality)
-        ],
-    }
-    _write_text(args.emit, _json_text(payload))
+    quoted = list(map(json.dumps, FrameOfDiscernment(args.n).effective_labels()))
+    head = '{"subset": ['
+    bands = []
+    for band in profile:
+        tail = '], "mass": ' + json.dumps(band.mass) + "}"
+        subsets = map(", ".join, itertools.combinations(quoted, band.cardinality))
+        bands.append(head + (tail + ", " + head).join(subsets) + tail)
+    text = '{"frame": [' + ", ".join(quoted) + '], "assignments": [' + ", ".join(bands) + "]}\n"
+    _write_text(args.emit, text)
     return EXIT_OK
 
 

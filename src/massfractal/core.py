@@ -27,7 +27,6 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -36,6 +35,7 @@ from .errors import (
     EmptyFocalElement,
     FrameTooLarge,
     IndexOutOfFrame,
+    InvalidFrame,
     MassOutOfRange,
     SumNotOne,
 )
@@ -66,8 +66,43 @@ SUM_TOLERANCE = 1e-9
 _LOOKUP_BITS = 256
 
 
-@dataclass(frozen=True)
-class FrameOfDiscernment:
+class _Frozen:
+    """Refused assignment, value equality and hashing over ``_key()``, a
+    repr by field, and pickling through the constructor, for the validated
+    inputs.  A frozen dataclass does the same, but importing ``dataclasses``
+    imports ``inspect`` with it, a cost every CLI process would pay."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrameOfDiscernment(_Frozen):
     """A finite set of n mutually exclusive elementary hypotheses.
 
     Parameters
@@ -77,23 +112,24 @@ class FrameOfDiscernment:
     labels:
         Optional display names, one per hypothesis, pairwise distinct.
         When absent, hypotheses are labelled ``h1 .. hn`` on output.
+
+    Raises :class:`InvalidFrame` on a bad size or bad labels.
     """
 
-    size: int
-    labels: tuple[str, ...] | None = None
+    __slots__ = _fields = ("size", "labels")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ValueError(f"frame size must be a positive integer, got {self.size!r}")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError(
-                    f"expected {self.size} labels, got {len(self.labels)}"
-                )
-            if any(not lab for lab in self.labels):
-                raise ValueError("frame labels must be non-empty strings")
-            if len(set(self.labels)) != self.size:
-                raise ValueError("frame labels must be pairwise distinct")
+    def __init__(self, size: int, labels: tuple[str, ...] | None = None) -> None:
+        if not isinstance(size, int) or size < 1:
+            raise InvalidFrame(f"frame size must be a positive integer, got {size!r}")
+        if labels is not None:
+            if len(labels) != size:
+                raise InvalidFrame(f"expected {size} labels, got {len(labels)}")
+            if any(not lab for lab in labels):
+                raise InvalidFrame("frame labels must be non-empty strings")
+            if len(set(labels)) != size:
+                raise InvalidFrame("frame labels must be pairwise distinct")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "labels", labels)
 
     def effective_labels(self) -> tuple[str, ...]:
         """The declared labels, or generated ``h1 .. hn`` defaults."""
@@ -117,18 +153,26 @@ class ProfileBand(NamedTuple):
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(_Frozen):
     """A validated basic probability assignment over a frame.
 
     ``masses`` is keyed by focal bitmask; ``bands`` are sorted by pair.  Only
     :func:`validate_mass_function` and the family builders construct one.
-    Equality compares frame and masses.
+    Equality and hashing compare frame and masses.  The instance keeps a
+    ``__dict__`` for the lazily cached :attr:`assignments`.
     """
 
-    frame: FrameOfDiscernment
-    masses: dict[int, float]
-    bands: tuple[ProfileBand, ...] = field(compare=False, repr=False)
+    __slots__ = ("frame", "masses", "bands", "__dict__")
+    _fields = ("frame", "masses", "bands")
+
+    def __init__(self, frame: FrameOfDiscernment, masses: dict[int, float],
+                 bands: tuple[ProfileBand, ...]) -> None:
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "bands", bands)
+
+    def _key(self) -> tuple:
+        return self.frame, self.masses
 
     def __hash__(self) -> int:
         return hash((self.frame, frozenset(self.masses.items())))
@@ -340,7 +384,7 @@ def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
 
 def _check_profile_size(n: int, largest: int, family: str) -> None:
     if not isinstance(n, int) or n < 1:
-        raise ValueError(f"frame size must be a positive integer, got {n!r}")
+        raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
     if n > largest:
         raise FrameTooLarge(f"{family} band values leave the double range past n = {largest:.6g}")
 

@@ -12,19 +12,17 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MassFunction, ProfileBand, _as_bands, _as_mass
-from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported
+from .core import MassFunction, ProfileBand, _as_bands, _as_mass, _Frozen
+from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported, OrderOutOfRange
 
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
 _MAX_EXPONENT = sys.float_info.max_exp - 1
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+class ProbabilityDistribution(_Frozen):
     """A discrete probability distribution given as a tuple of reals.
 
     Zero entries are tolerated on input but never counted as support.  The
@@ -34,15 +32,32 @@ class ProbabilityDistribution:
     together they must sum to one within ``core.SUM_TOLERANCE``.
     """
 
-    probs: tuple[float, ...]
+    __slots__ = _fields = ("probs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(map(_as_mass, self.probs)))
-        _as_bands([(1, p, 1) for p in self.probs if p != 0.0])
+    def __init__(self, probs: Iterable[float]) -> None:
+        probs = tuple(map(_as_mass, probs))
+        _as_bands([(1, p, 1) for p in probs if p != 0.0])
+        object.__setattr__(self, "probs", probs)
 
     def support(self) -> tuple[float, ...]:
         """The strictly positive entries."""
         return tuple(p for p in self.probs if p > 0.0)
+
+
+def _as_order(alpha) -> float:
+    """An order as a float.  A string, bytes or bool, which float() would
+    read, is refused, and so is anything float() cannot read or holds only
+    past the double range.  An int order is taken."""
+    if type(alpha) is float:
+        return alpha
+    if isinstance(alpha, (str, bytes, bytearray, bool)):
+        raise OrderOutOfRange(f"order {alpha!r} is not a number")
+    try:
+        return float(alpha)
+    except TypeError:
+        raise OrderOutOfRange(f"an order of type {type(alpha).__name__} is not a number") from None
+    except OverflowError:
+        raise OrderOutOfRange("an order lies past the double range") from None
 
 
 def _log2_power_sum(exponents: Sequence[float]) -> float:
@@ -149,9 +164,9 @@ def renyi_entropy(p: ProbabilityDistribution, alpha: float) -> float:
     log2(sum p_i ** alpha) / (1 - alpha), with Shannon entropy at alpha = 1,
     over the support only.  The p_i enter normalised to sum to one, so the
     value is continuous through alpha = 1 also when they sum to one only
-    within the tolerance.
+    within the tolerance.  A non-number order raises :class:`OrderOutOfRange`.
     """
-    alpha = float(alpha)
+    alpha = _as_order(alpha)
     if alpha < 0.0:
         raise NegativeOrderUnsupported(
             f"Renyi entropy of a probability distribution requires order >= 0, got {alpha}"

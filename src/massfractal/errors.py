@@ -13,6 +13,11 @@ class MassFractalError(ValueError):
 
 # --- mass-function construction and validation ---
 
+class InvalidFrame(MassFractalError):
+    """A frame size is not a positive integer, or its labels are not one
+    distinct non-empty string per hypothesis."""
+
+
 class EmptyFocalElement(MassFractalError):
     """An empty subset was given strictly positive mass, or a profile band
     has a cardinality or multiplicity below one."""
@@ -55,7 +60,7 @@ class DegenerateSupport(MassFractalError):
 
 class DegenerateFrame(MassFractalError):
     """A frame of size one leaves the spectrum's rescaling log2(2**n - 1)
-    at zero."""
+    at zero, and the quadratic envelope needs a frame of at least two."""
 
 
 class ZeroDenominator(MassFractalError):
@@ -63,7 +68,8 @@ class ZeroDenominator(MassFractalError):
 
 
 class OrderOutOfRange(MassFractalError):
-    """At this order the dimension or its log sums leave the double range."""
+    """At this order the dimension or its log sums leave the double range,
+    or the order is not a number."""
 
 
 # --- oracle errors ---

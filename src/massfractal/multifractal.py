@@ -27,10 +27,9 @@ negative orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     MAX_DENG_PROFILE_N,
@@ -42,6 +41,7 @@ from .entropy import (
     _deng_terms,
     _DengTerms,
     _LN2,
+    _as_order,
     _log2_power_sum,
     _log2_subset_count,
     _numerator_bits,
@@ -60,8 +60,7 @@ from .errors import (
 GROUPING_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(NamedTuple):
     """One group of focal elements sharing a mass value.
 
     Attributes
@@ -86,16 +85,14 @@ class SpectrumPoint:
     representative_cardinality: int | None = None
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """All spectrum points of one mass function, sorted by ascending y."""
 
     frame_size: int
     points: tuple[SpectrumPoint, ...]
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class DimensionResult(NamedTuple):
     """One evaluated multifractal dimension.
 
     ``value`` equals ``numerator_bits / denominator_bits``; both sides of the
@@ -109,8 +106,7 @@ class DimensionResult:
     denominator_bits: float
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """One row of a dimension sweep: either a result or an error code."""
 
     alpha: float
@@ -118,8 +114,7 @@ class SweepEntry:
     error: str | None
 
 
-@dataclass(frozen=True)
-class QuadraticEnvelope:
+class QuadraticEnvelope(NamedTuple):
     """The asymptotic parabola -a (x - 0.585)(x - 1.585) over the spectrum.
 
     The roots sit at the limiting y values of the largest and smallest mass
@@ -259,7 +254,7 @@ def _sweep(terms: _DengTerms, alphas: Iterable[float]) -> list[SweepEntry]:
     order-independent logs :func:`entropy._deng_terms` took once."""
     entries: list[SweepEntry] = []
     for alpha in alphas:
-        alpha = float(alpha)
+        alpha = _as_order(alpha)
         try:
             entries.append(SweepEntry(alpha, _dimension_from_bands(terms, alpha), None))
         except (ZeroDenominator, OrderOutOfRange) as failure:
@@ -282,15 +277,17 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     lone singleton, as on every one-hypothesis frame, or order zero on a
     lone focal element), and
     :class:`OrderOutOfRange` when the order is so large or so small that the
-    result leaves the double range.
+    result leaves the double range, or is not a number.
     """
-    return _dimension_from_bands(_deng_terms(as_profile_bands(m)), float(alpha))
+    alpha = _as_order(alpha)
+    return _dimension_from_bands(_deng_terms(as_profile_bands(m)), alpha)
 
 
 def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
     """Multifractal dimension straight from (cardinality, mass, multiplicity)
     bands, for symmetric families too large to materialize."""
-    return _dimension_from_bands(_deng_terms(_as_bands(profile)), float(alpha))
+    alpha = _as_order(alpha)
+    return _dimension_from_bands(_deng_terms(_as_bands(profile)), alpha)
 
 
 def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry]:
@@ -298,7 +295,8 @@ def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry
 
     One entry comes back per requested order, in input order; an order that
     fails (zero denominator, order out of range) yields an entry carrying
-    the error name instead of aborting the remaining orders.  The bands'
+    the error name instead of aborting the remaining orders; an order that
+    is not a number raises :class:`OrderOutOfRange`.  The bands'
     logs are taken once for the whole sweep, and each entry equals what
     :func:`multifractal_dimension` returns at that order.
     """
@@ -318,7 +316,7 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
     4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
     served for the max-Deng spectra the profile builder serves."""
     if n < 2:
-        raise ValueError(f"the envelope needs a frame of at least 2, got {n}")
+        raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
     if n > MAX_DENG_PROFILE_N:
         raise FrameTooLarge(f"the envelope is served up to n = {MAX_DENG_PROFILE_N}, got n = {n}")
     a = 4.0 * math.log2(math.comb(n, n // 2)) / n

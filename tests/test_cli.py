@@ -24,7 +24,7 @@ from massfractal.core import (
     uniform_singleton_mass,
     vacuous_mass,
 )
-from massfractal.errors import FrameTooLarge
+from massfractal.errors import FrameTooLarge, InvalidFrame
 
 FAMILY_MASS = {
     "max-deng": max_deng_mass,
@@ -115,6 +115,32 @@ def test_spectrum_json_format():
             "representative_cardinality": 4,
         }
     ]
+
+
+# the bytes the spectrum wrote when its points were dataclasses read by vars()
+SPECTRUM_JSON = {
+    ("max-deng", 2): '{"frame_size": 2, "points": [{"y": 0.46497352071792725, "f": 0.0, '
+                     '"mass_value": 0.6, "multiplicity": 1, "representative_cardinality": 2}, '
+                     '{"y": 1.464973520717927, "f": 0.6309297535714575, "mass_value": 0.2, '
+                     '"multiplicity": 2, "representative_cardinality": 1}]}\n',
+    ("uniform-powerset", 3): '{"frame_size": 3, "points": [{"y": 1.0, "f": 1.0, '
+                             '"mass_value": 0.14285714285714285, "multiplicity": 7, '
+                             '"representative_cardinality": null}]}\n',
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(SPECTRUM_JSON))
+def test_spectrum_json_bytes_are_pinned(family, n, tmp_path, capsys):
+    code, captured = main_in_process(capsys, "spectrum", "--family", family, "--n", str(n),
+                                     "--format", "json")
+    assert code == 0
+    assert captured.out == SPECTRUM_JSON[family, n]
+    emitted = tmp_path / "family.json"
+    assert main_in_process(capsys, "family", "--family", family, "--n", str(n),
+                           "--emit", str(emitted))[0] == 0
+    code, captured = main_in_process(capsys, "spectrum", "--input", str(emitted), "--format", "json")
+    assert code == 0
+    assert captured.out == SPECTRUM_JSON[family, n]
 
 
 def test_spectrum_svg_has_one_circle_per_point(tmp_path):
@@ -336,6 +362,23 @@ def test_family_document_is_the_explicit_mass_function(family, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_MASS))
+def test_family_document_is_json_dumps_of_its_payload(family, capsys):
+    """The family text is pieced together; its bytes are those json.dumps
+    writes for the document built as a dict."""
+    for n in range(1, 13):
+        m = FAMILY_MASS[family](FrameOfDiscernment(n))
+        labels = list(m.frame.effective_labels())
+        payload = {
+            "frame": labels,
+            "assignments": [{"subset": [labels[i] for i in element.members], "mass": mass}
+                            for element, mass in m.assignments],
+        }
+        code, captured = main_in_process(capsys, "family", "--family", family, "--n", str(n))
+        assert code == 0
+        assert captured.out == json.dumps(payload) + "\n"
+
+
 def test_family_has_no_output_alias(tmp_path, capsys):
     code, captured = main_in_process(capsys, "family", "--family", "vacuous", "--n", "3",
                                      "--output", str(tmp_path / "x.json"))
@@ -434,6 +477,23 @@ def test_unknown_subset_label_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("label", ["c", 1, None, True, [1], {"k": 1}])
+def test_subset_label_outside_the_frame_is_named(label, tmp_path, capsys):
+    path = write_mass_file(tmp_path / "label.json", ["a", "b"], [(["a", label], 1.0)])
+    code, captured = main_in_process(capsys, "spectrum", "--input", path)
+    read = json.loads(json.dumps(label), parse_int=float)  # as the loader reads the file
+    assert code == 2
+    assert captured.err == f"error: ValueError: subset label {read!r} is not in the frame\n"
+    assert captured.out == ""
+
+
+def test_repeated_frame_labels_exit_two_with_invalid_frame(tmp_path, capsys):
+    path = write_mass_file(tmp_path / "labels.json", ["a", "a"], [(["a"], 1.0)])
+    code, captured = main_in_process(capsys, "spectrum", "--input", path)
+    assert code == 2
+    assert captured.err.startswith(f"error: {InvalidFrame.__name__}: ")
+
+
 def test_source_flags_are_mutually_exclusive(two_focal_file):
     both = run_cli("spectrum", "--input", two_focal_file, "--family", "vacuous", "--n", "3")
     assert both.returncode == 2
@@ -450,6 +510,13 @@ def test_degenerate_spectrum_exits_three():
     proc = run_cli("spectrum", "--family", "vacuous", "--n", "1")
     assert proc.returncode == 3
     assert "DegenerateFrame" in proc.stderr
+
+
+def test_envelope_of_a_one_hypothesis_frame_exits_three(capsys):
+    code, captured = main_in_process(capsys, "envelope", "--n", "1")
+    assert code == 3
+    assert captured.err == "error: DegenerateFrame: the envelope needs a frame of at least 2, got 1\n"
+    assert captured.out == ""
 
 
 # --- rejected numbers and malformed inputs, run in-process ---
@@ -651,6 +718,18 @@ def test_cli_import_leaves_mpmath_unloaded():
         "import massfractal\n"
         "assert abs(massfractal.oracle_dimension([(2, 1, 1)], 2.0) - 0.5) < 1e-15\n"
         "assert 'mpmath' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    """A CLI process pays for no module it does not use: the records are
+    named tuples and slotted classes, and decimal waits for the tables."""
+    probe = (
+        "import sys, massfractal.cli\n"
+        "loaded = {'dataclasses', 'inspect', 'decimal'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

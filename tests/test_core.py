@@ -40,6 +40,7 @@ from massfractal.errors import (
     EmptyFocalElement,
     FrameTooLarge,
     IndexOutOfFrame,
+    InvalidFrame,
     MassFractalError,
     MassOutOfRange,
     SumNotOne,
@@ -63,6 +64,52 @@ def test_frame_label_validation():
         FrameOfDiscernment(2, ("a", "a"))
     with pytest.raises(ValueError):
         FrameOfDiscernment(2, ("a", ""))
+
+
+@pytest.mark.parametrize("size, labels", [
+    (0, None), (-3, None), (2.0, None), ("2", None),
+    (2, ("a",)), (2, ("a", "a")), (2, ("a", "")),
+])
+def test_bad_frames_raise_invalid_frame(size, labels):
+    with pytest.raises(InvalidFrame) as refused:
+        FrameOfDiscernment(size, labels)
+    # a ValueError still, so the CLI exits 2 and older handlers still catch it
+    assert isinstance(refused.value, ValueError)
+
+
+def test_frame_is_a_hashable_immutable_value():
+    frame = FrameOfDiscernment(2, ("x", "y"))
+    assert frame == FrameOfDiscernment(size=2, labels=("x", "y"))
+    assert hash(frame) == hash(FrameOfDiscernment(2, ("x", "y")))
+    assert frame != FrameOfDiscernment(2, ("y", "x")) and frame != FrameOfDiscernment(2)
+    assert FrameOfDiscernment(3).labels is None
+    assert frame != (2, ("x", "y"))
+    assert repr(frame) == "FrameOfDiscernment(size=2, labels=('x', 'y'))"
+    assert len({frame, FrameOfDiscernment(2, ("x", "y")), FrameOfDiscernment(2)}) == 2
+    with pytest.raises(AttributeError):
+        frame.size = 3
+    with pytest.raises(AttributeError):
+        del frame.labels
+    with pytest.raises(AttributeError):
+        frame.extra = 1
+    assert pickle.loads(pickle.dumps(frame)) == frame and copy.deepcopy(frame) == frame
+
+
+def test_mass_function_equality_ignores_bands():
+    frame = FrameOfDiscernment(2)
+    m = validate_mass_function(frame, [((0,), 0.5), ((1,), 0.5)])
+    same = MassFunction(frame, {0b01: 0.5, 0b10: 0.5}, ())
+    assert m == same and hash(m) == hash(same)
+    assert m != MassFunction(frame, {0b01: 0.25, 0b10: 0.75}, m.bands)
+    assert m != MassFunction(FrameOfDiscernment(3), dict(m.masses), m.bands)
+    assert m != (frame, m.masses)
+    with pytest.raises(AttributeError):
+        m.masses = {}
+    with pytest.raises(AttributeError):
+        m.bands = ()
+    with pytest.raises(AttributeError):
+        del m.frame
+    assert m.masses == {0b01: 0.5, 0b10: 0.5}
 
 
 def test_frame_default_labels():
@@ -276,7 +323,7 @@ ALL_PROFILE_BUILDERS = [max_deng_profile, uniform_powerset_profile, vacuous_prof
 @pytest.mark.parametrize("builder", ALL_PROFILE_BUILDERS)
 @pytest.mark.parametrize("n", [0, -3, 2.5])
 def test_profile_builders_refuse_frames_below_one(builder, n):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidFrame):
         builder(n)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ from massfractal.errors import (
     DegenerateSupport,
     MassOutOfRange,
     NegativeOrderUnsupported,
+    OrderOutOfRange,
     SumNotOne,
 )
 
@@ -153,6 +155,33 @@ def test_renyi_is_continuous_through_one_on_masses_short_of_one():
 def test_renyi_rejects_negative_orders():
     with pytest.raises(NegativeOrderUnsupported):
         renyi_entropy(ProbabilityDistribution((0.5, 0.5)), -1.0)
+
+
+@pytest.mark.parametrize("alpha", ["2", b"2", True, None, [2.0], 10 ** 400])
+def test_renyi_refuses_orders_that_are_not_numbers(alpha):
+    p = ProbabilityDistribution((0.2, 0.8))
+    with pytest.raises(OrderOutOfRange):
+        renyi_entropy(p, alpha)
+
+
+def test_renyi_takes_int_orders():
+    p = ProbabilityDistribution((0.2, 0.8))
+    assert renyi_entropy(p, 2) == renyi_entropy(p, 2.0)
+    assert renyi_entropy(p, 2) == pytest.approx(RENYI2_FIFTH_FOUR_FIFTHS, rel=1e-14)
+
+
+def test_distribution_is_a_hashable_immutable_value():
+    p = ProbabilityDistribution([0.25, 0.75, 0])
+    assert p.probs == (0.25, 0.75, 0.0)
+    assert p == ProbabilityDistribution(probs=(0.25, 0.75, 0.0))
+    assert hash(p) == hash(ProbabilityDistribution((0.25, 0.75, 0.0)))
+    assert p != ProbabilityDistribution((0.75, 0.25, 0.0)) and p != (p.probs,)
+    with pytest.raises(AttributeError):
+        p.probs = (1.0,)
+    with pytest.raises(AttributeError):
+        del p.probs
+    assert p.probs == (0.25, 0.75, 0.0)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_renyi_order_zero_counts_support():

@@ -348,6 +348,48 @@ def test_sweep_reports_orders_past_the_double_range(m):
             assert math.isfinite(entry.result.value)
 
 
+NOT_A_NUMBER_ORDERS = ["2", b"3", bytearray(b"2"), True, False, None, [2.0], object(), 10 ** 400]
+
+
+@pytest.mark.parametrize("alpha", NOT_A_NUMBER_ORDERS)
+def test_orders_that_are_not_numbers_are_refused(alpha):
+    m = validate_mass_function(FrameOfDiscernment(3), list(EXAMPLE_TWO_FOCAL))
+    bands = [(1, 0.2, 1), (2, 0.8, 1)]
+    with pytest.raises(OrderOutOfRange):
+        multifractal_dimension(m, alpha)
+    with pytest.raises(OrderOutOfRange):
+        dimension_from_profile(bands, alpha)
+    # refused outright, not reported as an error row of the sweep
+    with pytest.raises(OrderOutOfRange):
+        dimension_sweep(m, [2.0, alpha])
+    with pytest.raises(OrderOutOfRange):
+        dimension_sweep_from_profile(bands, [alpha])
+
+
+def test_int_orders_equal_float_orders():
+    m = validate_mass_function(FrameOfDiscernment(3), list(EXAMPLE_TWO_FOCAL))
+    assert multifractal_dimension(m, 2) == multifractal_dimension(m, 2.0)
+    ints = dimension_sweep(m, [-2, 0, 3])
+    assert ints == dimension_sweep(m, [-2.0, 0.0, 3.0])
+    assert all(type(entry.alpha) is float for entry in ints)
+
+
+def test_results_are_named_tuples():
+    m = validate_mass_function(FrameOfDiscernment(3), list(EXAMPLE_TWO_FOCAL))
+    result = multifractal_dimension(m, 2.0)
+    assert result == (2.0, result.value, result.numerator_bits, result.denominator_bits)
+    assert list(result._asdict()) == ["alpha", "value", "numerator_bits", "denominator_bits"]
+    (entry,) = dimension_sweep(m, [2.0])
+    assert entry == (2.0, result, None)
+    point = spectrum(m).points[0]
+    assert list(point._asdict()) == ["y", "f", "mass_value", "multiplicity",
+                                     "representative_cardinality"]
+    envelope = quadratic_envelope(6)
+    assert envelope == (envelope.a, 6, 0.585, 1.585)
+    with pytest.raises(AttributeError):
+        result.value = 0.0
+
+
 def test_sweep_from_profile_matches_direct_calls():
     profile = max_deng_profile(6)
     alphas = [1.0, 4.0, 7.0]
@@ -590,6 +632,8 @@ def test_envelope_midpoint_value():
 
 def test_envelope_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
+        quadratic_envelope(1)
+    with pytest.raises(DegenerateFrame):
         quadratic_envelope(1)
 
 
