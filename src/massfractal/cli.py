@@ -50,14 +50,13 @@ from .core import (
 from .errors import (
     DegenerateFrame,
     GridTooLarge,
-    MassFractalError,
     OrderOutOfRange,
     UnknownTable,
     ZeroDenominator,
 )
 from .multifractal import (
     GROUPING_TOLERANCE,
-    SweepEntry,
+    SpectrumPoint,
     asymptotic_anchor_points,
     dimension_sweep,
     dimension_sweep_from_profile,
@@ -65,8 +64,6 @@ from .multifractal import (
     spectrum,
     spectrum_from_profile,
 )
-
-COMMANDS = ("spectrum", "dimension", "sweep", "table", "family", "envelope")
 
 _FAMILY_PROFILE = {
     "max-deng": max_deng_profile,
@@ -129,22 +126,24 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
 
 # --- output plumbing ---
 
-def _resolve_output_path(path: str) -> str:
-    override = os.environ.get(OUTPUT_DIR_ENV)
-    if override and not os.path.isabs(path):
-        return os.path.join(override, path)
-    return path
-
-
-def _write_text(path: str | None, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> int:
+    """Write to ``args.output``, or to stdout when it is absent.  A relative
+    path lands under ``MASSFRACTAL_OUTPUT_DIR`` when that is set."""
+    path = args.output
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(_resolve_output_path(path), "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return EXIT_OK
+    override = os.environ.get(OUTPUT_DIR_ENV)
+    if override and not os.path.isabs(path):
+        path = os.path.join(override, path)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    return EXIT_OK
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header, rows) -> str:
+    """The one cell format is the csv module's own: ``None`` is an empty
+    cell, a float is written by ``repr`` and anything else by ``str``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -154,10 +153,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload) + "\n"
-
-
-def _format_full(value: float) -> str:
-    return repr(float(value))
 
 
 def _format4(value: float) -> str:
@@ -171,47 +166,40 @@ def _format4(value: float) -> str:
 
 def _svg_document(
     points: list[tuple[float, float]],
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    x_label: str,
-    y_label: str,
+    x_hi: float,
     polyline: list[tuple[float, float]] | None = None,
 ) -> str:
+    """A scatter of ``(y, f)`` points, and optionally a curve, over
+    ``[0, x_hi] x [0, 1.05]``."""
     width, height, margin = 640.0, 480.0, 60.0
-    x_lo, x_hi = x_range
-    y_lo, y_hi = y_range
-    span_x = x_hi - x_lo or 1.0
-    span_y = y_hi - y_lo or 1.0
+    y_hi = 1.05
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        px = margin + (x - x_lo) / span_x * (width - 2 * margin)
-        py = height - margin - (y - y_lo) / span_y * (height - 2 * margin)
-        return px, py
+        return (margin + x / x_hi * (width - 2 * margin),
+                height - margin - y / y_hi * (height - 2 * margin))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    x0, y0 = to_px(x_lo, y_lo)
+    x0, y0 = to_px(0.0, 0.0)
     x1, y1 = to_px(x_hi, y_hi)
     parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" stroke="black"/>')
     parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="black"/>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        tx = x_lo + frac * span_x
-        px, _ = to_px(tx, y_lo)
+        tx = frac * x_hi
+        px, _ = to_px(tx, 0.0)
         parts.append(f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" stroke="black"/>')
         parts.append(f'<text x="{px:.2f}" y="{y0 + 20:.2f}" font-size="11" text-anchor="middle">{tx:.3f}</text>')
-        ty = y_lo + frac * span_y
-        _, py = to_px(x_lo, ty)
+        ty = frac * y_hi
+        _, py = to_px(0.0, ty)
         parts.append(f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" stroke="black"/>')
         parts.append(f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" font-size="11" text-anchor="end">{ty:.3f}</text>')
-    parts.append(
-        f'<text x="{width / 2:.2f}" y="{height - 15:.2f}" font-size="13" text-anchor="middle">{x_label}</text>'
-    )
+    parts.append(f'<text x="{width / 2:.2f}" y="{height - 15:.2f}" font-size="13" text-anchor="middle">y</text>')
     parts.append(
         f'<text x="18" y="{height / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.2f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {height / 2:.2f})">f</text>'
     )
     if polyline:
         coords = " ".join("{:.2f},{:.2f}".format(*to_px(x, y)) for x, y in polyline)
@@ -233,30 +221,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         result = spectrum_from_profile(
             _FAMILY_PROFILE[args.family](args.n), args.n, grouping_tolerance=args.tolerance_grouping
         )
+    points = result.points
     if args.format == "svg":
-        coords = [(p.y, p.f) for p in result.points]
-        x_hi = max(p.y for p in result.points) + 0.1
-        _write_text(args.output, _svg_document(coords, (0.0, x_hi), (0.0, 1.05), "y", "f"))
-        return EXIT_OK
+        return _emit(args, _svg_document([(p.y, p.f) for p in points], max(p.y for p in points) + 0.1))
     if args.format == "json":
-        payload = {"frame_size": result.frame_size, "points": [p._asdict() for p in result.points]}
-        _write_text(args.output, _json_text(payload))
-        return EXIT_OK
-    rows = [
-        [
-            _format_full(p.y),
-            _format_full(p.f),
-            _format_full(p.mass_value),
-            str(p.multiplicity),
-            "" if p.representative_cardinality is None else str(p.representative_cardinality),
-        ]
-        for p in result.points
-    ]
-    _write_text(
-        args.output,
-        _csv_text(["y", "f", "mass_value", "multiplicity", "representative_cardinality"], rows),
-    )
-    return EXIT_OK
+        return _emit(args, _json_text({"frame_size": result.frame_size,
+                                       "points": [p._asdict() for p in points]}))
+    return _emit(args, _csv_text(SpectrumPoint._fields, points))
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
@@ -266,67 +237,32 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         entries = dimension_sweep(m, args.alpha)
     else:
         entries = dimension_sweep_from_profile(_FAMILY_PROFILE[args.family](args.n), args.alpha)
-    columns = ["alpha", "D_alpha", "numerator_bits", "denominator_bits"]
-    records = []
-    for entry in entries:
-        r = entry.result
-        if r is None:
-            records.append({"alpha": entry.alpha, "error": entry.error})
-            continue
-        note = "outside tabulated range" if entry.alpha < 0 else None
-        records.append({"alpha": r.alpha, "D_alpha": r.value, "numerator_bits": r.numerator_bits,
-                        "denominator_bits": r.denominator_bits, "note": note})
+    columns = ("alpha", "D_alpha", "numerator_bits", "denominator_bits")
+    records = [
+        {"alpha": entry.alpha, "error": entry.error} if entry.result is None
+        else dict(zip(columns, entry.result),
+                  note="outside tabulated range" if entry.alpha < 0 else None)
+        for entry in entries
+    ]
     if args.format == "json":
-        _write_text(args.output, _json_text({"rows": records}))
+        _emit(args, _json_text({"rows": records}))
     else:
-        rows = [
-            [_format_full(record[c]) if c in record else "" for c in columns]
-            + [record.get("note") or record.get("error") or ""]
-            for record in records
-        ]
-        _write_text(args.output, _csv_text(columns + ["note"], rows))
+        rows = [[*map(record.get, columns), record.get("note") or record.get("error")]
+                for record in records]
+        _emit(args, _csv_text([*columns, "note"], rows))
     if entries and all(entry.result is None for entry in entries):
         return EXIT_MATH
     return EXIT_OK
 
 
-def _table_t1_t2(which: str) -> tuple[list[str], list[list[str]]]:
-    header = ["frame_size"] + [f"card_{k}" for k in range(1, 7)]
-    rows = []
-    for n in range(2, 7):
-        sp = spectrum_from_profile(max_deng_profile(n), n)
-        by_cardinality = {p.representative_cardinality: p for p in sp.points}
-        row = [str(n)]
-        for k in range(1, 7):
-            if k in by_cardinality:
-                point = by_cardinality[k]
-                row.append(_format4(point.y if which == "T1" else point.f))
-            else:
-                row.append("")
-        rows.append(row)
-    return header, rows
-
-
-def _table_profile_grid(
-    profile_builder, frame_sizes: list[int], alphas: list[int]
-) -> tuple[list[str], list[list[str]]]:
-    header = ["frame_size"] + [f"alpha_{a}" for a in alphas]
-    rows = []
-    for n in frame_sizes:
-        bands = profile_builder(n)
-        row = [str(n)]
-        for entry in dimension_sweep_from_profile(bands, alphas):
-            row.append(_format4(entry.result.value))
-        rows.append(row)
-    return header, rows
-
-
-def _table_single_row(
-    entries: list[SweepEntry], alphas: list[int]
-) -> tuple[list[str], list[list[str]]]:
-    header = ["quantity"] + [f"alpha_{a}" for a in alphas]
-    row = ["D_alpha"] + [_format4(entry.result.value) for entry in entries]
-    return header, [row]
+def _dimension_table(first_column: str, alphas: list[int], labelled_bands) -> tuple[list, list]:
+    """One row per ``(label, bands)``: the label, then ``D_alpha`` at each
+    order to four places."""
+    rows = [
+        [label] + [_format4(entry.result.value) for entry in dimension_sweep_from_profile(bands, alphas)]
+        for label, bands in labelled_bands
+    ]
+    return [first_column] + [f"alpha_{a}" for a in alphas], rows
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -334,29 +270,30 @@ def cmd_table(args: argparse.Namespace) -> int:
     if table_id not in TABLE_IDS:
         raise UnknownTable(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
     if table_id in ("T1", "T2"):
-        header, rows = _table_t1_t2(table_id)
+        # the max-Deng spectrum's y (T1) or f (T2) by cardinality
+        header = ["frame_size"] + [f"card_{k}" for k in range(1, 7)]
+        rows = []
+        for n in range(2, 7):
+            points = spectrum_from_profile(max_deng_profile(n), n).points
+            by_cardinality = {p.representative_cardinality: p.y if table_id == "T1" else p.f
+                              for p in points}
+            rows.append([str(n)] + [_format4(by_cardinality[k]) if k in by_cardinality else ""
+                                    for k in range(1, 7)])
     elif table_id == "T3":
         # a singleton of mass 0.2 and a 2-set of mass 0.8
-        alphas = [3, 9, 15, 21, 27, 33]
-        entries = dimension_sweep_from_profile([(1, 0.2, 1), (2, 0.8, 1)], alphas)
-        header, rows = _table_single_row(entries, alphas)
+        header, rows = _dimension_table("quantity", [3, 9, 15, 21, 27, 33],
+                                        [("D_alpha", [(1, 0.2, 1), (2, 0.8, 1)])])
     elif table_id == "T4":
-        alphas = [1, 4, 7, 10, 13, 16, 19]
-        entries = dimension_sweep_from_profile(vacuous_profile(5), alphas)
-        header, rows = _table_single_row(entries, alphas)
-    elif table_id == "T5":
-        header, rows = _table_profile_grid(
-            uniform_powerset_profile, list(range(2, 21, 2)), [1, 5, 9, 13, 17, 21, 25, 29]
-        )
+        header, rows = _dimension_table("quantity", [1, 4, 7, 10, 13, 16, 19],
+                                        [("D_alpha", vacuous_profile(5))])
     else:
-        header, rows = _table_profile_grid(
-            max_deng_profile, list(range(2, 21, 2)), [1, 4, 7, 10, 13, 16, 19]
-        )
+        builder, alphas = ((uniform_powerset_profile, [1, 5, 9, 13, 17, 21, 25, 29]) if table_id == "T5"
+                           else (max_deng_profile, [1, 4, 7, 10, 13, 16, 19]))
+        header, rows = _dimension_table("frame_size", alphas,
+                                        [(str(n), builder(n)) for n in range(2, 21, 2)])
     if args.format == "json":
-        _write_text(args.output, _json_text({"table": table_id, "columns": header, "rows": rows}))
-    else:
-        _write_text(args.output, _csv_text(header, rows))
-    return EXIT_OK
+        return _emit(args, _json_text({"table": table_id, "columns": header, "rows": rows}))
+    return _emit(args, _csv_text(header, rows))
 
 
 def cmd_family(args: argparse.Namespace) -> int:
@@ -378,8 +315,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         subsets = map(", ".join, itertools.combinations(quoted, band.cardinality))
         bands.append(head + (tail + ", " + head).join(subsets) + tail)
     text = '{"frame": [' + ", ".join(quoted) + '], "assignments": [' + ", ".join(bands) + "]}\n"
-    _write_text(args.emit, text)
-    return EXIT_OK
+    return _emit(args, text)
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
@@ -390,32 +326,17 @@ def cmd_envelope(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 2 samples, got {count}")
     _check_grid(count, "--samples")
     step = (envelope.root_high - envelope.root_low) / (count - 1)
-    samples = []
-    for i in range(count):
-        x = envelope.root_low + i * step
-        samples.append((x, envelope.evaluate(x)))
+    samples = [(x, envelope.evaluate(x)) for x in (envelope.root_low + i * step for i in range(count))]
     if args.format == "svg":
-        sp = spectrum_from_profile(max_deng_profile(args.n), args.n)
-        scatter = [(p.y, p.f) for p in sp.points]
-        x_hi = max([p.y for p in sp.points] + [envelope.root_high]) + 0.1
-        _write_text(
-            args.output,
-            _svg_document(scatter, (0.0, x_hi), (0.0, 1.05), "y", "f", polyline=samples),
-        )
-        return EXIT_OK
+        points = spectrum_from_profile(max_deng_profile(args.n), args.n).points
+        x_hi = max([p.y for p in points] + [envelope.root_high]) + 0.1
+        return _emit(args, _svg_document([(p.y, p.f) for p in points], x_hi, polyline=samples))
     if args.format == "json":
-        payload = {
-            "n": envelope.n,
-            "a": envelope.a,
-            "anchors": [list(anchor) for anchor in anchors],
-            "samples": [[x, value] for x, value in samples],
-        }
-        _write_text(args.output, _json_text(payload))
-        return EXIT_OK
-    rows = [[_format_full(x), _format_full(value), "anchor"] for x, value in anchors]
-    rows += [[_format_full(x), _format_full(value), "sample"] for x, value in samples]
-    _write_text(args.output, _csv_text(["x", "F", "kind"], rows))
-    return EXIT_OK
+        return _emit(args, _json_text({"n": envelope.n, "a": envelope.a,
+                                       "anchors": anchors, "samples": samples}))
+    rows = [(x, value, "anchor") for x, value in anchors]
+    rows += [(x, value, "sample") for x, value in samples]
+    return _emit(args, _csv_text(["x", "F", "kind"], rows))
 
 
 # --- argument parsing and dispatch ---
@@ -508,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="emit a built-in family as a mass-function JSON file")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--emit", help="output file for the JSON document (default stdout)")
+    p.add_argument("--emit", dest="output", metavar="EMIT",
+                   help="output file for the JSON document (default stdout)")
 
     p = sub.add_parser("envelope", help="quadratic envelope of the max-Deng spectrum")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -554,26 +476,19 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in _DISPATCH:
         sys.stderr.write(f"error: UnknownCommand: {argv[0]!r} is not a massfractal command\n")
         return EXIT_UNKNOWN
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_alpha(argv))
+    args = _build_parser().parse_args(_attach_negative_alpha(argv))
     try:
         _check_args(args)
         return _DISPATCH[args.command](args)
-    except UnknownTable as failure:
-        sys.stderr.write(f"error: UnknownTable: {failure}\n")
-        return EXIT_UNKNOWN
-    except _MATH_ERRORS as failure:
+    # every MassFractalError, and json.JSONDecodeError, is a ValueError
+    except (OSError, ValueError, KeyError) as failure:
         sys.stderr.write(f"error: {type(failure).__name__}: {failure}\n")
-        return EXIT_MATH
-    except MassFractalError as failure:
-        sys.stderr.write(f"error: {type(failure).__name__}: {failure}\n")
-        return EXIT_INPUT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as failure:
-        sys.stderr.write(f"error: {type(failure).__name__}: {failure}\n")
-        return EXIT_INPUT
+        if isinstance(failure, UnknownTable):
+            return EXIT_UNKNOWN
+        return EXIT_MATH if isinstance(failure, _MATH_ERRORS) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .errors import (
     FrameTooLarge,
     IndexOutOfFrame,
     InvalidFrame,
+    MassFractalError,
     MassOutOfRange,
     SumNotOne,
 )
@@ -110,21 +111,26 @@ class FrameOfDiscernment(_Frozen):
     size:
         Number of elementary hypotheses, at least 1.
     labels:
-        Optional display names, one per hypothesis, pairwise distinct.
-        When absent, hypotheses are labelled ``h1 .. hn`` on output.
+        Optional display names: a tuple or list of non-empty strings, one
+        per hypothesis, pairwise distinct, kept as a tuple.  When absent,
+        hypotheses are labelled ``h1 .. hn`` on output.
 
-    Raises :class:`InvalidFrame` on a bad size or bad labels.
+    Raises :class:`InvalidFrame` on a bad size (a bool included) or bad
+    labels (any other iterable, a str included).
     """
 
     __slots__ = _fields = ("size", "labels")
 
-    def __init__(self, size: int, labels: tuple[str, ...] | None = None) -> None:
-        if not isinstance(size, int) or size < 1:
+    def __init__(self, size: int, labels: tuple[str, ...] | list[str] | None = None) -> None:
+        if type(size) is bool or not isinstance(size, int) or size < 1:
             raise InvalidFrame(f"frame size must be a positive integer, got {size!r}")
         if labels is not None:
+            if not isinstance(labels, (tuple, list)):
+                raise InvalidFrame(f"frame labels must be a tuple or list, got {type(labels).__name__}")
+            labels = tuple(labels)
             if len(labels) != size:
                 raise InvalidFrame(f"expected {size} labels, got {len(labels)}")
-            if any(not lab for lab in labels):
+            if not all(isinstance(lab, str) and lab for lab in labels):
                 raise InvalidFrame("frame labels must be non-empty strings")
             if len(set(labels)) != size:
                 raise InvalidFrame("frame labels must be pairwise distinct")
@@ -199,18 +205,21 @@ def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand,
     )
 
 
-def _as_mass(value) -> float:
-    """A mass as a float.  A string, bytes or bool, which float() would
-    read, is refused, and so is anything float() cannot read or holds only
-    past the double range."""
+def _as_number(value, error: type[MassFractalError], what: str) -> float:
+    """A mass or an order as a float, or ``error`` naming ``what`` it is.
+    A string, bytes or bool, which float() would read, is refused, and so
+    is anything float() cannot read or holds only past the double range.
+    An int is taken."""
+    if type(value) is float:
+        return value
     if isinstance(value, (str, bytes, bytearray, bool)):
-        raise MassOutOfRange(f"mass {value!r} is not a number")
+        raise error(f"{what} {value!r} is not a number")
     try:
         return float(value)
     except TypeError:
-        raise MassOutOfRange(f"a mass of type {type(value).__name__} is not a number") from None
+        raise error(f"{what} of type {type(value).__name__} is not a number") from None
     except OverflowError:
-        raise MassOutOfRange("a mass lies past the double range") from None
+        raise error(f"{what} lies past the double range") from None
 
 
 def _checked_mask(subset: Iterable, n: int) -> int:
@@ -260,7 +269,7 @@ def validate_mass_function(
     masses: dict[int, float] = {}
     for subset, mass in raw:
         if type(mass) is not float:
-            mass = _as_mass(mass)
+            mass = _as_number(mass, MassOutOfRange, "mass")
         if not (0.0 <= mass <= 1.0):
             raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
         if mass == 0.0:
@@ -310,7 +319,7 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
         raise EmptyFocalElement("a band cardinality or multiplicity is not a whole number")
     cardinalities, multiplicities = whole
     if set(map(type, masses)) != {float}:
-        masses = tuple(map(_as_mass, masses))
+        masses = tuple(_as_number(mass, MassOutOfRange, "mass") for mass in masses)
     if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
         raise MassOutOfRange("a band mass lies outside (0, 1]")
     if min(cardinalities) < 1:

@@ -14,8 +14,14 @@ import operator
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MassFunction, ProfileBand, _as_bands, _as_mass, _Frozen
-from .errors import DegenerateSupport, FrameTooLarge, NegativeOrderUnsupported, OrderOutOfRange
+from .core import MassFunction, ProfileBand, _as_bands, _as_number, _Frozen
+from .errors import (
+    DegenerateSupport,
+    FrameTooLarge,
+    MassOutOfRange,
+    NegativeOrderUnsupported,
+    OrderOutOfRange,
+)
 
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
@@ -35,29 +41,13 @@ class ProbabilityDistribution(_Frozen):
     __slots__ = _fields = ("probs",)
 
     def __init__(self, probs: Iterable[float]) -> None:
-        probs = tuple(map(_as_mass, probs))
+        probs = tuple(_as_number(p, MassOutOfRange, "mass") for p in probs)
         _as_bands([(1, p, 1) for p in probs if p != 0.0])
         object.__setattr__(self, "probs", probs)
 
     def support(self) -> tuple[float, ...]:
         """The strictly positive entries."""
         return tuple(p for p in self.probs if p > 0.0)
-
-
-def _as_order(alpha) -> float:
-    """An order as a float.  A string, bytes or bool, which float() would
-    read, is refused, and so is anything float() cannot read or holds only
-    past the double range.  An int order is taken."""
-    if type(alpha) is float:
-        return alpha
-    if isinstance(alpha, (str, bytes, bytearray, bool)):
-        raise OrderOutOfRange(f"order {alpha!r} is not a number")
-    try:
-        return float(alpha)
-    except TypeError:
-        raise OrderOutOfRange(f"an order of type {type(alpha).__name__} is not a number") from None
-    except OverflowError:
-        raise OrderOutOfRange("an order lies past the double range") from None
 
 
 def _log2_power_sum(exponents: Sequence[float]) -> float:
@@ -164,15 +154,19 @@ def renyi_entropy(p: ProbabilityDistribution, alpha: float) -> float:
     log2(sum p_i ** alpha) / (1 - alpha), with Shannon entropy at alpha = 1,
     over the support only.  The p_i enter normalised to sum to one, so the
     value is continuous through alpha = 1 also when they sum to one only
-    within the tolerance.  A non-number order raises :class:`OrderOutOfRange`.
+    within the tolerance.  An order that is not a number, or at which the
+    value is not finite (NaN, +inf), raises :class:`OrderOutOfRange`.
     """
-    alpha = _as_order(alpha)
+    alpha = _as_number(alpha, OrderOutOfRange, "order")
     if alpha < 0.0:
         raise NegativeOrderUnsupported(
             f"Renyi entropy of a probability distribution requires order >= 0, got {alpha}"
         )
     logs = [math.log2(q) for q in p.support()]
-    return _numerator_bits(_numerator_terms(logs, logs), alpha)
+    value = _numerator_bits(_numerator_terms(logs, logs), alpha)
+    if not math.isfinite(value):
+        raise OrderOutOfRange(f"Renyi entropy has no finite value at order {alpha!r}")
+    return value
 
 
 def shannon_entropy(p: ProbabilityDistribution) -> float:

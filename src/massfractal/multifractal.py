@@ -36,12 +36,12 @@ from .core import (
     MassFunction,
     ProfileBand,
     _as_bands,
+    _as_number,
 )
 from .entropy import (
     _deng_terms,
     _DengTerms,
     _LN2,
-    _as_order,
     _log2_power_sum,
     _log2_subset_count,
     _numerator_bits,
@@ -254,7 +254,7 @@ def _sweep(terms: _DengTerms, alphas: Iterable[float]) -> list[SweepEntry]:
     order-independent logs :func:`entropy._deng_terms` took once."""
     entries: list[SweepEntry] = []
     for alpha in alphas:
-        alpha = _as_order(alpha)
+        alpha = _as_number(alpha, OrderOutOfRange, "order")
         try:
             entries.append(SweepEntry(alpha, _dimension_from_bands(terms, alpha), None))
         except (ZeroDenominator, OrderOutOfRange) as failure:
@@ -279,14 +279,14 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     :class:`OrderOutOfRange` when the order is so large or so small that the
     result leaves the double range, or is not a number.
     """
-    alpha = _as_order(alpha)
+    alpha = _as_number(alpha, OrderOutOfRange, "order")
     return _dimension_from_bands(_deng_terms(as_profile_bands(m)), alpha)
 
 
 def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
     """Multifractal dimension straight from (cardinality, mass, multiplicity)
     bands, for symmetric families too large to materialize."""
-    alpha = _as_order(alpha)
+    alpha = _as_number(alpha, OrderOutOfRange, "order")
     return _dimension_from_bands(_deng_terms(_as_bands(profile)), alpha)
 
 

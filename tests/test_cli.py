@@ -733,3 +733,143 @@ def test_cli_import_leaves_dataclasses_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- pinned output bytes ---
+#
+# The exact text of outputs no other test pins: the envelope in every format,
+# the spectrum figure, a dimension run holding a negative-order note and an
+# error row, and a family document written under MASSFRACTAL_OUTPUT_DIR.
+
+ENVELOPE_CSV = ('x,F,kind\n'
+                '0.585,0.0,anchor\n'
+                '1.085,0.646240625180289,anchor\n'
+                '1.585,0.0,anchor\n'
+                '0.585,0.0,sample\n'
+                '1.085,0.646240625180289,sample\n'
+                '1.585,0.0,sample\n')
+
+ENVELOPE_JSON = ('{"n": 4, "a": 2.584962500721156, "anchors": [[0.585, 0.0], [1.085, '
+                 '0.646240625180289], [1.585, 0.0]], "samples": [[0.585, 0.0], [1.085, '
+                 '0.646240625180289], [1.585, 0.0]]}\n')
+
+ENVELOPE_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">
+<rect width="640" height="480" fill="white"/>
+<line x1="60.00" y1="420.00" x2="580.00" y2="420.00" stroke="black"/>
+<line x1="60.00" y1="420.00" x2="60.00" y2="60.00" stroke="black"/>
+<line x1="60.00" y1="420.00" x2="60.00" y2="425.00" stroke="black"/>
+<text x="60.00" y="440.00" font-size="11" text-anchor="middle">0.000</text>
+<line x1="55.00" y1="420.00" x2="60.00" y2="420.00" stroke="black"/>
+<text x="52.00" y="424.00" font-size="11" text-anchor="end">0.000</text>
+<line x1="190.00" y1="420.00" x2="190.00" y2="425.00" stroke="black"/>
+<text x="190.00" y="440.00" font-size="11" text-anchor="middle">0.421</text>
+<line x1="55.00" y1="330.00" x2="60.00" y2="330.00" stroke="black"/>
+<text x="52.00" y="334.00" font-size="11" text-anchor="end">0.263</text>
+<line x1="320.00" y1="420.00" x2="320.00" y2="425.00" stroke="black"/>
+<text x="320.00" y="440.00" font-size="11" text-anchor="middle">0.843</text>
+<line x1="55.00" y1="240.00" x2="60.00" y2="240.00" stroke="black"/>
+<text x="52.00" y="244.00" font-size="11" text-anchor="end">0.525</text>
+<line x1="450.00" y1="420.00" x2="450.00" y2="425.00" stroke="black"/>
+<text x="450.00" y="440.00" font-size="11" text-anchor="middle">1.264</text>
+<line x1="55.00" y1="150.00" x2="60.00" y2="150.00" stroke="black"/>
+<text x="52.00" y="154.00" font-size="11" text-anchor="end">0.788</text>
+<line x1="580.00" y1="420.00" x2="580.00" y2="425.00" stroke="black"/>
+<text x="580.00" y="440.00" font-size="11" text-anchor="middle">1.685</text>
+<line x1="55.00" y1="60.00" x2="60.00" y2="60.00" stroke="black"/>
+<text x="52.00" y="64.00" font-size="11" text-anchor="end">1.050</text>
+<text x="320.00" y="465.00" font-size="13" text-anchor="middle">y</text>
+<text x="18" y="240.00" font-size="13" text-anchor="middle" transform="rotate(-90 18 240.00)">f</text>
+<polyline points="240.53,420.00 394.84,198.43 549.14,420.00" fill="none" stroke="steelblue" stroke-width="1.5"/>
+<circle cx="227.10" cy="420.00" r="3.5" fill="crimson"/>
+<circle cx="313.95" cy="244.49" r="3.5" fill="crimson"/>
+<circle cx="410.51" cy="193.15" r="3.5" fill="crimson"/>
+<circle cx="535.71" cy="244.49" r="3.5" fill="crimson"/>
+</svg>
+"""
+
+SPECTRUM_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">
+<rect width="640" height="480" fill="white"/>
+<line x1="60.00" y1="420.00" x2="580.00" y2="420.00" stroke="black"/>
+<line x1="60.00" y1="420.00" x2="60.00" y2="60.00" stroke="black"/>
+<line x1="60.00" y1="420.00" x2="60.00" y2="425.00" stroke="black"/>
+<text x="60.00" y="440.00" font-size="11" text-anchor="middle">0.000</text>
+<line x1="55.00" y1="420.00" x2="60.00" y2="420.00" stroke="black"/>
+<text x="52.00" y="424.00" font-size="11" text-anchor="end">0.000</text>
+<line x1="190.00" y1="420.00" x2="190.00" y2="425.00" stroke="black"/>
+<text x="190.00" y="440.00" font-size="11" text-anchor="middle">0.403</text>
+<line x1="55.00" y1="330.00" x2="60.00" y2="330.00" stroke="black"/>
+<text x="52.00" y="334.00" font-size="11" text-anchor="end">0.263</text>
+<line x1="320.00" y1="420.00" x2="320.00" y2="425.00" stroke="black"/>
+<text x="320.00" y="440.00" font-size="11" text-anchor="middle">0.807</text>
+<line x1="55.00" y1="240.00" x2="60.00" y2="240.00" stroke="black"/>
+<text x="52.00" y="244.00" font-size="11" text-anchor="end">0.525</text>
+<line x1="450.00" y1="420.00" x2="450.00" y2="425.00" stroke="black"/>
+<text x="450.00" y="440.00" font-size="11" text-anchor="middle">1.210</text>
+<line x1="55.00" y1="150.00" x2="60.00" y2="150.00" stroke="black"/>
+<text x="52.00" y="154.00" font-size="11" text-anchor="end">0.788</text>
+<line x1="580.00" y1="420.00" x2="580.00" y2="425.00" stroke="black"/>
+<text x="580.00" y="440.00" font-size="11" text-anchor="middle">1.613</text>
+<line x1="55.00" y1="60.00" x2="60.00" y2="60.00" stroke="black"/>
+<text x="52.00" y="64.00" font-size="11" text-anchor="end">1.050</text>
+<text x="320.00" y="465.00" font-size="13" text-anchor="middle">y</text>
+<text x="18" y="240.00" font-size="13" text-anchor="middle" transform="rotate(-90 18 240.00)">f</text>
+<circle cx="225.41" cy="420.00" r="3.5" fill="crimson"/>
+<circle cx="365.77" cy="226.43" r="3.5" fill="crimson"/>
+<circle cx="547.76" cy="226.43" r="3.5" fill="crimson"/>
+</svg>
+"""
+
+DIMENSION_CSV = ('alpha,D_alpha,numerator_bits,denominator_bits,note\n'
+                 '-2.0,1.9658135394672127,2.321928094887362,1.1811537810023762,outside tabulated range\n'
+                 '1e+308,,,,OrderOutOfRange\n'
+                 '2.0,0.9212739087767148,2.321928094887362,2.5203450057219823,\n')
+
+DIMENSION_JSON = ('{"rows": [{"alpha": -2.0, "D_alpha": 1.9658135394672127, '
+                  '"numerator_bits": 2.321928094887362, "denominator_bits": 1.1811537810023762, '
+                  '"note": "outside tabulated range"}, {"alpha": 1e+308, '
+                  '"error": "OrderOutOfRange"}, {"alpha": 2.0, "D_alpha": 0.9212739087767148, '
+                  '"numerator_bits": 2.321928094887362, "denominator_bits": 2.5203450057219823, '
+                  '"note": null}]}\n')
+
+FAMILY_JSON = ('{"frame": ["h1", "h2", "h3"], "assignments": [{"subset": ["h1"], '
+               '"mass": 0.05263157894736842}, {"subset": ["h2"], "mass": 0.05263157894736842}, '
+               '{"subset": ["h3"], "mass": 0.05263157894736842}, {"subset": ["h1", "h2"], '
+               '"mass": 0.15789473684210525}, {"subset": ["h1", "h3"], '
+               '"mass": 0.15789473684210525}, {"subset": ["h2", "h3"], '
+               '"mass": 0.15789473684210525}, {"subset": ["h1", "h2", "h3"], '
+               '"mass": 0.3684210526315789}]}\n')
+
+PINNED_OUTPUT = {
+    ("envelope", "--n", "4", "--samples", "3"): ENVELOPE_CSV,
+    ("envelope", "--n", "4", "--samples", "3", "--format", "json"): ENVELOPE_JSON,
+    ("envelope", "--n", "4", "--samples", "3", "--format", "svg"): ENVELOPE_SVG,
+    ("spectrum", "--family", "max-deng", "--n", "3", "--format", "svg"): SPECTRUM_SVG,
+    ("dimension", "--family", "max-deng", "--n", "2", "--alpha=-2,1e308,2"): DIMENSION_CSV,
+    ("dimension", "--family", "max-deng", "--n", "2", "--alpha=-2,1e308,2",
+     "--format", "json"): DIMENSION_JSON,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT))
+def test_output_bytes_are_pinned(argv, capsys):
+    code, captured = main_in_process(capsys, *argv)
+    assert (code, captured.err) == (0, "")
+    assert captured.out == PINNED_OUTPUT[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT))
+def test_output_file_holds_the_pinned_bytes(argv, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code, captured = main_in_process(capsys, *argv, "--output", str(target))
+    assert (code, captured.out, captured.err) == (0, "", "")
+    assert target.read_bytes() == PINNED_OUTPUT[argv].encode("utf-8")
+
+
+def test_family_emit_under_the_output_dir_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MASSFRACTAL_OUTPUT_DIR", str(tmp_path))
+    code, captured = main_in_process(capsys, "family", "--family", "max-deng", "--n", "3",
+                                     "--emit", "rel.json")
+    assert (code, captured.out, captured.err) == (0, "", "")
+    assert (tmp_path / "rel.json").read_bytes() == FAMILY_JSON.encode("utf-8")
