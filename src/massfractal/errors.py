@@ -68,8 +68,8 @@ class ZeroDenominator(MassFractalError):
 
 
 class OrderOutOfRange(MassFractalError):
-    """At this order the dimension or its log sums leave the double range,
-    or the order is not a number."""
+    """At this order the dimension, the Renyi entropy or their log sums
+    leave the double range, or the order is not a number."""
 
 
 # --- oracle errors ---
