@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import itertools
 import json
@@ -41,15 +42,16 @@ from .core import (
     MassFunction,
     SUM_TOLERANCE,
     _check_explicit_size,
+    _validated,
     max_deng_profile,
     uniform_powerset_profile,
     uniform_singleton_profile,
     vacuous_profile,
-    validate_mass_function,
 )
 from .errors import (
     DegenerateFrame,
     GridTooLarge,
+    MassFractalError,
     OrderOutOfRange,
     UnknownTable,
     ZeroDenominator,
@@ -92,36 +94,60 @@ EXIT_UNKNOWN = 4
 
 # --- input resolution ---
 
-def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
-    with open(path, "r", encoding="utf-8") as handle:
-        # an integer too large for a float is read as inf and rejected as a
-        # mass out of range, rather than overflowing in float()
-        document = json.load(handle, parse_int=float)
-    if (not isinstance(document, dict) or "frame" not in document
-            or not isinstance(document.get("assignments"), list)):
-        raise ValueError("mass-function file must be an object with 'frame' and an 'assignments' list")
-    labels = document["frame"]
-    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
-        raise ValueError("'frame' must be a list of label strings")
-    frame = FrameOfDiscernment(len(labels), tuple(labels))
-    index_of = {label: i for i, label in enumerate(labels)}
-    raw = []
-    for entry in document["assignments"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list) or "mass" not in entry:
+def _label_masks(assignments: list, bit_of: dict[str, int]):
+    """Each assignment as ``(mask, mass)``, its labels ORed from ``bit_of``,
+    so a repeated label counts once.  The document's own faults are
+    ValueErrors: a malformed entry, a label outside the frame (also on a
+    zero mass) and a mass that is not a JSON number."""
+    for entry in assignments:
+        try:
+            subset, mass = entry["subset"], entry["mass"]
+        except (KeyError, TypeError):  # a key is missing, or the entry is no object
+            subset = None
+        if type(subset) is not list:
             raise ValueError("each assignment needs a 'subset' list of labels and a 'mass'")
+        mask = 0
         try:
             # the keys are strings, so any other label is a KeyError, or a
             # TypeError when unhashable
-            subset = list(map(index_of.__getitem__, entry["subset"]))
+            for label in subset:
+                mask |= bit_of[label]
         except (KeyError, TypeError):
-            label = next(label for label in entry["subset"]
-                         if not isinstance(label, str) or label not in index_of)
+            label = next(label for label in subset if not isinstance(label, str) or label not in bit_of)
             raise ValueError(f"subset label {label!r} is not in the frame") from None
-        mass = entry["mass"]
-        if not isinstance(mass, float):
+        if type(mass) is not float:
             raise ValueError(f"mass {mass!r} is not a JSON number")
-        raw.append((subset, mass))
-    return validate_mass_function(frame, raw, sum_tolerance=sum_tolerance)
+        yield mask, mass
+
+
+def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
+    """One pass from the file's labels to checked masks.  The collector is
+    paused over the load, which builds tens of thousands of containers and
+    no reference cycle; the caller's setting is restored."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            # an integer too large for a float is read as inf and rejected as
+            # a mass out of range, rather than overflowing in float()
+            document = json.load(handle, parse_int=float)
+        if (not isinstance(document, dict) or "frame" not in document
+                or not isinstance(document.get("assignments"), list)):
+            raise ValueError("mass-function file must be an object with 'frame' and an 'assignments' list")
+        labels = document["frame"]
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise ValueError("'frame' must be a list of label strings")
+        frame = FrameOfDiscernment(len(labels), tuple(labels))
+        pairs = _label_masks(document["assignments"], {label: 1 << i for i, label in enumerate(labels)})
+        try:
+            return _validated(frame, pairs, sum_tolerance, masked=True)
+        except MassFractalError:
+            for _ in pairs:  # a fault of the document itself, further on, is named first
+                pass
+            raise
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # --- output plumbing ---

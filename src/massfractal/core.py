@@ -8,8 +8,9 @@ the power set, vacuous, uniform over singletons).
 
 A validated :class:`MassFunction` maps int bitmasks (bit ``i`` is hypothesis
 ``i``) to masses and keeps the exact ``(cardinality, mass)`` bands that
-entropy, spectrum and dimension read.  :func:`validate_mass_function` checks
-the input in one pass and counts the bands once after it; nothing groups
+entropy, spectrum and dimension read.  One pass, :func:`_validated`, checks
+every ``(subset, mass)`` pair, for :func:`validate_mass_function` and for
+the CLI's loader alike, and counts the bands once after it; nothing groups
 again.
 
 Large frames are handled through *cardinality profiles*: a mass function whose
@@ -163,7 +164,7 @@ class MassFunction(_Frozen):
     """A validated basic probability assignment over a frame.
 
     ``masses`` is keyed by focal bitmask; ``bands`` are sorted by pair.  Only
-    :func:`validate_mass_function` and the family builders construct one.
+    the validation pass and the family builders construct one.
     Equality and hashing compare frame and masses.  The instance keeps a
     ``__dict__`` for the lazily cached :attr:`assignments`.
     """
@@ -186,10 +187,7 @@ class MassFunction(_Frozen):
     @cached_property
     def assignments(self) -> tuple[tuple[FocalElement, float], ...]:
         """(focal element, mass) pairs sorted by (cardinality, members)."""
-        rows = sorted(
-            (mask.bit_count(), tuple(i for i in range(mask.bit_length()) if mask >> i & 1), mass)
-            for mask, mass in self.masses.items()
-        )
+        rows = sorted((mask.bit_count(), _members(mask), mass) for mask, mass in self.masses.items())
         return tuple((FocalElement(members), mass) for _, members, mass in rows)
 
     @property
@@ -235,6 +233,68 @@ def _checked_mask(subset: Iterable, n: int) -> int:
     return mask
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The ascending indices of the bits set in ``mask``."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _validated(
+    frame: FrameOfDiscernment,
+    pairs: Iterable[tuple],
+    sum_tolerance: float,
+    masked: bool = False,
+) -> MassFunction:
+    """The one check of ``(subset, mass)`` pairs, for the library and the CLI.
+
+    Each mass is range-checked (NaN fails) before zero masses are dropped;
+    a string, bytes or bool mass is refused, not parsed.  Only a kept
+    mass's subset is read: as its mask already when ``masked``, else as
+    indices.  A subset of exact in-frame ints, the common case, gets its
+    mask by one bit lookup per member; any subset the lookup refuses is
+    checked index by index (:func:`_checked_mask`), which names the
+    offending index.  A kept mask must be non-empty and new; a repeat is
+    named by its distinct members.  The masses must sum to one within
+    ``sum_tolerance``, and the ``(cardinality, mass)`` bands are counted
+    once, after the loop.
+    """
+    n = frame.size
+    bits = {} if masked else {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
+    masses: dict[int, float] = {}
+    for subset, mass in pairs:
+        if type(mass) is not float:
+            mass = _as_number(mass, MassOutOfRange, "mass")
+        if not (0.0 <= mass <= 1.0):
+            raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
+        if mass == 0.0:
+            continue
+        if masked:
+            mask = subset
+        else:
+            if type(subset) is not tuple and type(subset) is not list and iter(subset) is subset:
+                subset = tuple(subset)  # a one-shot iterator, read twice below
+            try:
+                # an int sum keeps floats, numpy ints and other non-int
+                # indices out of the lookup, whose keys they could hash equal to
+                if type(sum(subset)) is not int:
+                    raise TypeError
+                mask = 0
+                for index in subset:
+                    mask |= bits[index]
+            except (KeyError, TypeError):
+                mask = _checked_mask(subset, n)
+        if not mask:
+            raise EmptyFocalElement("an empty subset was given positive mass")
+        if mask in masses:
+            members = _members(mask) if masked else tuple(sorted(set(subset)))
+            raise DuplicateFocalElement(f"subset {members} appears twice")
+        masses[mask] = mass
+    total = math.fsum(masses.values())
+    if not abs(total - 1.0) <= sum_tolerance:
+        raise SumNotOne(f"masses sum to {total!r}, not 1")
+    counts = Counter(zip(map(int.bit_count, masses), masses.values()))
+    return MassFunction(frame, masses, _sorted_bands(counts))
+
+
 def validate_mass_function(
     frame: FrameOfDiscernment,
     raw: Sequence[tuple[Iterable[int], float]],
@@ -242,12 +302,10 @@ def validate_mass_function(
 ) -> MassFunction:
     """Turn a raw list of (subset, mass) pairs into a validated MassFunction.
 
-    Each mass is range-checked (NaN fails) before zero masses are dropped;
-    a string, bytes or bool mass is refused, not parsed.
-    A subset of exact in-frame ints, the common case, gets its mask by one
-    bit lookup per member; any subset the lookup refuses is checked index by
-    index (:func:`_checked_mask`), which names the offending index.  The
-    ``(cardinality, mass)`` bands are counted once, after the loop.
+    Each mass is range-checked (NaN fails) before zero masses are dropped,
+    so the subset of a zero mass is never read; a string, bytes or bool
+    mass is refused, not parsed.  Every other subset must hold indices in
+    ``[0, frame.size)``, repeats counted once.
 
     Parameters
     ----------
@@ -264,38 +322,7 @@ def validate_mass_function(
     MassOutOfRange, EmptyFocalElement, IndexOutOfFrame,
     DuplicateFocalElement, SumNotOne
     """
-    n = frame.size
-    bits = {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
-    masses: dict[int, float] = {}
-    for subset, mass in raw:
-        if type(mass) is not float:
-            mass = _as_number(mass, MassOutOfRange, "mass")
-        if not (0.0 <= mass <= 1.0):
-            raise MassOutOfRange(f"mass {mass!r} lies outside [0, 1]")
-        if mass == 0.0:
-            continue
-        if type(subset) is not tuple and type(subset) is not list and iter(subset) is subset:
-            subset = tuple(subset)  # a one-shot iterator, read twice below
-        try:
-            # an int sum keeps floats, numpy ints and other non-int indices
-            # out of the lookup, whose keys they could hash equal to
-            if type(sum(subset)) is not int:
-                raise TypeError
-            mask = 0
-            for index in subset:
-                mask |= bits[index]
-        except (KeyError, TypeError):
-            mask = _checked_mask(subset, n)
-        if not mask:
-            raise EmptyFocalElement("an empty subset was given positive mass")
-        if mask in masses:
-            raise DuplicateFocalElement(f"subset {tuple(sorted(set(subset)))} appears twice")
-        masses[mask] = mass
-    total = math.fsum(masses.values())
-    if not abs(total - 1.0) <= sum_tolerance:
-        raise SumNotOne(f"masses sum to {total!r}, not 1")
-    counts = Counter(zip(map(int.bit_count, masses), masses.values()))
-    return MassFunction(frame, masses, _sorted_bands(counts))
+    return _validated(frame, raw, sum_tolerance)
 
 
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
@@ -392,7 +419,8 @@ def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
 # the enumeration cap.
 
 def _check_profile_size(n: int, largest: int, family: str) -> None:
-    if not isinstance(n, int) or n < 1:
+    # a bool is refused, as FrameOfDiscernment refuses it
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
     if n > largest:
         raise FrameTooLarge(f"{family} band values leave the double range past n = {largest:.6g}")

@@ -132,7 +132,10 @@ def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
     far below 1: for eps < 0 it is at least 1, and finite while
     -eps * max |t_i| stays inside the double range; for eps > 0 it is at
     least 2**(-eps * limit) by Jensen's inequality.  Past those bounds the
-    max-shifted power sum takes over, which cannot overflow.
+    max-shifted power sum takes over.  Where the largest eps * t_i
+    overflows, that sum is not finite, and the term 2**(eps * T) of the
+    t_i = T at which eps * t_i is largest is factored out first: the value
+    is -T + log2(sum_i s_i * 2**(eps * (t_i - T))) / -eps, a finite mean.
     """
     eps = alpha - 1.0
     if eps == 0.0:
@@ -143,9 +146,15 @@ def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
             s * math.expm1(scale * t) for s, t in zip(terms.shares, terms.exponents)
         )
         return math.log1p(excess) / -scale
-    return _log2_power_sum(
+    bits = _log2_power_sum(
         [ls + eps * t for ls, t in zip(terms.log_shares, terms.exponents)]
     ) / -eps
+    if math.isfinite(bits):
+        return bits
+    top = max(terms.exponents) if eps > 0.0 else min(terms.exponents)
+    return _log2_power_sum(
+        [ls + eps * (t - top) for ls, t in zip(terms.log_shares, terms.exponents)]
+    ) / -eps - top
 
 
 def renyi_entropy(p: ProbabilityDistribution, alpha: float) -> float:

@@ -8,6 +8,7 @@ the order-list parsing check calls ``cli.main`` in-process.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -487,6 +488,97 @@ def test_subset_label_outside_the_frame_is_named(label, tmp_path, capsys):
     assert captured.out == ""
 
 
+# The loader's label rules, each with the exact exit code and output of the
+# label-list loader this one-pass loader replaced.  "mass" entries are as
+# written; every label outside the frame is refused, on a zero mass too, and a
+# fault of the document itself is named before a fault of its masses.
+SPECTRUM_AB = ("y,f,mass_value,multiplicity,representative_cardinality\n"
+               "0.2618595071429149,0.0,0.75,1,2\n1.261859507142915,0.0,0.25,1,1\n")
+
+LOADER_CASES = {
+    "label outside the frame on a zero mass": (
+        ["a", "b"], [(["a", "b"], 1.0), (["zz"], 0.0)],
+        2, "", "error: ValueError: subset label 'zz' is not in the frame\n"),
+    "null label on a zero mass": (
+        ["a", "b"], [(["a"], 1.0), ([None], 0.0)],
+        2, "", "error: ValueError: subset label None is not in the frame\n"),
+    "repeated label counts once": (
+        ["a", "b"], [(["a", "a"], 0.25), (["b", "a", "b"], 0.75)], 0, SPECTRUM_AB, ""),
+    "repeated label is a duplicate of the singleton": (
+        ["a", "b"], [(["a", "a"], 0.5), (["a"], 0.5)],
+        2, "", "error: DuplicateFocalElement: subset (0,) appears twice\n"),
+    "duplicate in another label order": (
+        ["a", "b", "c"], [(["a", "b"], 0.5), (["b", "a"], 0.5)],
+        2, "", "error: DuplicateFocalElement: subset (0, 1) appears twice\n"),
+    "duplicate named by indices": (
+        ["a", "b", "c", "d"], [(["d", "b"], 0.5), (["b", "d", "b"], 0.5)],
+        2, "", "error: DuplicateFocalElement: subset (1, 3) appears twice\n"),
+    "number label": (
+        ["a", "b"], [(["a", 1], 1.0)],
+        2, "", "error: ValueError: subset label 1.0 is not in the frame\n"),
+    "list label": (
+        ["a", "b"], [([[1], "a"], 1.0)],
+        2, "", "error: ValueError: subset label [1.0] is not in the frame\n"),
+    "object label": (
+        ["a", "b"], [(["a", {"k": 1}], 1.0)],
+        2, "", "error: ValueError: subset label {'k': 1.0} is not in the frame\n"),
+    "mass out of range, then a label outside the frame": (
+        ["a", "b"], [(["a"], 2.0), (["zz"], 0.5)],
+        2, "", "error: ValueError: subset label 'zz' is not in the frame\n"),
+    "NaN mass, then a bool label": (
+        ["a", "b"], [(["a"], math.nan), ([True], 1.0)],
+        2, "", "error: ValueError: subset label True is not in the frame\n"),
+    "duplicate, then a mass that is no number": (
+        ["a", "b"], [(["a"], 0.5), (["a"], 0.5), (["b"], None)],
+        2, "", "error: ValueError: mass None is not a JSON number\n"),
+    "empty subset with mass, then a subset that is no list": (
+        ["a", "b"], [([], 0.5), (["b"], 0.5), ("b", 0.5)],
+        2, "", "error: ValueError: each assignment needs a 'subset' list of labels and a 'mass'\n"),
+    "short sum, then a label outside the frame on a zero mass": (
+        ["a", "b"], [(["a"], 0.25), (["b"], 0.25), (["a", 7], 0.0)],
+        2, "", "error: ValueError: subset label 7.0 is not in the frame\n"),
+    "empty subset on a zero mass": (
+        ["a", "b"], [([], 0.0), (["a", "b"], 1.0)],
+        0, "y,f,mass_value,multiplicity,representative_cardinality\n0.0,0.0,1.0,1,2\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_label_rules_are_pinned(case, tmp_path, capsys):
+    labels, assignments, want_code, want_out, want_err = LOADER_CASES[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"frame": labels, "assignments": [
+        {"subset": subset, "mass": mass} for subset, mass in assignments]}), encoding="utf-8")
+    code, captured = main_in_process(capsys, "spectrum", "--input", str(path))
+    assert (code, captured.out, captured.err) == (want_code, want_out, want_err)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("good", [True, False])
+def test_loading_leaves_the_collector_as_it_was(collecting, good, two_focal_file, tmp_path, capsys):
+    # the collector is paused over the load only; a caller that had paused
+    # it finds it paused, whether the load succeeds or raises
+    path = two_focal_file if good else write_mass_file(tmp_path / "bad.json", ["a"], [(["zz"], 1.0)])
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        code, _ = main_in_process(capsys, "spectrum", "--input", path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == (0 if good else 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_emitted_family_reads_back_as_the_family(n, tmp_path, capsys):
+    path = str(tmp_path / "family.json")
+    main_in_process(capsys, "family", "--family", "max-deng", "--n", str(n), "--emit", path)
+    for command in (["spectrum"], ["dimension", "--alpha=-2,0.5,1,2,29"]):
+        from_file = main_in_process(capsys, *command, "--input", path)
+        from_family = main_in_process(capsys, *command, "--family", "max-deng", "--n", str(n))
+        assert from_file == from_family
+
+
 def test_repeated_frame_labels_exit_two_with_invalid_frame(tmp_path, capsys):
     path = write_mass_file(tmp_path / "labels.json", ["a", "a"], [(["a"], 1.0)])
     code, captured = main_in_process(capsys, "spectrum", "--input", path)
@@ -615,23 +707,36 @@ def test_integer_mass_too_large_for_a_float_exits_two(tmp_path, capsys):
 
 
 def test_order_past_the_double_range_is_an_error_row(capsys):
+    # the lone vacuous element's denominator alpha * log2 7 overflows at 1e308
     code, captured = main_in_process(
-        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308,2"
+        capsys, "dimension", "--family", "vacuous", "--n", "3", "--alpha", "1e308,2"
     )
     assert code == 0
     rows = csv_records(captured.out)
     assert rows[0] == {"alpha": "1e+308", "D_alpha": "", "numerator_bits": "",
                        "denominator_bits": "", "note": "OrderOutOfRange"}
-    assert float(rows[1]["D_alpha"]) == pytest.approx(1.2082137545959064, rel=1e-12)
+    assert float(rows[1]["D_alpha"]) == 0.5
     assert "nan" not in captured.out.lower()
 
 
 def test_only_orders_past_the_double_range_exit_three(capsys):
     code, captured = main_in_process(
-        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308"
+        capsys, "dimension", "--family", "vacuous", "--n", "3", "--alpha", "1e308"
     )
     assert code == 3
     assert "nan" not in captured.out.lower()
+
+
+def test_max_deng_has_a_value_where_every_numerator_exponent_overflows(capsys):
+    # every eps * t_i is -inf at 1e308, where the max-shifted sum alone is nan
+    code, captured = main_in_process(
+        capsys, "dimension", "--family", "max-deng", "--n", "3", "--alpha", "1e308,2"
+    )
+    assert code == 0
+    rows = csv_records(captured.out)
+    assert float(rows[0]["numerator_bits"]) == pytest.approx(math.log2(19), rel=1e-15)
+    assert float(rows[0]["D_alpha"]) == pytest.approx(4.1071005573496827e-308, rel=1e-12)
+    assert float(rows[1]["D_alpha"]) == pytest.approx(1.2082137545959064, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -738,8 +843,9 @@ def test_cli_import_leaves_dataclasses_unloaded():
 # --- pinned output bytes ---
 #
 # The exact text of outputs no other test pins: the envelope in every format,
-# the spectrum figure, a dimension run holding a negative-order note and an
-# error row, and a family document written under MASSFRACTAL_OUTPUT_DIR.
+# the spectrum figure, dimension runs holding a negative-order note, an error
+# row and a value at an order whose every numerator exponent overflows, and a
+# family document written under MASSFRACTAL_OUTPUT_DIR.
 
 ENVELOPE_CSV = ('x,F,kind\n'
                 '0.585,0.0,anchor\n'
@@ -821,16 +927,32 @@ SPECTRUM_SVG = """\
 </svg>
 """
 
+# max-Deng at 1e308: every eps * t_i overflows, and the numerator is log2 5
+# after the largest term is factored out; the 120-bit oracle gives the same
+# D_alpha to the last bit
 DIMENSION_CSV = ('alpha,D_alpha,numerator_bits,denominator_bits,note\n'
                  '-2.0,1.9658135394672127,2.321928094887362,1.1811537810023762,outside tabulated range\n'
-                 '1e+308,,,,OrderOutOfRange\n'
+                 '1e+308,2.441622534529879e-308,2.321928094887362,9.509775004326935e+307,\n'
                  '2.0,0.9212739087767148,2.321928094887362,2.5203450057219823,\n')
 
 DIMENSION_JSON = ('{"rows": [{"alpha": -2.0, "D_alpha": 1.9658135394672127, '
                   '"numerator_bits": 2.321928094887362, "denominator_bits": 1.1811537810023762, '
                   '"note": "outside tabulated range"}, {"alpha": 1e+308, '
-                  '"error": "OrderOutOfRange"}, {"alpha": 2.0, "D_alpha": 0.9212739087767148, '
-                  '"numerator_bits": 2.321928094887362, "denominator_bits": 2.5203450057219823, '
+                  '"D_alpha": 2.441622534529879e-308, "numerator_bits": 2.321928094887362, '
+                  '"denominator_bits": 9.509775004326935e+307, "note": null}, {"alpha": 2.0, '
+                  '"D_alpha": 0.9212739087767148, "numerator_bits": 2.321928094887362, '
+                  '"denominator_bits": 2.5203450057219823, "note": null}]}\n')
+
+# the lone vacuous element at 1e308: its denominator alpha * log2 7 overflows
+ERROR_ROW_CSV = ('alpha,D_alpha,numerator_bits,denominator_bits,note\n'
+                 '-2.0,-0.5,2.807354922057604,-5.614709844115208,outside tabulated range\n'
+                 '1e+308,,,,OrderOutOfRange\n'
+                 '2.0,0.5,2.807354922057604,5.614709844115208,\n')
+
+ERROR_ROW_JSON = ('{"rows": [{"alpha": -2.0, "D_alpha": -0.5, "numerator_bits": 2.807354922057604, '
+                  '"denominator_bits": -5.614709844115208, "note": "outside tabulated range"}, '
+                  '{"alpha": 1e+308, "error": "OrderOutOfRange"}, {"alpha": 2.0, "D_alpha": 0.5, '
+                  '"numerator_bits": 2.807354922057604, "denominator_bits": 5.614709844115208, '
                   '"note": null}]}\n')
 
 FAMILY_JSON = ('{"frame": ["h1", "h2", "h3"], "assignments": [{"subset": ["h1"], '
@@ -849,6 +971,9 @@ PINNED_OUTPUT = {
     ("dimension", "--family", "max-deng", "--n", "2", "--alpha=-2,1e308,2"): DIMENSION_CSV,
     ("dimension", "--family", "max-deng", "--n", "2", "--alpha=-2,1e308,2",
      "--format", "json"): DIMENSION_JSON,
+    ("dimension", "--family", "vacuous", "--n", "3", "--alpha=-2,1e308,2"): ERROR_ROW_CSV,
+    ("dimension", "--family", "vacuous", "--n", "3", "--alpha=-2,1e308,2",
+     "--format", "json"): ERROR_ROW_JSON,
 }
 
 

@@ -327,6 +327,16 @@ def test_profile_builders_refuse_frames_below_one(builder, n):
         builder(n)
 
 
+@pytest.mark.parametrize("builder", ALL_PROFILE_BUILDERS)
+@pytest.mark.parametrize("n", [True, False])
+def test_profile_builders_refuse_a_bool_frame_size(builder, n):
+    # as FrameOfDiscernment does: True would be a frame of cardinality True
+    with pytest.raises(InvalidFrame, match="frame size must be a positive integer"):
+        builder(n)
+    with pytest.raises(InvalidFrame):
+        FrameOfDiscernment(n)
+
+
 @pytest.mark.parametrize("builder", [vacuous_profile, uniform_singleton_profile])
 def test_single_band_profiles_serve_every_double_frame_size(builder):
     (band,) = builder(SINGLE_BAND_PROFILE_N)

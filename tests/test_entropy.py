@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,22 @@ def test_renyi_takes_int_orders():
     p = ProbabilityDistribution((0.2, 0.8))
     assert renyi_entropy(p, 2) == renyi_entropy(p, 2.0)
     assert renyi_entropy(p, 2) == pytest.approx(RENYI2_FIFTH_FOUR_FIFTHS, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1e307, 1e308, 1.7e308, sys.float_info.max])
+def test_renyi_at_orders_where_every_exponent_overflows(alpha):
+    # eps * log2 0.2 is -inf from about 7.7e307 on, and the max-shifted sum
+    # of those terms alone is nan; the value is the limit log2 5
+    p = ProbabilityDistribution([0.2] * 5)
+    assert renyi_entropy(p, alpha) == 2.321928094887362
+
+
+def test_renyi_past_the_overflow_keeps_the_largest_share():
+    # only the largest p_i survives eps * (t_i - T): the value is -log2 of it,
+    # the min-entropy, as the 120-bit evaluator gives at order 1e300
+    p = ProbabilityDistribution((0.2, 0.3, 0.5))
+    assert renyi_entropy(p, 1.7e308) == 1.0
+    assert renyi_entropy(p, 1.7e308) == pytest.approx(_oracle_renyi(p.probs, 1e300), rel=1e-12)
 
 
 def test_distribution_is_a_hashable_immutable_value():

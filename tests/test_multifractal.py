@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -334,11 +335,14 @@ def test_sweep_preserves_order_and_isolates_failures():
     max_deng_mass(FrameOfDiscernment(3)), vacuous_mass(FrameOfDiscernment(3)),
 ])
 def test_sweep_reports_orders_past_the_double_range(m):
-    # max-Deng overflows its numerator exponents, the lone vacuous element
-    # its denominator and, at the subnormal order, its value 1/alpha
+    # the lone vacuous element overflows its denominator at +-1e308 and, at
+    # the subnormal order, its value 1/alpha; max-Deng overflows every
+    # numerator exponent there, and keeps a finite value once the largest
+    # term is factored out
     entries = dimension_sweep(m, [1e308, -1e308, 1e-310, 2.0])
     errors = [e.error for e in entries]
-    assert errors[:2] == ["OrderOutOfRange", "OrderOutOfRange"]
+    past = "OrderOutOfRange" if m.focal_count == 1 else None
+    assert errors[:2] == [past, past]
     assert entries[3].result == multifractal_dimension(m, 2.0)
     for entry in entries:
         if entry.result is None:
@@ -346,6 +350,17 @@ def test_sweep_reports_orders_past_the_double_range(m):
                 multifractal_dimension(m, entry.alpha)
         else:
             assert math.isfinite(entry.result.value)
+
+
+@pytest.mark.parametrize("alpha", [1e308, 1.7e308, sys.float_info.max])
+def test_dimension_where_every_numerator_exponent_overflows(alpha):
+    # five singletons of 0.2: eps * log2 0.2 is -inf, and once the largest
+    # term is factored out the numerator is log2 5, as is the denominator
+    m = validate_mass_function(FrameOfDiscernment(5), [((i,), 0.2) for i in range(5)])
+    result = multifractal_dimension(m, alpha)
+    assert result.numerator_bits == 2.321928094887362
+    assert result.value == 1.0
+    assert dimension_from_profile([(1, 0.2, 5)], alpha) == result
 
 
 NOT_A_NUMBER_ORDERS = ["2", b"3", bytearray(b"2"), True, False, None, [2.0], object(), 10 ** 400]
