@@ -18,9 +18,7 @@ from .core import (
     validate_mass_function,
 )
 from .entropy import (
-    ProbabilityDistribution,
     deng_entropy,
-    deng_entropy_from_profile,
     renyi_entropy,
     renyi_information_dimension,
     shannon_entropy,
@@ -57,14 +55,12 @@ __all__ = [
     "FocalElement",
     "FrameOfDiscernment",
     "MassFunction",
-    "ProbabilityDistribution",
     "ProfileBand",
     "QuadraticEnvelope",
     "Spectrum",
     "SpectrumPoint",
     "asymptotic_anchor_points",
     "deng_entropy",
-    "deng_entropy_from_profile",
     "dimension_from_profile",
     "dimension_sweep",
     "dimension_sweep_from_profile",

@@ -17,7 +17,7 @@ Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames without enumerating ``2**n`` subsets, up to
-678 and 1023 for the max-Deng and uniform-powerset profiles.  :func:`_as_bands`
+644 and 1023 for the max-Deng and uniform-powerset profiles.  :func:`_as_bands`
 checks outside profiles as :func:`validate_mass_function` checks pairs.
 """
 
@@ -49,12 +49,13 @@ from .errors import (
 # the profile builders instead.
 EXPLICIT_SUBSET_CAP = 2 ** 26
 
-# The largest frames the profile builders accept.  Past them a band value is
-# no longer a positive finite double: from n = 679 the max-Deng singleton
-# mass 1 / (3**n - 2**n) rounds to zero, from n = 1024 the uniform
-# normaliser 2**n - 1 exceeds the largest double, and the single-band
-# profiles hold n itself and 1 / n.
-MAX_DENG_PROFILE_N = 678
+# The largest frames the profile builders accept.  Past them a band value
+# loses bits or leaves the double range: from n = 645 the max-Deng singleton
+# mass 1 / (3**n - 2**n) is subnormal, with too few bits left for D_alpha at
+# large orders, which that band sets; from n = 1024 the uniform normaliser
+# 2**n - 1 exceeds the largest double; and the single-band profiles hold n
+# itself and 1 / n.
+MAX_DENG_PROFILE_N = 644
 UNIFORM_POWERSET_PROFILE_N = 1023
 SINGLE_BAND_PROFILE_N = int(sys.float_info.max)
 
@@ -206,8 +207,8 @@ def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand,
 def _as_number(value, error: type[MassFractalError], what: str) -> float:
     """A mass or an order as a float, or ``error`` naming ``what`` it is.
     A string, bytes or bool, which float() would read, is refused, and so
-    is anything float() cannot read or holds only past the double range.
-    An int is taken."""
+    is anything float() cannot read (a signaling NaN ``Decimal`` included)
+    or holds only past the double range.  An int is taken."""
     if type(value) is float:
         return value
     if isinstance(value, (str, bytes, bytearray, bool)):
@@ -216,15 +217,22 @@ def _as_number(value, error: type[MassFractalError], what: str) -> float:
         return float(value)
     except TypeError:
         raise error(f"{what} of type {type(value).__name__} is not a number") from None
+    except ValueError:
+        raise error(f"{what} {value!r} is not a number") from None
     except OverflowError:
         raise error(f"{what} lies past the double range") from None
 
 
 def _checked_mask(subset: Iterable, n: int) -> int:
     """The bitmask of a subset whose distinct indices must each be an int in
-    ``[0, n)``; the first one that is not (in set order) is reported."""
+    ``[0, n)``; the first one that is not (in set order) is reported, as is
+    a subset that is no iterable of hashable values (a signaling NaN)."""
+    try:
+        indices = set(subset)
+    except TypeError:
+        raise IndexOutOfFrame(f"a {type(subset).__name__} subset holds no hashable indices") from None
     mask = 0
-    for index in set(subset):
+    for index in indices:
         if not isinstance(index, int) or not 0 <= index < n:
             raise IndexOutOfFrame(
                 f"hypothesis index {index!r} is not an integer in [0, {n})"
@@ -270,17 +278,18 @@ def _validated(
         if masked:
             mask = subset
         else:
-            if type(subset) is not tuple and type(subset) is not list and iter(subset) is subset:
-                subset = tuple(subset)  # a one-shot iterator, read twice below
             try:
+                if type(subset) is not tuple and type(subset) is not list and iter(subset) is subset:
+                    subset = tuple(subset)  # a one-shot iterator, read twice below
                 # an int sum keeps floats, numpy ints and other non-int
-                # indices out of the lookup, whose keys they could hash equal to
+                # indices out of the lookup, whose keys they could hash
+                # equal to; a sum of Decimals may raise ArithmeticError
                 if type(sum(subset)) is not int:
                     raise TypeError
                 mask = 0
                 for index in subset:
                     mask |= bits[index]
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ArithmeticError):
                 mask = _checked_mask(subset, n)
         if not mask:
             raise EmptyFocalElement("an empty subset was given positive mass")
@@ -418,12 +427,13 @@ def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
 # function, but without enumerating subsets, so they stay usable far beyond
 # the enumeration cap.
 
-def _check_profile_size(n: int, largest: int, family: str) -> None:
+def _check_profile_size(n: int, largest: int, family: str,
+                        fault: str = "leave the double range") -> None:
     # a bool is refused, as FrameOfDiscernment refuses it
     if type(n) is bool or not isinstance(n, int) or n < 1:
         raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
     if n > largest:
-        raise FrameTooLarge(f"{family} band values leave the double range past n = {largest:.6g}")
+        raise FrameTooLarge(f"{family} band values {fault} past n = {largest:.6g}")
 
 
 def _binomials(n: int) -> list[int]:
@@ -439,7 +449,7 @@ def _binomials(n: int) -> list[int]:
 
 
 def max_deng_profile(n: int) -> list[ProfileBand]:
-    _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng")
+    _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng", "turn subnormal")
     normalizer = 3 ** n - 2 ** n
     return [
         ProfileBand(k, ((1 << k) - 1) / normalizer, multiplicity)

@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MassFunction, ProfileBand, _as_bands, _as_number, _Frozen
+from .core import MassFunction, ProfileBand, _as_bands, _as_number
 from .errors import (
     DegenerateSupport,
     FrameTooLarge,
@@ -26,28 +26,6 @@ from .errors import (
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
 _MAX_EXPONENT = sys.float_info.max_exp - 1
-
-
-class ProbabilityDistribution(_Frozen):
-    """A discrete probability distribution given as a tuple of reals.
-
-    Zero entries are tolerated on input but never counted as support.  The
-    other entries are checked as the Bayesian mass function they make, the
-    singleton bands ``(1, p, 1)``: each must be a number in (0, 1] (NaN
-    fails; a string, bytes or bool is refused, not parsed), and
-    together they must sum to one within ``core.SUM_TOLERANCE``.
-    """
-
-    __slots__ = _fields = ("probs",)
-
-    def __init__(self, probs: Iterable[float]) -> None:
-        probs = tuple(_as_number(p, MassOutOfRange, "mass") for p in probs)
-        _as_bands([(1, p, 1) for p in probs if p != 0.0])
-        object.__setattr__(self, "probs", probs)
-
-    def support(self) -> tuple[float, ...]:
-        """The strictly positive entries."""
-        return tuple(p for p in self.probs if p > 0.0)
 
 
 def _log2_power_sum(exponents: Sequence[float]) -> float:
@@ -157,42 +135,58 @@ def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
     ) / -eps - top
 
 
-def renyi_entropy(p: ProbabilityDistribution, alpha: float) -> float:
-    """Renyi entropy of order alpha >= 0, in bits.
+def _probability_bands(probabilities: Iterable) -> list[ProfileBand]:
+    """The non-zero entries, each first passed by the masses' number check,
+    as the singleton bands ``(1, p, 1)``, checked as any bands are."""
+    probabilities = [_as_number(p, MassOutOfRange, "mass") for p in probabilities]
+    return _as_bands([(1, p, 1) for p in probabilities if p != 0.0])
 
-    log2(sum p_i ** alpha) / (1 - alpha), with Shannon entropy at alpha = 1,
-    over the support only.  The p_i enter normalised to sum to one, so the
-    value is continuous through alpha = 1 also when they sum to one only
-    within the tolerance.  An order that is not a number, or at which the
-    value is not finite (NaN, +inf), raises :class:`OrderOutOfRange`.
-    """
+
+def _renyi_bits(bands: Sequence[ProfileBand], alpha) -> float:
     alpha = _as_number(alpha, OrderOutOfRange, "order")
     if alpha < 0.0:
         raise NegativeOrderUnsupported(
             f"Renyi entropy of a probability distribution requires order >= 0, got {alpha}"
         )
-    logs = [math.log2(q) for q in p.support()]
-    value = _numerator_bits(_numerator_terms(logs, logs), alpha)
+    # on singleton bands log2(2**1 - 1) and log2 1 are 0.0, so the terms
+    # are the shares p_i and exponents log2 p_i
+    value = _numerator_bits(_deng_terms(bands)[3], alpha)
     if not math.isfinite(value):
         raise OrderOutOfRange(f"Renyi entropy has no finite value at order {alpha!r}")
     return value
 
 
-def shannon_entropy(p: ProbabilityDistribution) -> float:
+def renyi_entropy(probabilities: Iterable, alpha: float) -> float:
+    """Renyi entropy of order alpha >= 0, in bits, of a sequence of
+    probabilities: the D_alpha numerator of the Bayesian mass function they
+    make, log2(sum p_i ** alpha) / (1 - alpha) with Shannon entropy at 1.
+
+    Zero entries are dropped.  The rest enter normalised to sum to one, so
+    the value is continuous through alpha = 1 also when they sum to one only
+    within the tolerance.  A bad entry raises :class:`MassOutOfRange` or
+    :class:`SumNotOne` before the order is read; an order that is not a
+    number, or at which the value is not finite (NaN, +inf), raises
+    :class:`OrderOutOfRange`.
+    """
+    return _renyi_bits(_probability_bands(probabilities), alpha)
+
+
+def shannon_entropy(probabilities: Iterable) -> float:
     """-sum p_i log2 p_i in bits (0 log 0 = 0): Renyi entropy of order 1."""
-    return renyi_entropy(p, 1.0)
+    return renyi_entropy(probabilities, 1.0)
 
 
-def renyi_information_dimension(p: ProbabilityDistribution, alpha: float) -> float:
+def renyi_information_dimension(probabilities: Iterable, alpha: float) -> float:
     """Renyi entropy rescaled by log2 of the support size.
 
     Defined only for supports of at least two points; a point mass has no
-    scale to measure against.
+    scale to measure against, and raises :class:`DegenerateSupport` before
+    the order is read.
     """
-    n = len(p.support())
-    if n < 2:
-        raise DegenerateSupport(f"information dimension needs support >= 2, got {n}")
-    return renyi_entropy(p, alpha) / math.log2(n)
+    bands = _probability_bands(probabilities)
+    if len(bands) < 2:
+        raise DegenerateSupport(f"information dimension needs support >= 2, got {len(bands)}")
+    return _renyi_bits(bands, alpha) / math.log2(len(bands))
 
 
 def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
@@ -207,21 +201,11 @@ def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
     return list(m.bands)
 
 
-def deng_entropy_from_profile(profile: Iterable[tuple[int, float, int]]) -> float:
-    """Deng entropy in bits from (cardinality, mass, multiplicity) bands,
-    checked as the other profile entry points check them.
-
-    The numerator of the multifractal dimension at alpha = 1: the masses
-    enter normalised to sum to one, as they do at every other order.
+def deng_entropy(m: MassFunction | Iterable[tuple[int, float, int]]) -> float:
+    """Deng entropy -sum m(A) log2(m(A) / (2**|A| - 1)) in bits, of a mass
+    function or of ``(cardinality, mass, multiplicity)`` rows, which are
+    checked as bands are.  It is the D_alpha numerator at alpha = 1: the
+    masses enter normalised to sum to one, as at every other order.
     """
-    return _deng_terms(_as_bands(profile))[3].limit
-
-
-def deng_entropy(m: MassFunction) -> float:
-    """Deng entropy -sum m(A) log2(m(A) / (2**|A| - 1)) in bits.
-
-    The sum runs over the bands of :func:`as_profile_bands`, one per
-    distinct ``(cardinality, mass)`` pair.
-    """
-    return _deng_terms(as_profile_bands(m))[3].limit
-
+    bands = as_profile_bands(m) if isinstance(m, MassFunction) else _as_bands(m)
+    return _deng_terms(bands)[3].limit

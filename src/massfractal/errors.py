@@ -41,8 +41,8 @@ class IndexOutOfFrame(MassFractalError):
 
 class FrameTooLarge(MassFractalError):
     """An explicit family's masks would exceed the bit cap, a profile
-    builder's band values would leave the double range, or the envelope is
-    asked past the largest max-Deng profile."""
+    builder's band values would turn subnormal or leave the double range,
+    or the envelope is asked past the largest max-Deng profile."""
 
 
 # --- entropy-side errors ---

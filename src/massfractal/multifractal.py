@@ -51,6 +51,7 @@ from .errors import (
     DegenerateFrame,
     FrameTooLarge,
     IndexOutOfFrame,
+    InvalidFrame,
     OrderOutOfRange,
     ZeroDenominator,
 )
@@ -189,8 +190,11 @@ def spectrum_from_profile(
     Produces exactly what :func:`spectrum` would on the materialized mass
     function, but the cost scales with the number of cardinality bands, so
     frames far beyond the enumeration cap stay cheap.  Raises
-    :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
+    :class:`InvalidFrame` when n is not an int, and :class:`IndexOutOfFrame`
+    when a band's subsets do not fit a frame of n.
     """
+    if type(n) is bool or not isinstance(n, int):
+        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
     bands = _as_bands(profile)
     if max(map(itemgetter(0), bands)) > n:
         # the sizes go unprinted: an int past 4300 digits has no str
@@ -315,6 +319,8 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
     spectrum for a frame of size n, with coefficient
     4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
     served for the max-Deng spectra the profile builder serves."""
+    if type(n) is bool or not isinstance(n, int):
+        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
     if n < 2:
         raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
     if n > MAX_DENG_PROFILE_N:

@@ -794,7 +794,7 @@ def test_grouping_tolerance_belongs_to_spectrum_only(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "uniform-powerset", "--n", "1024",
      "--alpha-start", "1", "--alpha-stop", "3", "--alpha-step", "1"],
-    ["dimension", "--family", "max-deng", "--n", "679", "--alpha", "2"],
+    ["dimension", "--family", "max-deng", "--n", "645", "--alpha", "2"],
 ])
 def test_profile_frames_past_the_double_range_exit_two(argv):
     proc = run_cli(*argv)
@@ -804,7 +804,7 @@ def test_profile_frames_past_the_double_range_exit_two(argv):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("family, largest", [("max-deng", 678), ("uniform-powerset", 1023)])
+@pytest.mark.parametrize("family, largest", [("max-deng", 644), ("uniform-powerset", 1023)])
 def test_profile_frames_up_to_the_limit_run(family, largest, capsys):
     code, captured = main_in_process(
         capsys, "dimension", "--family", family, "--n", str(largest), "--alpha", "0.5,2"
@@ -815,6 +815,22 @@ def test_profile_frames_up_to_the_limit_run(family, largest, capsys):
     assert code == 2
     assert "FrameTooLarge" in captured.err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--family", "max-deng"],
+    ["spectrum", "--family", "max-deng"],
+    ["dimension", "--family", "max-deng", "--alpha", "2,1e6"],
+    ["envelope"],
+])
+def test_max_deng_frames_with_subnormal_masses_exit_two(argv, capsys):
+    # from n = 645 the singleton mass 1 / (3**n - 2**n) is subnormal, and
+    # D_alpha at order 1e6 would miss the family's value
+    code, captured = main_in_process(capsys, *argv, "--n", "645")
+    assert code == 2
+    assert captured.err.startswith("error: FrameTooLarge: ")
+    assert "644" in captured.err
+    assert captured.out == ""
 
 def test_cli_import_leaves_mpmath_unloaded():
     probe = (

@@ -1,46 +1,81 @@
-"""Property tests of the library's entry points on generated input.
+"""Property tests of every public entry point of the library on generated
+input.
 
-Frame sizes and labels, probabilities and orders are drawn from ints,
-bools, strings, ``None``, NaN, the infinities and reals in [-1000, 1000].
-Every call must end in one of two ways: a finite float (or a well-formed
-value holding only finite floats), or a :class:`MassFractalError`
-subclass.  A bare ``TypeError``, a ``nan`` or an ``inf`` fails.  Agreement
-with the oracle is checked in ``test_multifractal.py`` and
-``test_oracle.py``.
+Frame sizes and labels, subsets, masses, band rows, probabilities and
+orders are drawn from ints (past the double range too), bools, strings,
+``None``, NaN, the infinities, reals in [-1000, 1000], ``Fraction`` and
+``Decimal`` values (signaling NaN, NaN and exponents past the double range
+included).  Every call must end in one of two ways: a finite float (or a
+well-formed value holding only finite floats), or a
+:class:`MassFractalError` subclass.  A bare ``TypeError`` or
+``ValueError``, a ``nan`` or an ``inf`` fails.  Agreement with the oracle
+is checked in ``test_multifractal.py`` and ``test_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import pooled_mass_function, random_bayesian, random_mass_function
 from massfractal.core import (
     FrameOfDiscernment,
     max_deng_mass,
+    max_deng_profile,
+    uniform_powerset_mass,
+    uniform_powerset_profile,
+    uniform_singleton_mass,
+    uniform_singleton_profile,
     validate_mass_function,
     vacuous_mass,
+    vacuous_profile,
 )
 from massfractal.entropy import (
-    ProbabilityDistribution,
+    deng_entropy,
     renyi_entropy,
     renyi_information_dimension,
+    shannon_entropy,
 )
-from massfractal.errors import MassFractalError
-from massfractal.multifractal import dimension_sweep, multifractal_dimension
+from massfractal.errors import MassFractalError, MassOutOfRange, OrderOutOfRange
+from massfractal.multifractal import (
+    asymptotic_anchor_points,
+    dimension_from_profile,
+    dimension_sweep,
+    dimension_sweep_from_profile,
+    multifractal_dimension,
+    quadratic_envelope,
+    spectrum,
+    spectrum_from_profile,
+)
 
 FUZZ = settings(max_examples=200, deadline=None)
 
-# a size, an order or a probability as a caller might pass one
+SNAN = Decimal("sNaN")
+
+# a size, an index, an order or a probability as a caller might pass one
 VALUE = st.one_of(
     st.integers(-1000, 1000),
     st.floats(-1000.0, 1000.0),
     st.booleans(),
     st.text(max_size=3),
     st.none(),
-    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]),
+    st.fractions(),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, SNAN,
+                     Decimal("NaN"), Decimal("1e999999"), Decimal("-1e999999"),
+                     Decimal("1e-999999"), Fraction(10 ** 400, 3)]),
+)
+
+# a frame size: small enough to enumerate, or past a cap, or not a size
+SIZE = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([27, 645, 1024, 10 ** 12, 10 ** 400]),
+    VALUE,
 )
 
 LABEL = st.one_of(st.text(max_size=2), st.integers(0, 3), st.none())
@@ -57,6 +92,21 @@ LABELS = st.one_of(
 
 def finite(value) -> bool:
     return type(value) is float and math.isfinite(value)
+
+
+def all_finite(value) -> bool:
+    """Every float in a result, through its tuples and lists, is finite."""
+    if isinstance(value, (tuple, list)):
+        return all(map(all_finite, value))
+    return type(value) is not float or math.isfinite(value)
+
+
+def finite_or_refused(call, *args) -> None:
+    try:
+        value = call(*args)
+    except MassFractalError:
+        return
+    assert all_finite(value), (call.__name__, args, value)
 
 
 @FUZZ
@@ -91,17 +141,16 @@ PROBABILITIES = st.one_of(
 @example(probs=[0.2, 0.8], alpha=math.inf)
 @example(probs=[1.0], alpha=math.inf)
 @example(probs=[0.2, 0.8], alpha=-math.inf)
+@example(probs=[SNAN, 0.5], alpha=2.0)
+@example(probs=[0.5, 0.5], alpha=SNAN)
 def test_renyi_is_finite_or_refused(probs, alpha):
-    try:
-        p = ProbabilityDistribution(probs)
-    except MassFractalError:
-        return
     for quantity in (renyi_entropy, renyi_information_dimension):
         try:
-            value = quantity(p, alpha)
+            value = quantity(probs, alpha)
         except MassFractalError:
             continue
         assert finite(value), (quantity.__name__, probs, alpha, value)
+    finite_or_refused(shannon_entropy, probs)
 
 
 def _mass_function(kind: int, seed: int):
@@ -141,3 +190,100 @@ def test_dimension_is_finite_or_refused(m, alphas):
     for entry in entries:
         assert (entry.result is None) != (entry.error is None)
         assert entry.result is None or all(map(finite, entry.result)), entry
+
+
+SUBSET = st.one_of(st.lists(st.one_of(st.integers(0, 3), VALUE), max_size=3), VALUE)
+
+
+@FUZZ
+@given(size=SIZE, pairs=st.lists(st.tuples(SUBSET, st.one_of(VALUE, st.floats(0.0, 1.0))), max_size=4))
+@example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)])
+@example(size=2, pairs=[((0,), SNAN), ((1,), 0.5)])
+@example(size=2, pairs=[((SNAN,), 0.5), ((1,), 0.5)])
+def test_validation_and_what_it_feeds_are_finite_or_refused(size, pairs):
+    try:
+        m = validate_mass_function(FrameOfDiscernment(size), pairs)
+    except MassFractalError:
+        return
+    finite_or_refused(spectrum, m)
+    finite_or_refused(deng_entropy, m)
+
+
+
+def _cheap_to_round(value) -> bool:
+    # int(Decimal("1e999999")) alone takes about half a minute
+    return not (isinstance(value, Decimal) and value.is_finite() and value.adjusted() > 1000)
+
+
+# a cardinality or a multiplicity
+WHOLE = st.one_of(st.integers(1, 4), VALUE.filter(_cheap_to_round))
+
+BAND = st.tuples(WHOLE, st.one_of(st.floats(0.0, 1.0), VALUE), WHOLE)
+
+ROWS = st.one_of(
+    st.lists(BAND, max_size=3),
+    st.builds(lambda m: list(m.bands), st.builds(lambda seed: _mass_function(0, seed), st.integers(0, 2 ** 32))),
+)
+
+
+@FUZZ
+@given(rows=ROWS, n=SIZE, alpha=VALUE)
+@example(rows=[(1, 0.5, 2)], n=2, alpha=2.0)
+@example(rows=[(1, SNAN, 2)], n=2, alpha=2.0)
+@example(rows=[(1, 0.5, 2)], n=math.nan, alpha=2.0)
+@example(rows=[(1, 0.5, 2)], n=2, alpha=SNAN)
+def test_band_rows_are_finite_or_refused(rows, n, alpha):
+    finite_or_refused(deng_entropy, rows)
+    finite_or_refused(spectrum_from_profile, rows, n)
+    finite_or_refused(dimension_from_profile, rows, alpha)
+    try:
+        entries = dimension_sweep_from_profile(rows, [alpha, 2.0])
+    except MassFractalError:
+        return
+    # an error row echoes its order, which may be NaN
+    assert all(entry.result is None or all(map(finite, entry.result)) for entry in entries), entries
+
+
+PROFILE_BUILDERS = (max_deng_profile, uniform_powerset_profile, vacuous_profile, uniform_singleton_profile)
+MASS_BUILDERS = (max_deng_mass, uniform_powerset_mass, vacuous_mass, uniform_singleton_mass)
+
+
+@FUZZ
+@given(n=st.one_of(SIZE, st.integers(9, 1100)))
+@example(n=644)
+@example(n=645)
+@example(n=math.nan)
+@example(n=SNAN)
+@example(n="3")
+def test_builders_and_the_envelope_are_finite_or_refused(n):
+    for builder in PROFILE_BUILDERS:
+        try:
+            bands = builder(n)
+        except MassFractalError:
+            continue
+        assert all_finite(bands) and all(band.mass > 0.0 for band in bands)
+        finite_or_refused(deng_entropy, bands)
+        finite_or_refused(spectrum_from_profile, bands, n)
+    if not (isinstance(n, int) and 9 <= n <= 26):  # enumerated subsets stay few
+        for builder in MASS_BUILDERS:
+            try:
+                m = builder(FrameOfDiscernment(n))
+            except MassFractalError:
+                continue
+            assert all_finite(list(m.masses.values()))
+    finite_or_refused(quadratic_envelope, n)
+    finite_or_refused(asymptotic_anchor_points, n)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: validate_mass_function(FrameOfDiscernment(2), [((0,), SNAN), ((1,), 0.5)]), MassOutOfRange),
+    (lambda: dimension_from_profile([(1, SNAN, 2)], 2.0), MassOutOfRange),
+    (lambda: multifractal_dimension(vacuous_mass(FrameOfDiscernment(2)), SNAN), OrderOutOfRange),
+    (lambda: renyi_entropy([SNAN, 0.5], 2.0), MassOutOfRange),
+    (lambda: renyi_entropy([0.5, 0.5], SNAN), OrderOutOfRange),
+], ids=["mass", "band-mass", "order", "probability", "renyi-order"])
+def test_a_signaling_nan_is_named(call, error):
+    # float() raises a bare ValueError on it, not the TypeError it raises
+    # on other values that are not numbers
+    with pytest.raises(error, match=r"Decimal\('sNaN'\) is not a number"):
+        call()

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import massfractal.core as core_module
@@ -43,10 +43,8 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    ProbabilityDistribution,
     as_profile_bands,
     deng_entropy,
-    deng_entropy_from_profile,
     renyi_information_dimension,
 )
 from massfractal.errors import (
@@ -280,10 +278,9 @@ def test_bayesian_dimension_is_renyi_information_dimension():
         m = validate_mass_function(
             FrameOfDiscernment(n), [((i,), mass) for i, mass in enumerate(masses)]
         )
-        p = ProbabilityDistribution(tuple(masses))
         for alpha in (0.5, 1.0, 2.0, 6.0):
             left = multifractal_dimension(m, alpha).value
-            right = renyi_information_dimension(p, alpha)
+            right = renyi_information_dimension(masses, alpha)
             assert left == pytest.approx(right, abs=1e-10)
 
 
@@ -727,7 +724,7 @@ PROFILE_ENTRY_POINTS = {
     "dimension": lambda profile: dimension_from_profile(profile, 2.0),
     "sweep": lambda profile: dimension_sweep_from_profile(profile, [0.5, 2.0]),
     "spectrum": lambda profile: spectrum_from_profile(profile, 2),
-    "deng": deng_entropy_from_profile,
+    "deng": deng_entropy,
 }
 
 
@@ -810,11 +807,34 @@ def test_profile_builders_work_up_to_their_limit(builder, exact, largest):
 
 
 def test_profile_limits_are_where_the_masses_leave_the_doubles():
-    assert 1 / (3 ** MAX_DENG_PROFILE_N - 2 ** MAX_DENG_PROFILE_N) > 0.0
-    assert 1 / (3 ** (MAX_DENG_PROFILE_N + 1) - 2 ** (MAX_DENG_PROFILE_N + 1)) == 0.0
+    # the max-Deng singleton mass is normal at the cap and subnormal past it
+    assert 1 / (3 ** MAX_DENG_PROFILE_N - 2 ** MAX_DENG_PROFILE_N) >= sys.float_info.min
+    assert 0.0 < 1 / (3 ** (MAX_DENG_PROFILE_N + 1) - 2 ** (MAX_DENG_PROFILE_N + 1)) < sys.float_info.min
     assert math.isfinite(float(2 ** UNIFORM_POWERSET_PROFILE_N - 1))
     with pytest.raises(OverflowError):
         float(2 ** (UNIFORM_POWERSET_PROFILE_N + 1) - 1)
+
+
+
+@given(
+    n=st.integers(2, MAX_DENG_PROFILE_N),
+    alpha=st.one_of(st.floats(-1000.0, 1000.0), st.floats(1000.0, 1e300)),
+)
+@settings(max_examples=150, deadline=None)
+@example(n=MAX_DENG_PROFILE_N, alpha=1e300)
+@example(n=MAX_DENG_PROFILE_N, alpha=1e4)
+def test_max_deng_numerator_is_log_of_its_normaliser(n, alpha):
+    # every m(A) / (2**|A| - 1) is 1 / (3**n - 2**n), so the numerator is
+    # log2(3**n - 2**n) at every order; a subnormal band mass misses it
+    terms = entropy_module._deng_terms(max_deng_profile(n))[3]
+    exact = math.log2(3 ** n - 2 ** n)
+    assert abs(entropy_module._numerator_bits(terms, alpha) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e6])
+def test_max_deng_dimension_at_the_cap_matches_the_oracle(alpha):
+    got = dimension_from_profile(max_deng_profile(MAX_DENG_PROFILE_N), alpha).value
+    assert got == pytest.approx(oracle_dimension(max_deng_exact(MAX_DENG_PROFILE_N), alpha), rel=1e-15)
 
 
 # --- band order ---
@@ -844,7 +864,7 @@ def _profile_outputs(bands, n, orders):
     return repr((
         dimension_sweep_from_profile(bands, orders),
         spectrum_from_profile(bands, n),
-        deng_entropy_from_profile(bands),
+        deng_entropy(bands),
     ))
 
 
@@ -879,7 +899,7 @@ def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far
     # run on the bands as given (cardinality order for the builders),
     # shuffled and reversed, with no sort at all
     sweep = repr(dimension_sweep_from_profile(bands, orders))
-    deng = deng_entropy_from_profile(bands)
+    deng = deng_entropy(bands)
     for order in (bands, shuffled, bands[::-1]):
         terms = _unsorted_terms(order)
         assert repr(multifractal_module._sweep(terms, orders)) == sweep

@@ -26,7 +26,10 @@ REMOVED = [
     "core.MassFunction.mass_of",
     "core.MassFunction.contains",
     "entropy.max_deng_entropy_value",
-    "entropy.ProbabilityDistribution.support_size",
+    "ProbabilityDistribution",
+    "entropy.ProbabilityDistribution",
+    "deng_entropy_from_profile",
+    "entropy.deng_entropy_from_profile",
     "errors.NotAFocalElement",
     "multifractal.Spectrum.multiplicity_total",
     "multifractal._PreparedBands",
