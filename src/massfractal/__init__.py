@@ -29,9 +29,7 @@ from .multifractal import (
     Spectrum,
     SpectrumPoint,
     asymptotic_anchor_points,
-    dimension_from_profile,
     dimension_sweep,
-    dimension_sweep_from_profile,
     multifractal_dimension,
     quadratic_envelope,
     spectrum,
@@ -61,9 +59,7 @@ __all__ = [
     "SpectrumPoint",
     "asymptotic_anchor_points",
     "deng_entropy",
-    "dimension_from_profile",
     "dimension_sweep",
-    "dimension_sweep_from_profile",
     "max_deng_mass",
     "max_deng_profile",
     "multifractal_dimension",

@@ -61,10 +61,8 @@ from .multifractal import (
     SpectrumPoint,
     asymptotic_anchor_points,
     dimension_sweep,
-    dimension_sweep_from_profile,
     quadratic_envelope,
     spectrum,
-    spectrum_from_profile,
 )
 
 _FAMILY_PROFILE = {
@@ -148,6 +146,13 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
     finally:
         if collecting:
             gc.enable()
+
+
+def _source(args: argparse.Namespace):
+    """The ``--input`` file's mass function, or the ``--family`` bands."""
+    if args.input is not None:
+        return _load_mass_function(args.input, args.tolerance_sum)
+    return _FAMILY_PROFILE[args.family](args.n)
 
 
 # --- output plumbing ---
@@ -240,13 +245,7 @@ def _svg_document(
 # --- commands ---
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        m = _load_mass_function(args.input, args.tolerance_sum)
-        result = spectrum(m, grouping_tolerance=args.tolerance_grouping)
-    else:
-        result = spectrum_from_profile(
-            _FAMILY_PROFILE[args.family](args.n), args.n, grouping_tolerance=args.tolerance_grouping
-        )
+    result = spectrum(_source(args), grouping_tolerance=args.tolerance_grouping)
     points = result.points
     if args.format == "svg":
         return _emit(args, _svg_document([(p.y, p.f) for p in points], max(p.y for p in points) + 0.1))
@@ -258,11 +257,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_dimension(args: argparse.Namespace) -> int:
     """Both ``dimension`` and ``sweep``: a sweep's grid is already in ``args.alpha``."""
-    if args.input is not None:
-        m = _load_mass_function(args.input, args.tolerance_sum)
-        entries = dimension_sweep(m, args.alpha)
-    else:
-        entries = dimension_sweep_from_profile(_FAMILY_PROFILE[args.family](args.n), args.alpha)
+    entries = dimension_sweep(_source(args), args.alpha)
     columns = ("alpha", "D_alpha", "numerator_bits", "denominator_bits")
     records = [
         {"alpha": entry.alpha, "error": entry.error} if entry.result is None
@@ -285,7 +280,7 @@ def _dimension_table(first_column: str, alphas: list[int], labelled_bands) -> tu
     """One row per ``(label, bands)``: the label, then ``D_alpha`` at each
     order to four places."""
     rows = [
-        [label] + [_format4(entry.result.value) for entry in dimension_sweep_from_profile(bands, alphas)]
+        [label] + [_format4(entry.result.value) for entry in dimension_sweep(bands, alphas)]
         for label, bands in labelled_bands
     ]
     return [first_column] + [f"alpha_{a}" for a in alphas], rows
@@ -300,7 +295,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         header = ["frame_size"] + [f"card_{k}" for k in range(1, 7)]
         rows = []
         for n in range(2, 7):
-            points = spectrum_from_profile(max_deng_profile(n), n).points
+            points = spectrum(max_deng_profile(n)).points
             by_cardinality = {p.representative_cardinality: p.y if table_id == "T1" else p.f
                               for p in points}
             rows.append([str(n)] + [_format4(by_cardinality[k]) if k in by_cardinality else ""
@@ -354,7 +349,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
     step = (envelope.root_high - envelope.root_low) / (count - 1)
     samples = [(x, envelope.evaluate(x)) for x in (envelope.root_low + i * step for i in range(count))]
     if args.format == "svg":
-        points = spectrum_from_profile(max_deng_profile(args.n), args.n).points
+        points = spectrum(max_deng_profile(args.n)).points
         x_hi = max([p.y for p in points] + [envelope.root_high]) + 0.1
         return _emit(args, _svg_document([(p.y, p.f) for p in points], x_hi, polyline=samples))
     if args.format == "json":

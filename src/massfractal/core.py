@@ -8,17 +8,18 @@ the power set, vacuous, uniform over singletons).
 
 A validated :class:`MassFunction` maps int bitmasks (bit ``i`` is hypothesis
 ``i``) to masses and keeps the exact ``(cardinality, mass)`` bands that
-entropy, spectrum and dimension read.  One pass, :func:`_validated`, checks
-every ``(subset, mass)`` pair, for :func:`validate_mass_function` and for
-the CLI's loader alike, and counts the bands once after it; nothing groups
-again.
+entropy, spectrum and dimension read, as one checked :class:`Bands` value.
+One pass, :func:`_validated`, checks every ``(subset, mass)`` pair, for
+:func:`validate_mass_function` and for the CLI's loader alike, and counts
+the bands once after it; nothing groups again.
 
 Large frames are handled through *cardinality profiles*: a mass function whose
 mass depends only on the cardinality of the focal element is fully described
 by one ``(cardinality, mass, multiplicity)`` band per cardinality, which lets
 downstream code evaluate frames without enumerating ``2**n`` subsets, up to
-644 and 1023 for the max-Deng and uniform-powerset profiles.  :func:`_as_bands`
-checks outside profiles as :func:`validate_mass_function` checks pairs.
+644 and 1023 for the max-Deng and uniform-powerset profiles.  The builders
+return :class:`Bands` too, and :func:`_as_bands` checks outside rows as
+:func:`validate_mass_function` checks pairs, so no band is checked twice.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import operator
 import sys
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateFocalElement,
@@ -37,6 +38,7 @@ from .errors import (
     FrameTooLarge,
     IndexOutOfFrame,
     InvalidFrame,
+    InvalidTolerance,
     MassFractalError,
     MassOutOfRange,
     SumNotOne,
@@ -161,6 +163,16 @@ class ProfileBand(NamedTuple):
     multiplicity: int
 
 
+class Bands(tuple):
+    """Checked bands and the size of their frame (``None`` for rows given
+    without one), built only by the builders, validation and :func:`_as_bands`."""
+
+    def __new__(cls, bands: Iterable[ProfileBand], frame_size: int | None = None) -> Bands:
+        self = super().__new__(cls, bands)
+        self.frame_size = frame_size
+        return self
+
+
 class MassFunction(_Frozen):
     """A validated basic probability assignment over a frame.
 
@@ -173,8 +185,7 @@ class MassFunction(_Frozen):
     __slots__ = ("frame", "masses", "bands", "__dict__")
     _fields = ("frame", "masses", "bands")
 
-    def __init__(self, frame: FrameOfDiscernment, masses: dict[int, float],
-                 bands: tuple[ProfileBand, ...]) -> None:
+    def __init__(self, frame: FrameOfDiscernment, masses: dict[int, float], bands: Bands) -> None:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "bands", bands)
@@ -196,14 +207,6 @@ class MassFunction(_Frozen):
         return len(self.masses)
 
 
-def _sorted_bands(counts: Mapping[tuple[int, float], int]) -> tuple[ProfileBand, ...]:
-    """Counted ``(cardinality, mass)`` pairs as bands, sorted by pair."""
-    return tuple(
-        ProfileBand(cardinality, mass, multiplicity)
-        for (cardinality, mass), multiplicity in sorted(counts.items())
-    )
-
-
 def _as_number(value, error: type[MassFractalError], what: str) -> float:
     """A mass or an order as a float, or ``error`` naming ``what`` it is.
     A string, bytes or bool, which float() would read, is refused, and so
@@ -221,6 +224,15 @@ def _as_number(value, error: type[MassFractalError], what: str) -> float:
         raise error(f"{what} {value!r} is not a number") from None
     except OverflowError:
         raise error(f"{what} lies past the double range") from None
+
+
+def _as_tolerance(value, what: str) -> float:
+    """A tolerance as a float of at least 0, an infinity included, or
+    :class:`InvalidTolerance` naming ``what`` it is; NaN is refused."""
+    tolerance = _as_number(value, InvalidTolerance, what)
+    if not tolerance >= 0.0:
+        raise InvalidTolerance(f"{what} {tolerance!r} is not a non-negative number")
+    return tolerance
 
 
 def _checked_mask(subset: Iterable, n: int) -> int:
@@ -262,8 +274,8 @@ def _validated(
     checked index by index (:func:`_checked_mask`), which names the
     offending index.  A kept mask must be non-empty and new; a repeat is
     named by its distinct members.  The masses must sum to one within
-    ``sum_tolerance``, and the ``(cardinality, mass)`` bands are counted
-    once, after the loop.
+    ``sum_tolerance``, itself checked after the pairs, and the
+    ``(cardinality, mass)`` bands are counted once, after the loop.
     """
     n = frame.size
     bits = {} if masked else {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
@@ -298,10 +310,12 @@ def _validated(
             raise DuplicateFocalElement(f"subset {members} appears twice")
         masses[mask] = mass
     total = math.fsum(masses.values())
-    if not abs(total - 1.0) <= sum_tolerance:
+    # a tolerance of 1 or more would pass a function with no focal element
+    if not masses or not abs(total - 1.0) <= _as_tolerance(sum_tolerance, "sum tolerance"):
         raise SumNotOne(f"masses sum to {total!r}, not 1")
     counts = Counter(zip(map(int.bit_count, masses), masses.values()))
-    return MassFunction(frame, masses, _sorted_bands(counts))
+    bands = Bands((ProfileBand(*pair, multiplicity) for pair, multiplicity in sorted(counts.items())), n)
+    return MassFunction(frame, masses, bands)
 
 
 def validate_mass_function(
@@ -324,28 +338,43 @@ def validate_mass_function(
         Any sequence of (iterable-of-indices, mass) pairs, possibly
         unsorted, with duplicates and out-of-range values to be rejected.
     sum_tolerance:
-        Acceptable |sum - 1| for the retained masses.
+        Acceptable |sum - 1| for the retained masses: a number of at least
+        0, checked after the pairs.
 
     Raises
     ------
     MassOutOfRange, EmptyFocalElement, IndexOutOfFrame,
-    DuplicateFocalElement, SumNotOne
+    DuplicateFocalElement, InvalidTolerance, SumNotOne
     """
     return _validated(frame, raw, sum_tolerance)
 
 
-def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
-    """The profile as bands, checked as a mass function is: every mass a
-    number in (0, 1], every cardinality and multiplicity a whole number of
-    at least 1, and the k*m summing to one within ``SUM_TOLERANCE``.  The
-    sum is taken in the log domain, so a multiplicity past the double range
-    does not overflow it; every term is positive, so a plain sum is within
-    len(rows) * 2**-53 (relative) of the exact one."""
-    rows = list(profile)
+def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
+    """A :class:`Bands` as it is, or rows checked as a mass function is: each
+    a triple, every mass a number in (0, 1], every cardinality and
+    multiplicity a whole number of at least 1, and the k*m summing to one
+    within ``SUM_TOLERANCE``.  The sum is taken in the log domain, so a
+    multiplicity past the double range does not overflow it; every term is
+    positive, so a plain sum is within len(rows) * 2**-53 (relative) of the
+    exact one."""
+    if type(profile) is Bands:
+        return profile
+    try:
+        rows = list(profile)
+    except TypeError:
+        raise EmptyFocalElement(f"band rows come as an iterable, not as {type(profile).__name__}") from None
     if not rows:
         raise SumNotOne("a profile without bands carries no mass")
-    # strict: a row of other than three values is refused, not truncated
-    cardinalities, masses, multiplicities = zip(*rows, strict=True)
+    try:
+        # strict: a row of other than three values is refused, not truncated
+        cardinalities, masses, multiplicities = zip(*rows, strict=True)
+    except (TypeError, ValueError):
+        raise EmptyFocalElement("a band row is not a (cardinality, mass, multiplicity) triple") from None
+    if set(map(type, cardinalities + multiplicities)) != {int}:
+        if any(map(_past_reach, cardinalities)):
+            raise FrameTooLarge("a band cardinality lies past 2**1075 in magnitude")
+        if any(map(_past_reach, multiplicities)):
+            raise SumNotOne("a band multiplicity lies past 2**1075 in magnitude")
     # a fraction, a string, an infinity or a NaN does not round-trip int()
     try:
         whole = tuple(map(int, cardinalities)), tuple(map(int, multiplicities))
@@ -370,11 +399,29 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> list[ProfileBand]:
         raise SumNotOne(f"band masses times multiplicities sum to 2**{log_total!r}, not 1")
     # tuple.__new__ makes each band in C, skipping the namedtuple's
     # Python-level constructor; every row is already a checked triple
-    return list(map(tuple.__new__, itertools.repeat(ProfileBand),
-                    zip(cardinalities, masses, multiplicities)))
+    return Bands(map(tuple.__new__, itertools.repeat(ProfileBand),
+                     zip(cardinalities, masses, multiplicities)))
 
 
-def _check_explicit_size(n: int, profile: list[ProfileBand]) -> None:
+def _past_reach(value) -> bool:
+    """Whether a value other than an int is a finite number past 2**1075 in
+    magnitude, told without int(), whose time on a Decimal grows with its
+    exponent.  No band holds such a value: that cardinality has no double
+    log2(2**k - 1), and that multiplicity times the least positive double
+    mass, 2**-1074, passes one."""
+    try:
+        return (type(value) is not int and not -2 ** 1075 <= value <= 2 ** 1075
+                and -math.inf < value < math.inf)
+    except (TypeError, ArithmeticError):  # a string, or a Decimal NaN
+        return False
+
+
+def _bands_of(source) -> Bands:
+    """A mass function's bands, or :func:`_as_bands` of anything else."""
+    return source.bands if isinstance(source, MassFunction) else _as_bands(source)
+
+
+def _check_explicit_size(n: int, profile: Bands) -> None:
     """Refuse a family whose every subset, as a mask, would pass the cap."""
     # the bit table holds 1 << i for each i < n, and each mask at most n bits
     held = n * (n + 1) // 2 + n * sum(band.multiplicity for band in profile)
@@ -383,7 +430,7 @@ def _check_explicit_size(n: int, profile: list[ProfileBand]) -> None:
                             f"of {32 * EXPLICIT_SUBSET_CAP}; use the profile builders for frames this large")
 
 
-def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> MassFunction:
+def _symmetric_mass(frame: FrameOfDiscernment, profile: Bands) -> MassFunction:
     """Every subset of each band's cardinality, carrying that band's mass."""
     n = frame.size
     _check_explicit_size(n, profile)
@@ -393,7 +440,7 @@ def _symmetric_mass(frame: FrameOfDiscernment, profile: list[ProfileBand]) -> Ma
         for band in profile
         for combo in itertools.combinations(bits, band.cardinality)
     }
-    return MassFunction(frame, masses, tuple(profile))
+    return MassFunction(frame, masses, profile)
 
 
 def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
@@ -448,26 +495,26 @@ def _binomials(n: int) -> list[int]:
     return row
 
 
-def max_deng_profile(n: int) -> list[ProfileBand]:
+def max_deng_profile(n: int) -> Bands:
     _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng", "turn subnormal")
     normalizer = 3 ** n - 2 ** n
-    return [
+    return Bands((
         ProfileBand(k, ((1 << k) - 1) / normalizer, multiplicity)
         for k, multiplicity in enumerate(_binomials(n), 1)
-    ]
+    ), n)
 
 
-def uniform_powerset_profile(n: int) -> list[ProfileBand]:
+def uniform_powerset_profile(n: int) -> Bands:
     _check_profile_size(n, UNIFORM_POWERSET_PROFILE_N, "uniform-powerset")
     mass = 1.0 / (2 ** n - 1)
-    return [ProfileBand(k, mass, multiplicity) for k, multiplicity in enumerate(_binomials(n), 1)]
+    return Bands((ProfileBand(k, mass, multiplicity) for k, multiplicity in enumerate(_binomials(n), 1)), n)
 
 
-def vacuous_profile(n: int) -> list[ProfileBand]:
+def vacuous_profile(n: int) -> Bands:
     _check_profile_size(n, SINGLE_BAND_PROFILE_N, "vacuous")
-    return [ProfileBand(n, 1.0, 1)]
+    return Bands([ProfileBand(n, 1.0, 1)], n)
 
 
-def uniform_singleton_profile(n: int) -> list[ProfileBand]:
+def uniform_singleton_profile(n: int) -> Bands:
     _check_profile_size(n, SINGLE_BAND_PROFILE_N, "uniform-singleton")
-    return [ProfileBand(1, 1.0 / n, n)]
+    return Bands([ProfileBand(1, 1.0 / n, n)], n)

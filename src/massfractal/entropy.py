@@ -14,7 +14,7 @@ import operator
 import sys
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MassFunction, ProfileBand, _as_bands, _as_number
+from .core import Bands, MassFunction, ProfileBand, _as_bands, _as_number, _bands_of
 from .errors import (
     DegenerateSupport,
     FrameTooLarge,
@@ -135,7 +135,7 @@ def _numerator_bits(terms: _NumeratorTerms, alpha: float) -> float:
     ) / -eps - top
 
 
-def _probability_bands(probabilities: Iterable) -> list[ProfileBand]:
+def _probability_bands(probabilities: Iterable) -> Bands:
     """The non-zero entries, each first passed by the masses' number check,
     as the singleton bands ``(1, p, 1)``, checked as any bands are."""
     probabilities = [_as_number(p, MassOutOfRange, "mass") for p in probabilities]
@@ -189,23 +189,17 @@ def renyi_information_dimension(probabilities: Iterable, alpha: float) -> float:
     return _renyi_bits(bands, alpha) / math.log2(len(bands))
 
 
-def as_profile_bands(m: MassFunction) -> list[ProfileBand]:
-    """The evaluation form of a mass function: one band per exact
-    ``(cardinality, mass)`` pair of its focal elements, sorted by pair.
-
-    Every entropy and dimension term depends on a focal element only through
-    that pair, so a band stands for ``multiplicity`` identical terms.  Masses
-    are compared bit for bit.  The bands were counted once, when ``m`` was
-    validated or built; this copies them and never groups again.
-    """
-    return list(m.bands)
+def as_profile_bands(m: MassFunction) -> Bands:
+    """``m.bands``, kept under this name for the benchmark until ROADMAP
+    item 3 moves it off and removes it."""
+    return m.bands
 
 
-def deng_entropy(m: MassFunction | Iterable[tuple[int, float, int]]) -> float:
+def deng_entropy(source: MassFunction | Iterable[tuple[int, float, int]]) -> float:
     """Deng entropy -sum m(A) log2(m(A) / (2**|A| - 1)) in bits, of a mass
-    function or of ``(cardinality, mass, multiplicity)`` rows, which are
-    checked as bands are.  It is the D_alpha numerator at alpha = 1: the
-    masses enter normalised to sum to one, as at every other order.
+    function, of a profile builder's bands, or of ``(cardinality, mass,
+    multiplicity)`` rows, which are checked as bands are.  It is the D_alpha
+    numerator at alpha = 1: the masses enter normalised to sum to one, as at
+    every other order.
     """
-    bands = as_profile_bands(m) if isinstance(m, MassFunction) else _as_bands(m)
-    return _deng_terms(bands)[3].limit
+    return _deng_terms(_bands_of(source))[3].limit

@@ -20,7 +20,8 @@ class InvalidFrame(MassFractalError):
 
 class EmptyFocalElement(MassFractalError):
     """An empty subset was given strictly positive mass, or a profile band
-    has a cardinality or multiplicity below one."""
+    is no ``(cardinality, mass, multiplicity)`` triple or has a cardinality
+    or multiplicity that is not a whole number of at least one."""
 
 
 class MassOutOfRange(MassFractalError):
@@ -29,6 +30,10 @@ class MassOutOfRange(MassFractalError):
 
 class SumNotOne(MassFractalError):
     """The masses do not sum to one within the validation tolerance."""
+
+
+class InvalidTolerance(MassFractalError):
+    """A sum or grouping tolerance is not a number of at least zero."""
 
 
 class DuplicateFocalElement(MassFractalError):

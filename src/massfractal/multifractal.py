@@ -33,10 +33,12 @@ from typing import Iterable, NamedTuple
 
 from .core import (
     MAX_DENG_PROFILE_N,
+    Bands,
     MassFunction,
-    ProfileBand,
     _as_bands,
     _as_number,
+    _as_tolerance,
+    _bands_of,
 )
 from .entropy import (
     _deng_terms,
@@ -45,7 +47,6 @@ from .entropy import (
     _log2_power_sum,
     _log2_subset_count,
     _numerator_bits,
-    as_profile_bands,
 )
 from .errors import (
     DegenerateFrame,
@@ -141,9 +142,8 @@ def _log2_full_range(n: int) -> float:
     return _log2_subset_count(n)
 
 
-def _spectrum_from_bands(
-    bands: list[ProfileBand], n: int, grouping_tolerance: float
-) -> Spectrum:
+def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
+    grouping_tolerance = _as_tolerance(grouping_tolerance, "grouping tolerance")
     scale = _log2_full_range(n)
     # each group is [anchor mass, multiplicity, common cardinality or None]
     groups: list[list] = []
@@ -169,29 +169,32 @@ def _spectrum_from_bands(
     return Spectrum(frame_size=n, points=tuple(points))
 
 
-def spectrum(m: MassFunction, grouping_tolerance: float = GROUPING_TOLERANCE) -> Spectrum:
-    """Group the focal elements of m by mass and return the spectrum.
+def spectrum(source: MassFunction | Bands, grouping_tolerance: float = GROUPING_TOLERANCE) -> Spectrum:
+    """Group the focal elements of a mass function, or of a profile
+    builder's bands, by mass and return the spectrum on their frame.
 
     Two masses count as "the same" when their relative difference is within
-    ``grouping_tolerance``; each group becomes one :class:`SpectrumPoint`.
-    Grouping is by mass alone, so focal elements of different cardinalities
-    sharing a mass merge into a single point.  The grouping starts from the
-    bands ``m`` carries, so its cost scales with the number of distinct
-    ``(cardinality, mass)`` pairs.
+    ``grouping_tolerance``, a number of at least 0; each group becomes one
+    :class:`SpectrumPoint`.  Grouping is by mass alone, so focal elements of
+    different cardinalities sharing a mass merge into a single point.  The
+    grouping starts from the bands, so its cost scales with the number of
+    distinct ``(cardinality, mass)`` pairs.  Rows, which carry no frame
+    size, raise :class:`InvalidFrame`; :func:`spectrum_from_profile` takes one.
     """
-    return _spectrum_from_bands(as_profile_bands(m), m.frame.size, grouping_tolerance)
+    bands = _bands_of(source)
+    if bands.frame_size is None:
+        raise InvalidFrame("band rows carry no frame size; use spectrum_from_profile(rows, n)")
+    return _spectrum_from_bands(bands, bands.frame_size, grouping_tolerance)
 
 
 def spectrum_from_profile(
     profile: Iterable[tuple[int, float, int]], n: int, grouping_tolerance: float = GROUPING_TOLERANCE
 ) -> Spectrum:
-    """Spectrum of a cardinality-symmetric mass function given as bands.
+    """The spectrum of bands or rows on a frame of n, which need not be
+    the frame a builder's bands came with.
 
-    Produces exactly what :func:`spectrum` would on the materialized mass
-    function, but the cost scales with the number of cardinality bands, so
-    frames far beyond the enumeration cap stay cheap.  Raises
-    :class:`InvalidFrame` when n is not an int, and :class:`IndexOutOfFrame`
-    when a band's subsets do not fit a frame of n.
+    Raises :class:`InvalidFrame` when n is not an int, and
+    :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
     """
     if type(n) is bool or not isinstance(n, int):
         raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
@@ -266,16 +269,17 @@ def _sweep(terms: _DengTerms, alphas: Iterable[float]) -> list[SweepEntry]:
     return entries
 
 
-def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
-    """Order-alpha multifractal dimension of a mass function.
+def multifractal_dimension(source: MassFunction | Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
+    """Order-alpha multifractal dimension of a mass function, of a profile
+    builder's bands, or of rows, which are checked before the order.
 
     The order may be any real; at order 1 the numerator is the Deng entropy.
     Orders near 1 take the same formula without cancelling, within 1e-12
     (relative) of the exact value on every input the tests check, and the
     shares k*m enter normalised, so the value is continuous through 1 also
     when the masses sum to one only within the tolerance.  The evaluation
-    reads the exact ``(cardinality, mass)`` bands ``m`` carries, so the cost
-    scales with the number of distinct pairs.
+    reads the exact ``(cardinality, mass)`` bands, so the cost scales with
+    the number of distinct pairs.
 
     Raises :class:`ZeroDenominator` when the denominator log vanishes (a
     lone singleton, as on every one-hypothesis frame, or order zero on a
@@ -283,34 +287,35 @@ def multifractal_dimension(m: MassFunction, alpha: float) -> DimensionResult:
     :class:`OrderOutOfRange` when the order is so large or so small that the
     result leaves the double range, or is not a number.
     """
-    alpha = _as_number(alpha, OrderOutOfRange, "order")
-    return _dimension_from_bands(_deng_terms(as_profile_bands(m)), alpha)
+    terms = _deng_terms(_bands_of(source))
+    return _dimension_from_bands(terms, _as_number(alpha, OrderOutOfRange, "order"))
 
 
 def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
-    """Multifractal dimension straight from (cardinality, mass, multiplicity)
-    bands, for symmetric families too large to materialize."""
-    alpha = _as_number(alpha, OrderOutOfRange, "order")
-    return _dimension_from_bands(_deng_terms(_as_bands(profile)), alpha)
+    """:func:`multifractal_dimension`, kept under this name for the
+    benchmark until ROADMAP item 3 moves it off and removes it."""
+    terms = _deng_terms(_as_bands(profile))
+    return _dimension_from_bands(terms, _as_number(alpha, OrderOutOfRange, "order"))
 
 
-def dimension_sweep(m: MassFunction, alphas: Iterable[float]) -> list[SweepEntry]:
+def dimension_sweep(source: MassFunction | Iterable[tuple[int, float, int]], alphas: Iterable[float]) -> list[SweepEntry]:
     """Evaluate the dimension at each order, collecting per-order errors.
 
     One entry comes back per requested order, in input order; an order that
     fails (zero denominator, order out of range) yields an entry carrying
     the error name instead of aborting the remaining orders; an order that
-    is not a number raises :class:`OrderOutOfRange`.  The bands'
-    logs are taken once for the whole sweep, and each entry equals what
-    :func:`multifractal_dimension` returns at that order.
+    is not a number raises :class:`OrderOutOfRange`, after the source is
+    checked.  The bands' logs are taken once for the whole sweep, and each
+    entry equals what :func:`multifractal_dimension` returns at that order.
     """
-    return _sweep(_deng_terms(as_profile_bands(m)), alphas)
+    return _sweep(_deng_terms(_bands_of(source)), alphas)
 
 
 def dimension_sweep_from_profile(
     profile: Iterable[tuple[int, float, int]], alphas: Iterable[float]
 ) -> list[SweepEntry]:
-    """Profile-band twin of :func:`dimension_sweep`."""
+    """:func:`dimension_sweep`, kept under this name for the benchmark
+    until ROADMAP item 3 moves it off and removes it."""
     return _sweep(_deng_terms(_as_bands(profile)), alphas)
 
 

@@ -51,10 +51,9 @@ from massfractal.entropy import (
     renyi_information_dimension,
 )
 from massfractal.multifractal import (
-    dimension_from_profile,
     multifractal_dimension,
     quadratic_envelope,
-    spectrum_from_profile,
+    spectrum,
 )
 from massfractal.oracle import oracle_deng_entropy, oracle_dimension
 
@@ -204,7 +203,7 @@ def trend_breaks(grid):
 
 def test_criterion_01_max_deng_spectrum_points():
     started = time.perf_counter()
-    points = spectrum_from_profile(max_deng_profile(3), 3).points
+    points = spectrum(max_deng_profile(3)).points
     elapsed = time.perf_counter() - started
     expected = ((0.5131, 0.0), (0.9486, 0.5646), (1.5131, 0.5646))
     problems = []
@@ -225,7 +224,7 @@ def test_criterion_02_coordinate_tables_reproduce():
     started = time.perf_counter()
     problems = []
     for n in range(2, 7):
-        points = spectrum_from_profile(max_deng_profile(n), n).points
+        points = spectrum(max_deng_profile(n)).points
         by_cardinality = {p.representative_cardinality: p for p in points}
         for k in range(1, n + 1):
             point = by_cardinality[k]
@@ -276,7 +275,7 @@ def test_criterion_04_vacuous_reciprocal_law():
     for alpha in T4_ORDERS:
         values = set()
         for n in range(2, 21):
-            value = dimension_from_profile(vacuous_profile(n), float(alpha)).value
+            value = multifractal_dimension(vacuous_profile(n), float(alpha)).value
             values.add(value)
             if abs(value - 1.0 / alpha) > 1e-12:
                 problems.append(f"n={n}, order {alpha}: computed {value!r}, "
@@ -294,7 +293,7 @@ def test_criterion_05_uniform_powerset_table():
     for n, printed_row in T5_PRINTED.items():
         profile = uniform_powerset_profile(n)
         exact = uniform_powerset_exact(n)
-        computed[n] = [dimension_from_profile(profile, float(alpha)).value
+        computed[n] = [multifractal_dimension(profile, float(alpha)).value
                        for alpha in T5_ORDERS]
         for alpha, value, printed in zip(T5_ORDERS, computed[n], printed_row):
             problems += cell_problems(f"n={n}, order {alpha}", value, printed,
@@ -322,13 +321,13 @@ def test_criterion_06_max_deng_table():
     for n, printed_row in T6_PRINTED.items():
         profile = max_deng_profile(n)
         for alpha, printed in zip(T6_ORDERS, printed_row):
-            value = dimension_from_profile(profile, float(alpha)).value
+            value = multifractal_dimension(profile, float(alpha)).value
             if abs(value - printed) > GRID_TOLERANCE:
                 problems.append(f"n={n}, order {alpha}: computed {value:.6f}, "
                                 f"reference {printed}")
     # the largest row should have flattened onto the limiting constant
     top_row = [
-        dimension_from_profile(max_deng_profile(20), float(alpha)).value
+        multifractal_dimension(max_deng_profile(20), float(alpha)).value
         for alpha in T6_ORDERS
     ]
     if any(abs(value - 1.5849) > GRID_TOLERANCE for value in top_row):
@@ -354,7 +353,7 @@ def test_criterion_08_uniform_singleton_fixed_point():
     for n in range(2, 51):
         profile = uniform_singleton_profile(n)
         for alpha in (0.5, 1.0, 2.0, 10.0):
-            value = dimension_from_profile(profile, alpha).value
+            value = multifractal_dimension(profile, alpha).value
             if abs(value - 1.0) > 1e-12:
                 problems.append(f"n={n}, order {alpha}: computed {value!r}")
     assert not problems, "\n".join(problems)
@@ -364,7 +363,7 @@ def test_criterion_09_spectrum_fixed_points():
     started = time.perf_counter()
     problems = []
     for n in range(2, 26):
-        flat = spectrum_from_profile(uniform_powerset_profile(n), n).points
+        flat = spectrum(uniform_powerset_profile(n)).points
         if len(flat) != 1:
             problems.append(f"uniform powerset n={n}: {len(flat)} points")
         else:
@@ -373,7 +372,7 @@ def test_criterion_09_spectrum_fixed_points():
                 problems.append(f"uniform powerset n={n}: f={point.f!r}")
             if abs(point.y - 1.0) > 1e-12:
                 problems.append(f"uniform powerset n={n}: y={point.y!r}")
-        ignorant = spectrum_from_profile(vacuous_profile(n), n).points
+        ignorant = spectrum(vacuous_profile(n)).points
         if len(ignorant) != 1:
             problems.append(f"vacuous n={n}: {len(ignorant)} points")
         elif (ignorant[0].y, ignorant[0].f) != (0.0, 0.0):
@@ -398,7 +397,7 @@ def test_criterion_10_oracle_equivalence():
               deng_entropy(profile), oracle_deng_entropy(exact))
         for alpha in T6_ORDERS:
             check(f"dimension max-deng n={n} order {alpha}",
-                  dimension_from_profile(profile, float(alpha)).value,
+                  multifractal_dimension(profile, float(alpha)).value,
                   oracle_dimension(exact, alpha))
 
     for n in (2, 4, 6, 8, 10, 12):
@@ -408,7 +407,7 @@ def test_criterion_10_oracle_equivalence():
               deng_entropy(profile), oracle_deng_entropy(exact))
         for alpha in T5_ORDERS:
             check(f"dimension uniform-powerset n={n} order {alpha}",
-                  dimension_from_profile(profile, float(alpha)).value,
+                  multifractal_dimension(profile, float(alpha)).value,
                   oracle_dimension(exact, alpha))
 
     for n in range(2, 13):
@@ -418,7 +417,7 @@ def test_criterion_10_oracle_equivalence():
               deng_entropy(profile), oracle_deng_entropy(exact))
         for alpha in T4_ORDERS:
             check(f"dimension vacuous n={n} order {alpha}",
-                  dimension_from_profile(profile, float(alpha)).value,
+                  multifractal_dimension(profile, float(alpha)).value,
                   oracle_dimension(exact, alpha))
         singleton_profile = uniform_singleton_profile(n)
         singleton_exact = [(1, Fraction(1, n), n)]
@@ -427,7 +426,7 @@ def test_criterion_10_oracle_equivalence():
               oracle_deng_entropy(singleton_exact))
         for alpha in (0.5, 1.0, 2.0, 10.0):
             check(f"dimension uniform-singleton n={n} order {alpha}",
-                  dimension_from_profile(singleton_profile, alpha).value,
+                  multifractal_dimension(singleton_profile, alpha).value,
                   oracle_dimension(singleton_exact, Fraction(alpha)))
 
     m = two_focal_mass()

@@ -642,6 +642,16 @@ def test_nan_sum_tolerance_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["dimension", "--alpha", "2"]])
+def test_a_file_without_focal_elements_exits_two_at_any_sum_tolerance(tmp_path, capsys, command):
+    # a tolerance of 1 would take the missing unit of mass
+    path = write_mass_file(tmp_path / "zero.json", ["a", "b"], [(["a"], 0.0)])
+    code, captured = main_in_process(capsys, *command, "--input", path, "--tolerance-sum", "1")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: SumNotOne: masses sum to 0.0, not 1\n"
+
+
 def test_negative_grouping_tolerance_exits_two(tmp_path, capsys):
     path = write_mass_file(
         tmp_path / "equal.json", ["a", "b", "c"],

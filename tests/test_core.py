@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import massfractal.core as core_module
 from conftest import dyadic_masses, mask_to_members, random_mass_function
 from massfractal.core import (
     EXPLICIT_SUBSET_CAP,
@@ -20,6 +21,7 @@ from massfractal.core import (
     SINGLE_BAND_PROFILE_N,
     SUM_TOLERANCE,
     UNIFORM_POWERSET_PROFILE_N,
+    Bands,
     FocalElement,
     FrameOfDiscernment,
     MassFunction,
@@ -41,6 +43,7 @@ from massfractal.errors import (
     FrameTooLarge,
     IndexOutOfFrame,
     InvalidFrame,
+    InvalidTolerance,
     MassFractalError,
     MassOutOfRange,
     SumNotOne,
@@ -217,7 +220,58 @@ def test_mass_function_survives_pickle_and_deepcopy(copy_of):
     clone = copy_of(m)
     assert clone == m and hash(clone) == hash(m)
     assert clone.bands == m.bands and clone.assignments == m.assignments
+    assert type(clone.bands) is Bands and clone.bands.frame_size == 3
     assert clone.masses[0b110] == 0.25
+
+
+@pytest.mark.parametrize("copy_of", [lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy])
+def test_bands_survive_pickle_and_copy(copy_of):
+    for bands in (max_deng_profile(4), Bands(max_deng_profile(4))):
+        clone = copy_of(bands)
+        assert type(clone) is Bands and clone == bands
+        assert clone.frame_size == bands.frame_size
+
+
+def test_every_band_source_gives_one_checked_value():
+    # a builder, validation and the row check each give a Bands; only the
+    # first two know the frame
+    m = validate_mass_function(_frame3(), [((0,), 0.2), ((1, 2), 0.8)])
+    rows = [(1, 0.2, 1), (2, 0.8, 1)]
+    checked = core_module._as_bands(rows)
+    for bands, frame_size in ((max_deng_profile(5), 5), (max_deng_mass(_frame3()).bands, 3),
+                              (m.bands, 3), (checked, None)):
+        assert type(bands) is Bands and bands.frame_size == frame_size
+        assert core_module._as_bands(bands) is bands
+    assert checked == m.bands and core_module._bands_of(m) is m.bands
+    # as_profile_bands, kept for the benchmark, is the mass function's bands
+    assert as_profile_bands(m) is m.bands
+
+
+NOT_A_TOLERANCE = ["x", b"1e-9", True, None, [1e-9], math.nan, -1e-9, -math.inf, -1]
+
+
+@pytest.mark.parametrize("tolerance", NOT_A_TOLERANCE)
+def test_sum_tolerance_is_a_number_of_at_least_zero(tolerance):
+    with pytest.raises(InvalidTolerance, match="sum tolerance"):
+        validate_mass_function(_frame3(), [((0,), 0.5), ((1,), 0.5)], tolerance)
+    # the pairs are checked before the tolerance
+    with pytest.raises(MassOutOfRange):
+        validate_mass_function(_frame3(), [((0,), 1.5)], tolerance)
+
+
+def test_sum_tolerance_takes_any_number_of_at_least_zero():
+    raw = [((0,), 0.5), ((1,), 0.5)]
+    for tolerance in (0, 0.0, Fraction(1, 10 ** 9), math.inf):
+        assert validate_mass_function(_frame3(), raw, tolerance).focal_count == 2
+    # an infinite tolerance takes any sum
+    assert validate_mass_function(_frame3(), [((0,), 0.5)], math.inf).focal_count == 1
+
+
+@pytest.mark.parametrize("tolerance", [1.0, 2, math.inf])
+def test_no_tolerance_passes_a_mass_function_without_focal_elements(tolerance):
+    for raw in ([], [((0,), 0.0)]):
+        with pytest.raises(SumNotOne, match="masses sum to 0"):
+            validate_mass_function(_frame3(), raw, tolerance)
 
 
 def test_sum_tolerance_is_configurable():
@@ -349,36 +403,34 @@ def test_single_band_profiles_serve_every_double_frame_size(builder):
 # --- cardinality profiles ---
 
 def test_profile_of_max_deng_n3():
-    bands = as_profile_bands(max_deng_mass(_frame3()))
-    assert bands == [
+    bands = max_deng_mass(_frame3()).bands
+    assert bands == (
         ProfileBand(1, 1 / 19, 3),
         ProfileBand(2, 3 / 19, 3),
         ProfileBand(3, 7 / 19, 1),
-    ]
+    )
 
 
 def test_profile_of_vacuous():
-    assert as_profile_bands(vacuous_mass(FrameOfDiscernment(6))) == [
-        ProfileBand(6, 1.0, 1)
-    ]
+    assert vacuous_mass(FrameOfDiscernment(6)).bands == (ProfileBand(6, 1.0, 1),)
 
 
 def test_profile_keeps_unequal_singleton_masses_apart():
     m = validate_mass_function(_frame3(), [((0,), 0.2), ((1,), 0.3), ((2,), 0.5)])
-    assert as_profile_bands(m) == [
+    assert m.bands == (
         ProfileBand(1, 0.2, 1), ProfileBand(1, 0.3, 1), ProfileBand(1, 0.5, 1)
-    ]
+    )
 
 
 def test_profile_allows_partial_cardinality_classes():
     # one singleton and one pair: one band each
     m = validate_mass_function(_frame3(), [((0,), 0.2), ((1, 2), 0.8)])
-    assert as_profile_bands(m) == [ProfileBand(1, 0.2, 1), ProfileBand(2, 0.8, 1)]
+    assert m.bands == (ProfileBand(1, 0.2, 1), ProfileBand(2, 0.8, 1))
 
 
 def test_profile_multiplicities_are_binomial():
     for n in range(1, 11):
-        bands = as_profile_bands(max_deng_mass(FrameOfDiscernment(n)))
+        bands = max_deng_mass(FrameOfDiscernment(n)).bands
         assert len(bands) == n
         assert [band.multiplicity for band in bands] == [
             math.comb(n, k) for k in range(1, n + 1)
@@ -429,7 +481,8 @@ def test_profile_builders_match_extracted_profiles():
             recounted = validate_mass_function(
                 frame, [(element.members, mass) for element, mass in m.assignments]
             )
-            assert list(recounted.bands) == profile_builder(n)
+            assert recounted.bands == profile_builder(n)
+            assert recounted.bands.frame_size == profile_builder(n).frame_size == n
 
 
 # --- invariants ---

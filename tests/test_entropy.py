@@ -32,7 +32,6 @@ from massfractal.core import (
 )
 from massfractal.entropy import (
     _log2_subset_count,
-    as_profile_bands,
     deng_entropy,
     renyi_entropy,
     renyi_information_dimension,
@@ -335,9 +334,9 @@ def test_profile_and_enumeration_paths_agree(n):
             (element.members, json.loads(json.dumps(mass)))
             for element, mass in m.assignments
         ])
-        assert as_profile_bands(m) == profile_builder(n)
-        assert as_profile_bands(round_tripped) == profile_builder(n)
-        by_bands = deng_entropy(as_profile_bands(m))
+        assert m.bands == profile_builder(n)
+        assert round_tripped.bands == profile_builder(n)
+        by_bands = deng_entropy(m.bands)
         element_bands = [
             (len(element.members), mass, 1) for element, mass in m.assignments
         ]
@@ -354,7 +353,7 @@ def test_profile_and_enumeration_paths_agree(n):
 @settings(max_examples=60, deadline=None)
 def test_band_builder_groups_exact_pairs(seed, n, pool_size):
     m = pooled_mass_function(random.Random(seed), n, pool_size)
-    bands = as_profile_bands(m)
+    bands = m.bands
     assert sum(band.multiplicity for band in bands) == m.focal_count
     pairs = [(band.cardinality, band.mass) for band in bands]
     assert pairs == sorted(set(pairs))

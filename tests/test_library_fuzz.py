@@ -1,8 +1,9 @@
 """Property tests of every public entry point of the library on generated
 input.
 
-Frame sizes and labels, subsets, masses, band rows, probabilities and
-orders are drawn from ints (past the double range too), bools, strings,
+Frame sizes and labels, subsets, masses, band rows (of three values or
+any other shape), probabilities, tolerances and orders are drawn from ints
+(past the double range too), bools, strings,
 ``None``, NaN, the infinities, reals in [-1000, 1000], ``Fraction`` and
 ``Decimal`` values (signaling NaN, NaN and exponents past the double range
 included).  Every call must end in one of two ways: a finite float (or a
@@ -44,9 +45,7 @@ from massfractal.entropy import (
 from massfractal.errors import MassFractalError, MassOutOfRange, OrderOutOfRange
 from massfractal.multifractal import (
     asymptotic_anchor_points,
-    dimension_from_profile,
     dimension_sweep,
-    dimension_sweep_from_profile,
     multifractal_dimension,
     quadratic_envelope,
     spectrum,
@@ -195,34 +194,42 @@ def test_dimension_is_finite_or_refused(m, alphas):
 SUBSET = st.one_of(st.lists(st.one_of(st.integers(0, 3), VALUE), max_size=3), VALUE)
 
 
+# a sum or grouping tolerance: the defaults, other numbers of at least 0,
+# or anything a caller might pass
+TOLERANCE = st.one_of(st.just(1e-9), st.floats(0.0, 1.0), VALUE)
+
+
 @FUZZ
-@given(size=SIZE, pairs=st.lists(st.tuples(SUBSET, st.one_of(VALUE, st.floats(0.0, 1.0))), max_size=4))
-@example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)])
-@example(size=2, pairs=[((0,), SNAN), ((1,), 0.5)])
-@example(size=2, pairs=[((SNAN,), 0.5), ((1,), 0.5)])
-def test_validation_and_what_it_feeds_are_finite_or_refused(size, pairs):
+@given(size=SIZE, pairs=st.lists(st.tuples(SUBSET, st.one_of(VALUE, st.floats(0.0, 1.0))), max_size=4),
+       sum_tolerance=TOLERANCE, grouping_tolerance=TOLERANCE)
+@example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
+@example(size=2, pairs=[((0,), SNAN), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
+@example(size=2, pairs=[((SNAN,), 0.5), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
+@example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)], sum_tolerance=math.nan, grouping_tolerance="x")
+@example(size=2, pairs=[((0,), 0.25), ((1,), 0.75)], sum_tolerance=SNAN, grouping_tolerance=math.nan)
+def test_validation_and_what_it_feeds_are_finite_or_refused(size, pairs, sum_tolerance, grouping_tolerance):
     try:
-        m = validate_mass_function(FrameOfDiscernment(size), pairs)
+        m = validate_mass_function(FrameOfDiscernment(size), pairs, sum_tolerance)
     except MassFractalError:
         return
     finite_or_refused(spectrum, m)
+    finite_or_refused(spectrum, m, grouping_tolerance)
     finite_or_refused(deng_entropy, m)
 
 
-
-def _cheap_to_round(value) -> bool:
-    # int(Decimal("1e999999")) alone takes about half a minute
-    return not (isinstance(value, Decimal) and value.is_finite() and value.adjusted() > 1000)
-
-
 # a cardinality or a multiplicity
-WHOLE = st.one_of(st.integers(1, 4), VALUE.filter(_cheap_to_round))
+WHOLE = st.one_of(st.integers(1, 4), VALUE)
 
 BAND = st.tuples(WHOLE, st.one_of(st.floats(0.0, 1.0), VALUE), WHOLE)
 
+# rows of three values, a mass function's bands as rows, or rows of other
+# shapes: pairs, quadruples and values that are no rows
 ROWS = st.one_of(
     st.lists(BAND, max_size=3),
     st.builds(lambda m: list(m.bands), st.builds(lambda seed: _mass_function(0, seed), st.integers(0, 2 ** 32))),
+    st.lists(st.one_of(BAND, st.tuples(WHOLE, WHOLE), st.tuples(WHOLE, WHOLE, WHOLE, WHOLE), VALUE),
+             min_size=1, max_size=3),
+    VALUE,
 )
 
 
@@ -232,12 +239,17 @@ ROWS = st.one_of(
 @example(rows=[(1, SNAN, 2)], n=2, alpha=2.0)
 @example(rows=[(1, 0.5, 2)], n=math.nan, alpha=2.0)
 @example(rows=[(1, 0.5, 2)], n=2, alpha=SNAN)
+@example(rows=[(1, 0.5)], n=2, alpha=2.0)
+@example(rows=[5], n=2, alpha=2.0)
+@example(rows=[(Decimal("1e999999"), 1.0, 1)], n=2, alpha=2.0)
+@example(rows=[(1, 0.5, Decimal("1e999999"))], n=2, alpha=2.0)
 def test_band_rows_are_finite_or_refused(rows, n, alpha):
     finite_or_refused(deng_entropy, rows)
+    finite_or_refused(spectrum, rows)
     finite_or_refused(spectrum_from_profile, rows, n)
-    finite_or_refused(dimension_from_profile, rows, alpha)
+    finite_or_refused(multifractal_dimension, rows, alpha)
     try:
-        entries = dimension_sweep_from_profile(rows, [alpha, 2.0])
+        entries = dimension_sweep(rows, [alpha, 2.0])
     except MassFractalError:
         return
     # an error row echoes its order, which may be NaN
@@ -263,7 +275,8 @@ def test_builders_and_the_envelope_are_finite_or_refused(n):
             continue
         assert all_finite(bands) and all(band.mass > 0.0 for band in bands)
         finite_or_refused(deng_entropy, bands)
-        finite_or_refused(spectrum_from_profile, bands, n)
+        finite_or_refused(spectrum, bands)
+        finite_or_refused(multifractal_dimension, bands, 2.0)
     if not (isinstance(n, int) and 9 <= n <= 26):  # enumerated subsets stay few
         for builder in MASS_BUILDERS:
             try:
@@ -277,7 +290,7 @@ def test_builders_and_the_envelope_are_finite_or_refused(n):
 
 @pytest.mark.parametrize("call, error", [
     (lambda: validate_mass_function(FrameOfDiscernment(2), [((0,), SNAN), ((1,), 0.5)]), MassOutOfRange),
-    (lambda: dimension_from_profile([(1, SNAN, 2)], 2.0), MassOutOfRange),
+    (lambda: multifractal_dimension([(1, SNAN, 2)], 2.0), MassOutOfRange),
     (lambda: multifractal_dimension(vacuous_mass(FrameOfDiscernment(2)), SNAN), OrderOutOfRange),
     (lambda: renyi_entropy([SNAN, 0.5], 2.0), MassOutOfRange),
     (lambda: renyi_entropy([0.5, 0.5], SNAN), OrderOutOfRange),

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from conftest import (
 from massfractal.core import (
     MAX_DENG_PROFILE_N,
     UNIFORM_POWERSET_PROFILE_N,
+    Bands,
     FrameOfDiscernment,
     max_deng_mass,
     max_deng_profile,
@@ -43,7 +46,6 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    as_profile_bands,
     deng_entropy,
     renyi_information_dimension,
 )
@@ -52,6 +54,8 @@ from massfractal.errors import (
     EmptyFocalElement,
     FrameTooLarge,
     IndexOutOfFrame,
+    InvalidFrame,
+    InvalidTolerance,
     MassOutOfRange,
     OrderOutOfRange,
     SumNotOne,
@@ -119,7 +123,7 @@ def test_spectrum_of_max_deng_three():
 
 @pytest.mark.parametrize("n", sorted(Y_TABLE))
 def test_published_coordinate_grid(n):
-    sp = spectrum_from_profile(max_deng_profile(n), n)
+    sp = spectrum(max_deng_profile(n))
     by_card = {p.representative_cardinality: p for p in sp.points}
     for k in range(1, n + 1):
         point = by_card[k]
@@ -129,7 +133,7 @@ def test_published_coordinate_grid(n):
 
 def test_uniform_powerset_collapses_to_one_point():
     for n in (2, 3, 7, 12):
-        sp = spectrum_from_profile(uniform_powerset_profile(n), n)
+        sp = spectrum(uniform_powerset_profile(n))
         assert len(sp.points) == 1
         point = sp.points[0]
         assert point.f == 1.0
@@ -148,7 +152,7 @@ def test_vacuous_spectrum_sits_at_the_origin():
 
 def test_unit_mass_maps_to_positive_zero():
     for sp in (spectrum(vacuous_mass(FrameOfDiscernment(4))),
-               spectrum_from_profile(vacuous_profile(4), 4)):
+               spectrum(vacuous_profile(4))):
         (point,) = sp.points
         assert point.y == 0.0
         assert math.copysign(1.0, point.y) == 1.0
@@ -178,6 +182,26 @@ def test_grouping_tolerance_merges_then_splits():
     assert [p.multiplicity for p in split.points] == [1, 1, 1]
 
 
+NOT_A_TOLERANCE = ["x", b"1e-9", True, None, [1e-9], math.nan, -1e-9, -math.inf, -1]
+
+
+@pytest.mark.parametrize("tolerance", NOT_A_TOLERANCE)
+def test_grouping_tolerance_is_a_number_of_at_least_zero(tolerance):
+    m = example_two_focal()
+    with pytest.raises(InvalidTolerance, match="grouping tolerance"):
+        spectrum(m, tolerance)
+    with pytest.raises(InvalidTolerance, match="grouping tolerance"):
+        spectrum_from_profile(vacuous_profile(3), 3, tolerance)
+
+
+def test_grouping_tolerance_takes_any_number_of_at_least_zero():
+    m = example_two_focal()
+    assert spectrum(m, 0) == spectrum(m, 0.0) == spectrum(m, Fraction(1, 10 ** 9))
+    # an infinite tolerance puts every mass in one group
+    (point,) = spectrum(m, math.inf).points
+    assert point.multiplicity == 2
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_profile_route_matches_enumeration(n):
     frame = FrameOfDiscernment(n)
@@ -193,10 +217,10 @@ def test_profile_route_matches_enumeration(n):
             with pytest.raises(DegenerateFrame):
                 spectrum(build_mass(frame))
             with pytest.raises(DegenerateFrame):
-                spectrum_from_profile(build_profile(n), n)
+                spectrum(build_profile(n))
             continue
         from_elements = spectrum(build_mass(frame))
-        from_bands = spectrum_from_profile(build_profile(n), n)
+        from_bands = spectrum(build_profile(n))
         assert from_elements == from_bands
 
 
@@ -260,10 +284,10 @@ def test_order_one_regression_anchors():
 
 
 def test_profile_route_dimension_spots():
-    assert dimension_from_profile(max_deng_profile(10), 7.0).value == pytest.approx(
+    assert multifractal_dimension(max_deng_profile(10), 7.0).value == pytest.approx(
         1.5750, abs=5e-4
     )
-    assert dimension_from_profile(max_deng_profile(20), 19.0).value == pytest.approx(
+    assert multifractal_dimension(max_deng_profile(20), 19.0).value == pytest.approx(
         1.5849, abs=5e-4
     )
 
@@ -303,14 +327,14 @@ def test_dimension_rejects_singleton_frames():
         with pytest.raises(ZeroDenominator):
             multifractal_dimension(m, alpha)
         with pytest.raises(ZeroDenominator):
-            dimension_from_profile(vacuous_profile(1), alpha)
-    assert dimension_sweep(m, [2.0]) == dimension_sweep_from_profile(vacuous_profile(1), [2.0])
+            multifractal_dimension(vacuous_profile(1), alpha)
+    assert dimension_sweep(m, [2.0]) == dimension_sweep(vacuous_profile(1), [2.0])
     assert dimension_sweep(m, [2.0])[0].error == "ZeroDenominator"
 
 
 def test_max_deng_order_one_grows_with_frame_size():
     values = [
-        dimension_from_profile(max_deng_profile(n), 1.0).value for n in range(2, 21)
+        multifractal_dimension(max_deng_profile(n), 1.0).value for n in range(2, 21)
     ]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < math.log2(3)
@@ -357,7 +381,7 @@ def test_dimension_where_every_numerator_exponent_overflows(alpha):
     result = multifractal_dimension(m, alpha)
     assert result.numerator_bits == 2.321928094887362
     assert result.value == 1.0
-    assert dimension_from_profile([(1, 0.2, 5)], alpha) == result
+    assert multifractal_dimension([(1, 0.2, 5)], alpha) == result
 
 
 NOT_A_NUMBER_ORDERS = ["2", b"3", bytearray(b"2"), True, False, None, [2.0], object(), 10 ** 400]
@@ -370,12 +394,12 @@ def test_orders_that_are_not_numbers_are_refused(alpha):
     with pytest.raises(OrderOutOfRange):
         multifractal_dimension(m, alpha)
     with pytest.raises(OrderOutOfRange):
-        dimension_from_profile(bands, alpha)
+        multifractal_dimension(bands, alpha)
     # refused outright, not reported as an error row of the sweep
     with pytest.raises(OrderOutOfRange):
         dimension_sweep(m, [2.0, alpha])
     with pytest.raises(OrderOutOfRange):
-        dimension_sweep_from_profile(bands, [alpha])
+        dimension_sweep(bands, [alpha])
 
 
 def test_int_orders_equal_float_orders():
@@ -403,47 +427,160 @@ def test_results_are_named_tuples():
 
 
 def test_sweep_from_profile_matches_direct_calls():
-    profile = max_deng_profile(6)
-    alphas = [1.0, 4.0, 7.0]
-    entries = dimension_sweep_from_profile(profile, alphas)
-    for entry in entries:
-        direct = dimension_from_profile(profile, entry.alpha)
-        assert entry.result == direct
+    # the benchmark's two dimension forwarders give what the unified calls
+    # give, on a builder's bands and on rows
+    for profile in (max_deng_profile(6), [(1, 0.2, 1), (2, 0.8, 1)]):
+        alphas = [1.0, 4.0, 7.0]
+        entries = dimension_sweep_from_profile(profile, alphas)
+        assert entries == dimension_sweep(profile, alphas)
+        for entry in entries:
+            direct = dimension_from_profile(profile, entry.alpha)
+            assert entry.result == direct == multifractal_dimension(profile, entry.alpha)
 
 
-def test_sweep_builds_its_bands_once(monkeypatch):
-    built = []
+@pytest.fixture
+def band_checks(monkeypatch):
+    """The profiles on which ``_as_bands`` ran its check, rather than
+    passing a :class:`Bands` through, in every module that calls it."""
+    checked = []
+    as_bands = core_module._as_bands
 
-    def counting(m):
-        built.append(m)
-        return as_profile_bands(m)
+    def counting(profile):
+        bands = as_bands(profile)
+        if bands is not profile:
+            checked.append(profile)
+        return bands
 
-    monkeypatch.setattr(multifractal_module, "as_profile_bands", counting)
+    for module in (core_module, entropy_module, multifractal_module):
+        monkeypatch.setattr(module, "_as_bands", counting)
+    return checked
+
+
+def test_sweep_builds_its_bands_once(monkeypatch, band_checks):
+    read = []
+    bands_of = core_module._bands_of
+
+    def counting(source):
+        read.append(source)
+        return bands_of(source)
+
+    monkeypatch.setattr(multifractal_module, "_bands_of", counting)
     m = pooled_mass_function(random.Random(8), 6)
     entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
     assert all(entry.result is not None for entry in entries)
-    assert len(built) == 1
+    assert read == [m] and band_checks == []
 
 
-def test_sweep_and_spectrum_share_one_band_build(monkeypatch):
-    groupings = []
-    group = core_module._sorted_bands
-
-    def counting(counts):
-        groupings.append(len(counts))
-        return group(counts)
-
-    monkeypatch.setattr(core_module, "_sorted_bands", counting)
+def test_sweep_and_spectrum_share_one_band_build(band_checks):
     m = pooled_mass_function(random.Random(21), 7)
-    assert len(groupings) == 1
     entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
     points = spectrum(m).points
     assert all(entry.result is not None for entry in entries)
     assert sum(point.multiplicity for point in points) == m.focal_count
     # validation grouped the focal elements once; the sweep and the spectrum
-    # read those bands and never derived the per-element assignments
-    assert groupings == [len(as_profile_bands(m))]
+    # read those bands as they are, never checked them again, and never
+    # derived the per-element assignments
+    assert core_module._bands_of(m) is m.bands and band_checks == []
+    assert m.bands.frame_size == 7
     assert "assignments" not in vars(m)
+
+
+@pytest.mark.parametrize("builder", [max_deng_profile, uniform_powerset_profile,
+                                     vacuous_profile, uniform_singleton_profile])
+def test_builder_bands_are_never_checked_again(builder, band_checks):
+    bands = builder(7)
+    assert type(bands) is Bands and bands.frame_size == 7
+    assert core_module._as_bands(bands) is bands
+    dimension_sweep(bands, [0.5, 2.0])
+    multifractal_dimension(bands, 2.0)
+    spectrum(bands)
+    deng_entropy(bands)
+    dimension_sweep_from_profile(bands, [2.0])
+    dimension_from_profile(bands, 2.0)
+    spectrum_from_profile(bands, 7)
+    assert band_checks == []
+
+
+def test_rows_are_checked_once_per_call(band_checks):
+    rows = [(1, 0.2, 1), (2, 0.8, 1)]
+    calls = [
+        lambda: dimension_sweep(rows, [0.5, 2.0, 3.0]),
+        lambda: multifractal_dimension(rows, 2.0),
+        lambda: deng_entropy(rows),
+        lambda: spectrum_from_profile(rows, 3),
+        lambda: dimension_sweep_from_profile(rows, [0.5, 2.0]),
+        lambda: dimension_from_profile(rows, 2.0),
+    ]
+    for count, call in enumerate(calls, 1):
+        call()
+        assert len(band_checks) == count
+    assert all(checked is rows for checked in band_checks)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_every_quantity_takes_a_mass_function_a_builders_bands_or_rows(n):
+    bands = max_deng_profile(n)
+    rows = [tuple(band) for band in bands]
+    sources = [bands, rows]
+    if n <= 5:
+        sources.append(max_deng_mass(FrameOfDiscernment(n)))
+        assert spectrum(sources[-1]) == spectrum(bands)
+    orders = [-2.0, 0.5, 1.0, 2.0, 29.0]
+    for source in sources:
+        assert dimension_sweep(source, orders) == dimension_sweep(bands, orders)
+        assert multifractal_dimension(source, 2.0) == multifractal_dimension(bands, 2.0)
+        assert deng_entropy(source) == deng_entropy(bands)
+    assert spectrum(bands) == spectrum_from_profile(rows, n)
+
+
+def test_spectrum_of_rows_needs_their_frame():
+    rows = [(1, 0.2, 1), (2, 0.8, 1)]
+    with pytest.raises(InvalidFrame, match=r"spectrum_from_profile\(rows, n\)"):
+        spectrum(rows)
+    # the rows are checked first
+    with pytest.raises(SumNotOne):
+        spectrum([(1, 0.2, 1)])
+    assert spectrum_from_profile(rows, 3).frame_size == 3
+
+
+def test_spectrum_from_profile_reads_the_frame_it_is_given():
+    # a builder's bands on another frame give another rescaling
+    bands = max_deng_profile(3)
+    assert spectrum_from_profile(bands, 3) == spectrum(bands)
+    wider = spectrum_from_profile(bands, 5)
+    assert wider.frame_size == 5
+    assert [point.y for point in wider.points] == [
+        (0.0 - math.log2(point.mass_value)) / math.log2(31) for point in wider.points
+    ]
+
+
+SOURCE_BEFORE_ORDER = {
+    "multifractal_dimension": lambda rows, order: multifractal_dimension(rows, order),
+    "dimension_sweep": lambda rows, order: dimension_sweep(rows, [order]),
+    "dimension_from_profile": lambda rows, order: dimension_from_profile(rows, order),
+    "dimension_sweep_from_profile": lambda rows, order: dimension_sweep_from_profile(rows, [order]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOURCE_BEFORE_ORDER))
+@pytest.mark.parametrize("rows, error", [
+    ([(1, 2.0, 1)], MassOutOfRange),
+    ([(1, 0.5)], EmptyFocalElement),
+    ([(1, 0.5, 1)], SumNotOne),
+    ([(2 ** 1100, 1.0, 1)], FrameTooLarge),
+], ids=["mass", "shape", "sum", "cardinality"])
+def test_the_source_is_named_before_the_order(entry, rows, error):
+    with pytest.raises(error):
+        SOURCE_BEFORE_ORDER[entry](rows, "x")
+
+
+@pytest.mark.parametrize("call", [
+    lambda rows, tolerance: spectrum(rows, tolerance),
+    lambda rows, tolerance: spectrum_from_profile(rows, 3, tolerance),
+], ids=["spectrum", "spectrum_from_profile"])
+def test_the_source_is_named_before_the_grouping_tolerance(call):
+    with pytest.raises(MassOutOfRange):
+        call([(1, 2.0, 1)], "x")
 
 
 # --- grouping on exact (cardinality, mass) ---
@@ -472,7 +609,7 @@ def test_grouped_bands_match_one_band_per_element(seed, n, pool_size):
     per_element = [(len(element.members), mass, 1) for element, mass in m.assignments]
     orders = FAR_ORDERS + NEAR_ORDERS
     grouped = dimension_sweep(m, orders)
-    ungrouped = dimension_sweep_from_profile(per_element, orders)
+    ungrouped = dimension_sweep(per_element, orders)
     terms = oracle_terms(m)
     for entry, reference in zip(grouped, ungrouped):
         alpha = entry.alpha
@@ -516,11 +653,11 @@ def test_family_dimensions_near_order_one_match_the_oracle(n):
         (max_deng_profile(n), max_deng_exact(n)),
         (uniform_powerset_profile(n), uniform_powerset_exact(n)),
     ):
-        assert _oracle_misses(dimension_sweep_from_profile(profile, NEAR_ONE_ORDERS), exact) == []
+        assert _oracle_misses(dimension_sweep(profile, NEAR_ONE_ORDERS), exact) == []
 
 
 def test_large_frame_dimension_near_order_one_matches_the_oracle():
-    entries = dimension_sweep_from_profile(max_deng_profile(400), NEAR_ONE_ORDERS)
+    entries = dimension_sweep(max_deng_profile(400), NEAR_ONE_ORDERS)
     assert _oracle_misses(entries, max_deng_exact(400)) == []
 
 
@@ -549,7 +686,7 @@ def test_negative_orders_with_a_singleton_match_the_oracle(profile):
     # at order -60 on the first profile the sum is 1 + 3**-30, and the log
     # of that sum rounded to a double is 0.57% off
     exact = [(c, Fraction(m), k) for c, m, k in profile]
-    entries = dimension_sweep_from_profile(profile, NEGATIVE_ORDERS)
+    entries = dimension_sweep(profile, NEGATIVE_ORDERS)
     assert _misses_but_out_of_range(entries, exact) == []
     assert entries[NEGATIVE_ORDERS.index(-60.0)].result is not None
 
@@ -557,7 +694,7 @@ def test_negative_orders_with_a_singleton_match_the_oracle(profile):
 def test_singleton_alone_past_the_double_range_is_out_of_range():
     # 3**(-0.75 * 1000) underflows to 0; the exact denominator is positive
     with pytest.raises(OrderOutOfRange):
-        dimension_from_profile([(1, 0.25, 1), (3, 0.75, 1)], -1000.0)
+        multifractal_dimension([(1, 0.25, 1), (3, 0.75, 1)], -1000.0)
 
 
 @st.composite
@@ -721,8 +858,8 @@ def test_dimension_handles_random_inputs_at_varied_orders():
 # --- checked profile bands ---
 
 PROFILE_ENTRY_POINTS = {
-    "dimension": lambda profile: dimension_from_profile(profile, 2.0),
-    "sweep": lambda profile: dimension_sweep_from_profile(profile, [0.5, 2.0]),
+    "dimension": lambda profile: multifractal_dimension(profile, 2.0),
+    "sweep": lambda profile: dimension_sweep(profile, [0.5, 2.0]),
     "spectrum": lambda profile: spectrum_from_profile(profile, 2),
     "deng": deng_entropy,
 }
@@ -758,36 +895,59 @@ def test_profile_entry_points_check_their_bands(entry, profile, error):
     [(1, 0.5, 1), (1, 0.5)],
 ])
 def test_band_rows_hold_three_values(profile):
-    with pytest.raises(ValueError):
-        dimension_from_profile(profile, 2.0)
+    with pytest.raises(EmptyFocalElement, match="not a .cardinality, mass, multiplicity. triple"):
+        multifractal_dimension(profile, 2.0)
+
+
+ROW_ENTRY_POINTS = dict(
+    PROFILE_ENTRY_POINTS,
+    spectrum_of_rows=spectrum,
+    dimension_from_profile=lambda profile: dimension_from_profile(profile, 2.0),
+    dimension_sweep_from_profile=lambda profile: dimension_sweep_from_profile(profile, [0.5, 2.0]),
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ROW_ENTRY_POINTS))
+@pytest.mark.parametrize("profile", [
+    [(1, 0.5)],
+    [(1, 0.5, 1), (1, 0.5)],
+    [(1, 0.5, 2, 7)],
+    [5],
+    [(1, 0.5, 1), None],
+    5,
+    None,
+], ids=["two", "ragged", "four", "int-row", "none-row", "int", "none"])
+def test_malformed_rows_are_named(entry, profile):
+    with pytest.raises(EmptyFocalElement, match="triple|iterable"):
+        ROW_ENTRY_POINTS[entry](profile)
 
 
 def test_band_total_is_taken_in_the_log_domain():
     # the multiplicity is past the double range, but k * m is exactly one
     for alpha in (0.5, 1.0, 2.0):
-        assert dimension_from_profile([(1, 2.0 ** -1030, 2 ** 1030)], alpha).value == 1.0
+        assert multifractal_dimension([(1, 2.0 ** -1030, 2 ** 1030)], alpha).value == 1.0
     with pytest.raises(SumNotOne):
-        dimension_from_profile([(1, 1e-310, 2 ** 1030)], 2.0)
+        multifractal_dimension([(1, 1e-310, 2 ** 1030)], 2.0)
     with pytest.raises(SumNotOne):
-        dimension_from_profile([(1, 1.0, 2 ** 3000)], 2.0)
+        multifractal_dimension([(1, 1.0, 2 ** 3000)], 2.0)
 
 
 def test_single_band_profiles_at_huge_frames():
     n = 10 ** 12
     for alpha in (0.5, 2.0, 3.0):
-        assert dimension_from_profile(vacuous_profile(n), alpha).value == 1.0 / alpha
-    assert dimension_from_profile(uniform_singleton_profile(n), 2.0).value == pytest.approx(1.0, rel=1e-12)
-    (point,) = spectrum_from_profile(vacuous_profile(n), n).points
+        assert multifractal_dimension(vacuous_profile(n), alpha).value == 1.0 / alpha
+    assert multifractal_dimension(uniform_singleton_profile(n), 2.0).value == pytest.approx(1.0, rel=1e-12)
+    (point,) = spectrum(vacuous_profile(n)).points
     assert (point.y, point.f) == (0.0, 0.0)
-    (point,) = spectrum_from_profile(uniform_singleton_profile(n), n).points
+    (point,) = spectrum(uniform_singleton_profile(n)).points
     assert point.y == pytest.approx(math.log2(n) / n, rel=1e-12)
 
 
 def test_profile_sum_tolerance_matches_validation():
     # k * m within 1e-9 of one passes, as a mass function's sum does
-    assert dimension_from_profile([(1, 0.5, 1), (2, 0.5 - 4e-10, 1)], 2.0).value > 0.0
+    assert multifractal_dimension([(1, 0.5, 1), (2, 0.5 - 4e-10, 1)], 2.0).value > 0.0
     with pytest.raises(SumNotOne):
-        dimension_from_profile([(1, 0.5, 1), (2, 0.5 - 2e-9, 1)], 2.0)
+        multifractal_dimension([(1, 0.5, 1), (2, 0.5 - 2e-9, 1)], 2.0)
 
 
 @pytest.mark.parametrize("builder, exact, largest", [
@@ -798,7 +958,7 @@ def test_profile_builders_work_up_to_their_limit(builder, exact, largest):
     bands = builder(largest)
     assert min(band.mass for band in bands) > 0.0
     for alpha in (0.5, 2.0):
-        got = dimension_from_profile(bands, alpha).value
+        got = multifractal_dimension(bands, alpha).value
         assert got == pytest.approx(oracle_dimension(exact(largest), alpha), rel=1e-12)
     with pytest.raises(FrameTooLarge):
         builder(largest + 1)
@@ -833,7 +993,7 @@ def test_max_deng_numerator_is_log_of_its_normaliser(n, alpha):
 
 @pytest.mark.parametrize("alpha", [1e4, 1e6])
 def test_max_deng_dimension_at_the_cap_matches_the_oracle(alpha):
-    got = dimension_from_profile(max_deng_profile(MAX_DENG_PROFILE_N), alpha).value
+    got = multifractal_dimension(max_deng_profile(MAX_DENG_PROFILE_N), alpha).value
     assert got == pytest.approx(oracle_dimension(max_deng_exact(MAX_DENG_PROFILE_N), alpha), rel=1e-15)
 
 
@@ -862,7 +1022,7 @@ def profiles(draw):
 
 def _profile_outputs(bands, n, orders):
     return repr((
-        dimension_sweep_from_profile(bands, orders),
+        dimension_sweep(bands, orders),
         spectrum_from_profile(bands, n),
         deng_entropy(bands),
     ))
@@ -890,7 +1050,7 @@ def _unsorted_terms(bands):
 def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far):
     bands, n = profile
     orders = NEAR_ONE_ORDERS + (-50.0, 0.0, 1.0, 2.0, 1000.0) + tuple(far)
-    shuffled = bands[:]
+    shuffled = list(bands)
     random.Random(shuffle_seed).shuffle(shuffled)
     expected = _profile_outputs(bands, n, orders)
     assert _profile_outputs(shuffled, n, orders) == expected
@@ -898,7 +1058,7 @@ def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far
     # the public entry points sort every order alike, so the kernel is also
     # run on the bands as given (cardinality order for the builders),
     # shuffled and reversed, with no sort at all
-    sweep = repr(dimension_sweep_from_profile(bands, orders))
+    sweep = repr(dimension_sweep(bands, orders))
     deng = deng_entropy(bands)
     for order in (bands, shuffled, bands[::-1]):
         terms = _unsorted_terms(order)
@@ -928,18 +1088,33 @@ def test_spectrum_profile_must_fit_its_frame():
         spectrum_from_profile([(1, 0.5, 1), (4, 0.5, 1)], 3)
     with pytest.raises(IndexOutOfFrame):  # a cardinality too long to print
         spectrum_from_profile([(10**5000, 1.0, 1)], 3)
-    (point,) = spectrum_from_profile(vacuous_profile(5), 5).points
+    (point,) = spectrum(vacuous_profile(5)).points
     assert point.representative_cardinality == 5
 
 
 def test_profile_mass_past_the_double_range_is_out_of_range():
     with pytest.raises(MassOutOfRange):
-        dimension_from_profile([(1, 2**1030, 1)], 2.0)
+        multifractal_dimension([(1, 2**1030, 1)], 2.0)
 
 
 def test_profile_cardinality_past_the_double_range_is_too_large():
     with pytest.raises(FrameTooLarge):
-        dimension_from_profile([(2**1100, 1.0, 1)], 2.0)
+        multifractal_dimension([(2**1100, 1.0, 1)], 2.0)
+
+
+@pytest.mark.parametrize("value", [Decimal("1e400"), Decimal("1e50000"), Decimal("1e999999"),
+                                   Decimal("1e99999999"), Fraction(10 ** 400, 3)])
+def test_huge_cardinalities_and_multiplicities_are_refused_at_once(value):
+    # int() of a Decimal takes time that grows with its exponent: tens of
+    # seconds at 1e999999; the refusal reads no int
+    started = time.perf_counter()
+    with pytest.raises(FrameTooLarge):
+        multifractal_dimension([(value, 1.0, 1)], 2.0)
+    with pytest.raises(SumNotOne):
+        deng_entropy([(1, 0.5, value)])
+    with pytest.raises(SumNotOne):
+        spectrum_from_profile([(1, 0.5, 1), (2, 0.5, value)], 3)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_spectrum_frame_past_the_double_range_is_too_large():
