@@ -258,6 +258,12 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _check_frame(frame) -> None:
+    """Refuse a frame that is no :class:`FrameOfDiscernment`."""
+    if not isinstance(frame, FrameOfDiscernment):
+        raise InvalidFrame(f"frame must be a FrameOfDiscernment, got {type(frame).__name__}")
+
+
 def _validated(
     frame: FrameOfDiscernment,
     pairs: Iterable[tuple],
@@ -335,7 +341,7 @@ def validate_mass_function(
     frame:
         The frame of discernment the subsets live in.
     raw:
-        Any sequence of (iterable-of-indices, mass) pairs, possibly
+        Any iterable of (iterable-of-indices, mass) pairs, possibly
         unsorted, with duplicates and out-of-range values to be rejected.
     sum_tolerance:
         Acceptable |sum - 1| for the retained masses: a number of at least
@@ -343,10 +349,19 @@ def validate_mass_function(
 
     Raises
     ------
-    MassOutOfRange, EmptyFocalElement, IndexOutOfFrame,
+    InvalidFrame, MassOutOfRange, EmptyFocalElement, IndexOutOfFrame,
     DuplicateFocalElement, InvalidTolerance, SumNotOne
     """
-    return _validated(frame, raw, sum_tolerance)
+    _check_frame(frame)
+    try:
+        return _validated(frame, raw, sum_tolerance)
+    except (TypeError, ValueError) as failure:
+        # every check in the pass raises a MassFractalError, so a bare error
+        # comes from iterating ``raw`` or unpacking one of its entries; one
+        # try around the whole pass costs a pair nothing
+        if isinstance(failure, MassFractalError):
+            raise
+        raise EmptyFocalElement(f"raw is no iterable of (subset, mass) pairs: {failure}") from None
 
 
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
@@ -430,9 +445,12 @@ def _check_explicit_size(n: int, profile: Bands) -> None:
                             f"of {32 * EXPLICIT_SUBSET_CAP}; use the profile builders for frames this large")
 
 
-def _symmetric_mass(frame: FrameOfDiscernment, profile: Bands) -> MassFunction:
-    """Every subset of each band's cardinality, carrying that band's mass."""
+def _symmetric_mass(frame: FrameOfDiscernment, builder) -> MassFunction:
+    """Every subset of each band's cardinality, carrying that band's mass,
+    in the bands ``builder`` gives for the frame's size."""
+    _check_frame(frame)
     n = frame.size
+    profile = builder(n)
     _check_explicit_size(n, profile)
     bits = [1 << i for i in range(n)]
     masses = {
@@ -450,22 +468,22 @@ def max_deng_mass(frame: FrameOfDiscernment) -> MassFunction:
     the normalizer is computed with exact integers so no intermediate
     overflows for any enumerable frame.
     """
-    return _symmetric_mass(frame, max_deng_profile(frame.size))
+    return _symmetric_mass(frame, max_deng_profile)
 
 
 def uniform_powerset_mass(frame: FrameOfDiscernment) -> MassFunction:
     """Mass spread evenly over all 2**n - 1 non-empty subsets."""
-    return _symmetric_mass(frame, uniform_powerset_profile(frame.size))
+    return _symmetric_mass(frame, uniform_powerset_profile)
 
 
 def vacuous_mass(frame: FrameOfDiscernment) -> MassFunction:
     """Total ignorance: all mass on the full frame."""
-    return _symmetric_mass(frame, vacuous_profile(frame.size))
+    return _symmetric_mass(frame, vacuous_profile)
 
 
 def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
     """The Bayesian mass function m({h_i}) = 1/n for every hypothesis."""
-    return _symmetric_mass(frame, uniform_singleton_profile(frame.size))
+    return _symmetric_mass(frame, uniform_singleton_profile)
 
 
 # --- profile builders for the canonical families ---

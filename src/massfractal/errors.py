@@ -14,14 +14,17 @@ class MassFractalError(ValueError):
 # --- mass-function construction and validation ---
 
 class InvalidFrame(MassFractalError):
-    """A frame size is not a positive integer, or its labels are not one
-    distinct non-empty string per hypothesis."""
+    """A frame size is not a positive integer, its labels are not one
+    distinct non-empty string per hypothesis, or a frame is no
+    :class:`FrameOfDiscernment`."""
 
 
 class EmptyFocalElement(MassFractalError):
-    """An empty subset was given strictly positive mass, or a profile band
-    is no ``(cardinality, mass, multiplicity)`` triple or has a cardinality
-    or multiplicity that is not a whole number of at least one."""
+    """An empty subset was given strictly positive mass, the input of a
+    mass function is no iterable of ``(subset, mass)`` pairs, or a profile
+    band is no ``(cardinality, mass, multiplicity)`` triple or has a
+    cardinality or multiplicity that is not a whole number of at least
+    one."""
 
 
 class MassOutOfRange(MassFractalError):

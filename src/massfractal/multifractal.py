@@ -15,8 +15,12 @@ functions every |A| is 1, the weights collapse, and D_alpha reduces to the
 Renyi information dimension; on the maximum-Deng-entropy family it climbs
 toward log2(3) as the frame grows.
 
-Numerics: the numerator is the Renyi kernel of :mod:`entropy` over the band
-shares k*m, normalised to sum to one, and exponents log2(m/(2**|A|-1)).  The
+Numerics: this module holds the one D_alpha kernel, which :mod:`entropy`
+also runs for Renyi and Deng entropy.  The numerator is
+log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1, over the band
+shares s_i = k*m, normalised to sum to one, and exponents
+t_i = log2(m/(2**|A|-1)) <= 0; its alpha = 1 limit -sum_i s_i t_i is Deng
+entropy, and on singleton bands the numerator is Renyi entropy.  The
 denominator runs in the log2 domain with the largest exponent factored out,
 because (2**|A|-1)**(alpha*m) overflows for large alpha on masses near one.
 A sum with a single term is returned exactly, and a sum within a factor 2 of
@@ -27,26 +31,20 @@ negative orders.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import repeat
-from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple
+from operator import add, attrgetter, itemgetter, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     MAX_DENG_PROFILE_N,
     Bands,
     MassFunction,
+    ProfileBand,
     _as_bands,
     _as_number,
     _as_tolerance,
     _bands_of,
-)
-from .entropy import (
-    _deng_terms,
-    _DengTerms,
-    _LN2,
-    _log2_power_sum,
-    _log2_subset_count,
-    _numerator_bits,
 )
 from .errors import (
     DegenerateFrame,
@@ -60,6 +58,10 @@ from .errors import (
 # Focal elements whose masses differ by no more than this (relatively) are
 # counted as sharing one mass value when the spectrum is grouped.
 GROUPING_TOLERANCE = 1e-9
+
+_LN2 = math.log(2.0)
+# 2**x - 1 is finite below this x, and so is any mean of such terms
+_MAX_EXPONENT = sys.float_info.max_exp - 1
 
 
 class SpectrumPoint(NamedTuple):
@@ -134,17 +136,122 @@ class QuadraticEnvelope(NamedTuple):
         return -self.a * (x - self.root_low) * (x - self.root_high) + 0.0
 
 
-def _log2_full_range(n: int) -> float:
-    if n < 2:
-        raise DegenerateFrame(
-            f"a frame of size {n} has log2(2**n - 1) = 0; no rescaling is possible"
+def _log2_power_sum(exponents: Sequence[float]) -> float:
+    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
+    top = max(exponents)
+    if len(exponents) == 1:
+        return top
+    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
+
+
+def _log2_subset_count(k: int) -> float:
+    """log2(2**k - 1), the log of the number of non-empty subsets of a k-set.
+
+    From k = 49 on the value rounds to k itself, so the big int, which at a
+    frame of 10**12 would not fit in memory, is never built.  A k past the
+    double range raises :class:`FrameTooLarge`.
+    """
+    if k < 49:
+        return math.log2(2 ** k - 1)
+    try:
+        return float(k)
+    except OverflowError:
+        raise FrameTooLarge("a set size past the double range has no double log") from None
+
+
+class _Terms(NamedTuple):
+    """The order-free part of the kernel, one column entry per band, in
+    falling share order: the mass m, log2(2**|A| - 1) and log2 k for the
+    denominator; the share s_i = k*m normalised to sum to one, log2 s_i and
+    the exponent t_i = log2(m / (2**|A| - 1)) for the numerator; max |t_i|,
+    the alpha = 1 value -sum_i s_i t_i; and, for a lone focal element
+    holding the whole unit of mass, its log2(2**|A| - 1), else None."""
+
+    masses: Sequence[float]
+    log_weights: list[float]
+    log_multiplicities: Sequence[float]
+    shares: list[float]
+    log_shares: list[float]
+    exponents: list[float]
+    reach: float
+    limit: float
+    lone: float | None
+
+
+def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
+    """The kernel terms of the bands, taken once for every order.
+
+    The bands go by falling share k*m, for speed only.  fsum keeps one
+    partial per non-overlapping piece of its running sum, and terms that
+    rise and fall over hundreds of binades, as cardinality order gives
+    them, make that list long; largest first keeps it short.  fsum is
+    exactly rounded and max ignores order, so no result changes.
+    """
+    log_multiplicities = list(map(math.log2, map(itemgetter(2), bands)))
+    log_masses = list(map(math.log2, map(itemgetter(1), bands)))
+    log_sizes = list(map(add, log_multiplicities, log_masses))
+    if len(bands) > 1:
+        order = sorted(range(len(bands)), key=log_sizes.__getitem__, reverse=True)
+        pick = itemgetter(*order)  # one C call lays out each column
+        bands, log_multiplicities, log_masses, log_sizes = (
+            pick(bands), pick(log_multiplicities), pick(log_masses), pick(log_sizes)
         )
-    return _log2_subset_count(n)
+    log_weights = list(map(_log2_subset_count, map(itemgetter(0), bands)))
+    exponents = list(map(sub, log_masses, log_weights))
+    # normalised in the log domain, so a size past the double range is finite
+    total = _log2_power_sum(log_sizes)
+    log_shares = [size - total for size in log_sizes]
+    shares = [2.0 ** share for share in log_shares]
+    limit = math.fsum(-s * t for s, t in zip(shares, exponents))
+    lone = len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0
+    return _Terms(
+        masses=list(map(itemgetter(1), bands)), log_weights=log_weights,
+        log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
+        exponents=exponents, reach=max(map(abs, exponents)), limit=limit,
+        lone=log_weights[0] if lone else None,
+    )
+
+
+def _numerator_bits(terms: _Terms, alpha: float) -> float:
+    """log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1.
+
+    Every t_i <= 0, so the terms share a sign.  expm1 and log1p keep the
+    value accurate however small eps is, provided the sum is finite and not
+    far below 1: for eps < 0 it is at least 1, and finite while
+    -eps * max |t_i| stays inside the double range; for eps > 0 it is at
+    least 2**(-eps * limit) by Jensen's inequality.  Past those bounds the
+    max-shifted power sum takes over.  Where the largest eps * t_i
+    overflows, that sum is not finite, and the term 2**(eps * T) of the
+    t_i = T at which eps * t_i is largest is factored out first: the value
+    is -T + log2(sum_i s_i * 2**(eps * (t_i - T))) / -eps, a finite mean.
+    """
+    eps = alpha - 1.0
+    if eps == 0.0:
+        return terms.limit
+    if (eps * terms.limit <= 1.0) if eps > 0.0 else (-eps * terms.reach < _MAX_EXPONENT):
+        scale = eps * _LN2
+        excess = math.fsum(
+            s * math.expm1(scale * t) for s, t in zip(terms.shares, terms.exponents)
+        )
+        return math.log1p(excess) / -scale
+    bits = _log2_power_sum(
+        [ls + eps * t for ls, t in zip(terms.log_shares, terms.exponents)]
+    ) / -eps
+    if math.isfinite(bits):
+        return bits
+    top = max(terms.exponents) if eps > 0.0 else min(terms.exponents)
+    return _log2_power_sum(
+        [ls + eps * (t - top) for ls, t in zip(terms.log_shares, terms.exponents)]
+    ) / -eps - top
 
 
 def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
     grouping_tolerance = _as_tolerance(grouping_tolerance, "grouping tolerance")
-    scale = _log2_full_range(n)
+    if n < 2:
+        raise DegenerateFrame(
+            f"a frame of size {n} has log2(2**n - 1) = 0; no rescaling is possible"
+        )
+    scale = _log2_subset_count(n)
     # each group is [anchor mass, multiplicity, common cardinality or None]
     groups: list[list] = []
     for cardinality, mass, multiplicity in sorted(bands, key=itemgetter(1, 0)):
@@ -205,27 +312,24 @@ def spectrum_from_profile(
     return _spectrum_from_bands(bands, n, grouping_tolerance)
 
 
-def _dimension_from_bands(terms: _DengTerms, alpha: float) -> DimensionResult:
-    bands, log_weights, log_multiplicities, numerator = terms
-
+def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
     # A lone focal element holding the whole unit of mass has the closed form
     # D_alpha = 1/alpha: both log sums collapse to multiples of the same
     # log2(2**c - 1), so the value is computed directly, independent of the
     # frame, rather than through a ratio that would wobble in the last bit.
-    if len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0:
-        log_weight = log_weights[0]
-        if log_weight == 0.0:
+    if terms.lone is not None:
+        if terms.lone == 0.0:
             raise ZeroDenominator(
                 "a lone singleton of mass 1 has denominator log2(1) = 0"
             )
         if alpha == 0.0:
             raise ZeroDenominator("order 0 zeroes the denominator exponent")
-        numerator_bits = log_weight
-        value, denominator_bits = 1.0 / alpha, alpha * log_weight
+        numerator_bits = terms.lone
+        value, denominator_bits = 1.0 / alpha, alpha * terms.lone
     else:
         den_exponents = [
-            alpha * band.mass * lw + lk
-            for band, lw, lk in zip(bands, log_weights, log_multiplicities)
+            alpha * mass * lw + lk
+            for mass, lw, lk in zip(terms.masses, terms.log_weights, terms.log_multiplicities)
         ]
         denominator_bits = _log2_power_sum(den_exponents)
         if -1.0 < denominator_bits < 1.0 and len(den_exponents) > 1:
@@ -242,7 +346,7 @@ def _dimension_from_bands(terms: _DengTerms, alpha: float) -> DimensionResult:
             denominator_bits = math.log1p(excess) / _LN2
         if denominator_bits == 0.0:
             raise ZeroDenominator("the weighted power sum in the denominator is 1")
-        numerator_bits = _numerator_bits(numerator, alpha)
+        numerator_bits = _numerator_bits(terms, alpha)
         value = numerator_bits / denominator_bits
 
     if not (math.isfinite(value) and math.isfinite(numerator_bits)
@@ -256,9 +360,13 @@ def _dimension_from_bands(terms: _DengTerms, alpha: float) -> DimensionResult:
     )
 
 
-def _sweep(terms: _DengTerms, alphas: Iterable[float]) -> list[SweepEntry]:
+def _sweep(terms: _Terms, alphas: Iterable[float]) -> list[SweepEntry]:
     """The one sweep loop: every order reads the same band terms, whose
-    order-independent logs :func:`entropy._deng_terms` took once."""
+    order-independent logs :func:`_deng_terms` took once."""
+    try:
+        alphas = iter(alphas)
+    except TypeError:
+        raise OrderOutOfRange(f"orders come as an iterable, not as {type(alphas).__name__}") from None
     entries: list[SweepEntry] = []
     for alpha in alphas:
         alpha = _as_number(alpha, OrderOutOfRange, "order")
@@ -303,9 +411,9 @@ def dimension_sweep(source: MassFunction | Iterable[tuple[int, float, int]], alp
 
     One entry comes back per requested order, in input order; an order that
     fails (zero denominator, order out of range) yields an entry carrying
-    the error name instead of aborting the remaining orders; an order that
-    is not a number raises :class:`OrderOutOfRange`, after the source is
-    checked.  The bands' logs are taken once for the whole sweep, and each
+    the error name instead of aborting the remaining orders; orders that
+    are no iterable, or an order that is not a number, raise
+    :class:`OrderOutOfRange`, after the source is checked.  The bands' logs are taken once for the whole sweep, and each
     entry equals what :func:`multifractal_dimension` returns at that order.
     """
     return _sweep(_deng_terms(_bands_of(source)), alphas)

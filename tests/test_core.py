@@ -206,6 +206,21 @@ def test_validate_rejects_out_of_frame_indices():
         validate_mass_function(_frame3(), [((0, 3), 1.0)])
 
 
+@pytest.mark.parametrize("raw", [None, 5, [(0.5,)], [((0,), 0.5, 1)], [5], "ab"],
+                         ids=["none", "int", "one-item", "three-items", "int-entry", "str"])
+def test_validate_names_input_that_is_no_pairs(raw):
+    with pytest.raises(EmptyFocalElement, match=r"no iterable of \(subset, mass\) pairs"):
+        validate_mass_function(_frame3(), raw)
+
+
+def test_validate_passes_an_error_of_the_pairs_own_iterator_as_named():
+    def pairs():
+        yield (0,), 0.5
+        raise ValueError("the source ran dry")
+    with pytest.raises(EmptyFocalElement, match="the source ran dry"):
+        validate_mass_function(_frame3(), pairs())
+
+
 def test_validate_is_order_independent():
     raw = [((0,), 0.2), ((1, 2), 0.3), ((2,), 0.5)]
     assert validate_mass_function(_frame3(), raw) == validate_mass_function(

@@ -31,7 +31,6 @@ from massfractal.core import (
     validate_mass_function,
 )
 from massfractal.entropy import (
-    _log2_subset_count,
     deng_entropy,
     renyi_entropy,
     renyi_information_dimension,
@@ -44,6 +43,7 @@ from massfractal.errors import (
     OrderOutOfRange,
     SumNotOne,
 )
+from massfractal.multifractal import _log2_subset_count
 
 SHANNON_FIFTH_FOUR_FIFTHS = 0.7219280948873623
 RENYI2_FIFTH_FOUR_FIFTHS = 0.5563933485243853
@@ -117,6 +117,18 @@ def test_probabilities_are_checked_before_the_support_and_the_order():
         renyi_information_dimension((0.5, 0.5), -1.0)
     with pytest.raises(OrderOutOfRange):
         renyi_information_dimension((0.5, 0.5), "2")
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda probabilities: renyi_entropy(probabilities, 2.0),
+    shannon_entropy,
+    lambda probabilities: renyi_information_dimension(probabilities, 2.0),
+], ids=["renyi", "shannon", "information-dimension"])
+@pytest.mark.parametrize("probabilities", [5, None, "0.5", b"\x01", bytearray(b"\x01")],
+                         ids=["int", "none", "str", "bytes", "bytearray"])
+def test_probabilities_that_are_no_iterable_of_numbers_are_named(quantity, probabilities):
+    with pytest.raises(MassOutOfRange, match=f"not as {type(probabilities).__name__}$"):
+        quantity(probabilities)
 
 
 def test_probabilities_are_read_once_from_any_iterable():

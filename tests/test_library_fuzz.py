@@ -6,7 +6,9 @@ any other shape), probabilities, tolerances and orders are drawn from ints
 (past the double range too), bools, strings,
 ``None``, NaN, the infinities, reals in [-1000, 1000], ``Fraction`` and
 ``Decimal`` values (signaling NaN, NaN and exponents past the double range
-included).  Every call must end in one of two ways: a finite float (or a
+included).  Where a container belongs (the pairs of a mass function, the
+probabilities, the orders of a sweep, a frame) values that are no
+container, strings and bytes, and entries of 0 to 3 items are drawn too.  Every call must end in one of two ways: a finite float (or a
 well-formed value holding only finite floats), or a
 :class:`MassFractalError` subclass.  A bare ``TypeError`` or
 ``ValueError``, a ``nan`` or an ``inf`` fails.  Agreement with the oracle
@@ -42,7 +44,13 @@ from massfractal.entropy import (
     renyi_information_dimension,
     shannon_entropy,
 )
-from massfractal.errors import MassFractalError, MassOutOfRange, OrderOutOfRange
+from massfractal.errors import (
+    EmptyFocalElement,
+    InvalidFrame,
+    MassFractalError,
+    MassOutOfRange,
+    OrderOutOfRange,
+)
 from massfractal.multifractal import (
     asymptotic_anchor_points,
     dimension_sweep,
@@ -69,6 +77,13 @@ VALUE = st.one_of(
                      Decimal("NaN"), Decimal("1e999999"), Decimal("-1e999999"),
                      Decimal("1e-999999"), Fraction(10 ** 400, 3)]),
 )
+
+# an entry of 0 to 3 items, where a pair or a number belongs
+ITEMS = st.lists(VALUE, max_size=3).map(tuple)
+
+# what a caller might pass where a container belongs: no iterable, a
+# string, bytes or a tuple of 0 to 3 items
+NOT_A_CONTAINER = st.one_of(VALUE, st.binary(max_size=3), ITEMS)
 
 # a frame size: small enough to enumerate, or past a cap, or not a size
 SIZE = st.one_of(
@@ -126,11 +141,13 @@ def test_a_frame_is_a_whole_hashable_value_or_refused(size, labels):
     assert hash(frame) == hash(FrameOfDiscernment(size, labels))
 
 
-# a distribution from positive weights, which validates, or entries as drawn
+# a distribution from positive weights, which validates, entries as drawn,
+# or no container of numbers
 PROBABILITIES = st.one_of(
     st.lists(st.integers(1, 1000), min_size=1, max_size=6).map(
         lambda weights: [w / sum(weights) for w in weights]),
-    st.lists(st.one_of(VALUE, st.floats(0.0, 1.0)), max_size=4),
+    st.lists(st.one_of(VALUE, st.floats(0.0, 1.0), ITEMS), max_size=4),
+    NOT_A_CONTAINER,
 )
 
 
@@ -142,6 +159,10 @@ PROBABILITIES = st.one_of(
 @example(probs=[0.2, 0.8], alpha=-math.inf)
 @example(probs=[SNAN, 0.5], alpha=2.0)
 @example(probs=[0.5, 0.5], alpha=SNAN)
+@example(probs=5, alpha=2.0)
+@example(probs=None, alpha=2.0)
+@example(probs="0.5", alpha=2.0)
+@example(probs=b"\x01", alpha=2.0)
 def test_renyi_is_finite_or_refused(probs, alpha):
     for quantity in (renyi_entropy, renyi_information_dimension):
         try:
@@ -171,11 +192,17 @@ def _mass_function(kind: int, seed: int):
 MASS_FUNCTIONS = st.builds(_mass_function, st.integers(0, 5), st.integers(0, 2 ** 32))
 
 
+# orders as drawn, entries of 0 to 3 items among them, or no container
+ORDERS = st.one_of(st.lists(st.one_of(VALUE, ITEMS), max_size=4), NOT_A_CONTAINER)
+
+
 @FUZZ
-@given(m=MASS_FUNCTIONS, alphas=st.lists(VALUE, max_size=4))
+@given(m=MASS_FUNCTIONS, alphas=ORDERS)
 @example(m=_mass_function(5, 0), alphas=[math.nan, math.inf, -math.inf, -1000, 1000])
+@example(m=_mass_function(5, 0), alphas=5)
+@example(m=_mass_function(5, 0), alphas=None)
 def test_dimension_is_finite_or_refused(m, alphas):
-    for alpha in alphas:
+    for alpha in alphas if isinstance(alphas, list) else [alphas]:
         try:
             result = multifractal_dimension(m, alpha)
         except MassFractalError:
@@ -199,14 +226,26 @@ SUBSET = st.one_of(st.lists(st.one_of(st.integers(0, 3), VALUE), max_size=3), VA
 TOLERANCE = st.one_of(st.just(1e-9), st.floats(0.0, 1.0), VALUE)
 
 
+PAIR = st.tuples(SUBSET, st.one_of(VALUE, st.floats(0.0, 1.0)))
+
+# pairs as drawn, entries of 0 to 3 items among them, or no container
+RAW = st.one_of(
+    st.lists(PAIR, max_size=4),
+    st.lists(st.one_of(PAIR, ITEMS, VALUE), min_size=1, max_size=4),
+    NOT_A_CONTAINER,
+)
+
+
 @FUZZ
-@given(size=SIZE, pairs=st.lists(st.tuples(SUBSET, st.one_of(VALUE, st.floats(0.0, 1.0))), max_size=4),
-       sum_tolerance=TOLERANCE, grouping_tolerance=TOLERANCE)
+@given(size=SIZE, pairs=RAW, sum_tolerance=TOLERANCE, grouping_tolerance=TOLERANCE)
 @example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
 @example(size=2, pairs=[((0,), SNAN), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
 @example(size=2, pairs=[((SNAN,), 0.5), ((1,), 0.5)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
 @example(size=2, pairs=[((0,), 0.5), ((1,), 0.5)], sum_tolerance=math.nan, grouping_tolerance="x")
 @example(size=2, pairs=[((0,), 0.25), ((1,), 0.75)], sum_tolerance=SNAN, grouping_tolerance=math.nan)
+@example(size=2, pairs=None, sum_tolerance=1e-9, grouping_tolerance=1e-9)
+@example(size=2, pairs=[(0.5,)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
+@example(size=2, pairs=[((0,), 0.5, 1)], sum_tolerance=1e-9, grouping_tolerance=1e-9)
 def test_validation_and_what_it_feeds_are_finite_or_refused(size, pairs, sum_tolerance, grouping_tolerance):
     try:
         m = validate_mass_function(FrameOfDiscernment(size), pairs, sum_tolerance)
@@ -286,6 +325,21 @@ def test_builders_and_the_envelope_are_finite_or_refused(n):
             assert all_finite(list(m.masses.values()))
     finite_or_refused(quadratic_envelope, n)
     finite_or_refused(asymptotic_anchor_points, n)
+
+
+@FUZZ
+@given(frame=st.one_of(st.builds(FrameOfDiscernment, st.integers(1, 4)), VALUE, ITEMS))
+@example(frame=3)
+@example(frame=None)
+def test_a_frame_is_a_frame_of_discernment_or_refused(frame):
+    calls = [lambda: validate_mass_function(frame, [((0,), 1.0)])]
+    calls += [lambda builder=builder: builder(frame) for builder in MASS_BUILDERS]
+    for call in calls:
+        if isinstance(frame, FrameOfDiscernment):
+            assert all_finite(list(call().masses.values()))
+        else:
+            with pytest.raises(InvalidFrame):
+                call()
 
 
 @pytest.mark.parametrize("call, error", [

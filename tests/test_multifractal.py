@@ -574,6 +574,15 @@ def test_the_source_is_named_before_the_order(entry, rows, error):
         SOURCE_BEFORE_ORDER[entry](rows, "x")
 
 
+@pytest.mark.parametrize("sweep", [dimension_sweep, dimension_sweep_from_profile])
+@pytest.mark.parametrize("orders", [5, None, 2.0], ids=["int", "none", "float"])
+def test_orders_that_are_no_iterable_are_named_after_the_source(sweep, orders):
+    with pytest.raises(OrderOutOfRange, match=f"not as {type(orders).__name__}$"):
+        sweep(max_deng_profile(3), orders)
+    with pytest.raises(MassOutOfRange):
+        sweep([(1, 2.0, 1)], orders)
+
+
 @pytest.mark.parametrize("call", [
     lambda rows, tolerance: spectrum(rows, tolerance),
     lambda rows, tolerance: spectrum_from_profile(rows, 3, tolerance),
@@ -986,9 +995,9 @@ def test_profile_limits_are_where_the_masses_leave_the_doubles():
 def test_max_deng_numerator_is_log_of_its_normaliser(n, alpha):
     # every m(A) / (2**|A| - 1) is 1 / (3**n - 2**n), so the numerator is
     # log2(3**n - 2**n) at every order; a subnormal band mass misses it
-    terms = entropy_module._deng_terms(max_deng_profile(n))[3]
+    terms = multifractal_module._deng_terms(max_deng_profile(n))
     exact = math.log2(3 ** n - 2 ** n)
-    assert abs(entropy_module._numerator_bits(terms, alpha) - exact) <= 1e-15 * exact
+    assert abs(multifractal_module._numerator_bits(terms, alpha) - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("alpha", [1e4, 1e6])
@@ -1033,12 +1042,20 @@ def _unsorted_terms(bands):
     log and each order-free sum taken afresh, the share sort left out."""
     log_multiplicities = [math.log2(k) for _, _, k in bands]
     log_masses = [math.log2(m) for _, m, _ in bands]
-    log_weights = [entropy_module._log2_subset_count(c) for c, _, _ in bands]
-    numerator = entropy_module._numerator_terms(
-        [lk + lm for lk, lm in zip(log_multiplicities, log_masses)],
-        [lm - lw for lm, lw in zip(log_masses, log_weights)],
+    log_weights = [multifractal_module._log2_subset_count(c) for c, _, _ in bands]
+    log_sizes = [lk + lm for lk, lm in zip(log_multiplicities, log_masses)]
+    total = multifractal_module._log2_power_sum(log_sizes)
+    log_shares = [size - total for size in log_sizes]
+    shares = [2.0 ** share for share in log_shares]
+    exponents = [lm - lw for lm, lw in zip(log_masses, log_weights)]
+    lone = len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0
+    return multifractal_module._Terms(
+        masses=[m for _, m, _ in bands], log_weights=log_weights,
+        log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
+        exponents=exponents, reach=max(map(abs, exponents)),
+        limit=math.fsum(-s * t for s, t in zip(shares, exponents)),
+        lone=log_weights[0] if lone else None,
     )
-    return bands, log_weights, log_multiplicities, numerator
 
 
 @given(
@@ -1063,20 +1080,20 @@ def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far
     for order in (bands, shuffled, bands[::-1]):
         terms = _unsorted_terms(order)
         assert repr(multifractal_module._sweep(terms, orders)) == sweep
-        assert repr(terms[3].limit) == repr(deng)
+        assert repr(terms.limit) == repr(deng)
 
 
 @pytest.mark.parametrize("builder", PROFILE_BUILDERS)
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 400])
 def test_prepare_orders_the_bands_by_falling_share(builder, n):
-    # the sweep's one preparation step is entropy._deng_terms
+    # the sweep's one preparation step is multifractal._deng_terms
     bands = builder(n)
-    ordered, _, log_multiplicities, numerator = entropy_module._deng_terms(bands)
-    assert sorted(ordered) == sorted(bands)
-    log_shares = [math.log2(k) + math.log2(m) for _, m, k in ordered]
+    terms = multifractal_module._deng_terms(bands)
+    columns = list(zip(terms.masses, terms.log_multiplicities))
+    assert sorted(columns) == sorted((m, math.log2(k)) for _, m, k in bands)
+    log_shares = [lk + math.log2(m) for m, lk in columns]
     assert log_shares == sorted(log_shares, reverse=True)
-    assert numerator.log_shares == sorted(numerator.log_shares, reverse=True)
-    assert list(log_multiplicities) == [math.log2(k) for _, _, k in ordered]
+    assert terms.log_shares == sorted(terms.log_shares, reverse=True)
 
 
 # --- profile values past the frame or the double range ---
