@@ -26,13 +26,14 @@ def _probability_bands(probabilities: Iterable) -> Bands:
     """The non-zero entries, each first passed by the masses' number check,
     as the singleton bands ``(1, p, 1)``, checked as any bands are.  A str
     or bytes, whose items are characters or bytes, holds no probabilities."""
-    refused = f"probabilities come as an iterable of numbers, not as {type(probabilities).__name__}"
-    if isinstance(probabilities, (str, bytes, bytearray)):
-        raise MassOutOfRange(refused)
     try:
+        if isinstance(probabilities, (str, bytes, bytearray)):
+            raise TypeError
         entries = iter(probabilities)
     except TypeError:
-        raise MassOutOfRange(refused) from None
+        raise MassOutOfRange(
+            f"probabilities come as an iterable of numbers, not as {type(probabilities).__name__}"
+        ) from None
     probabilities = [_as_number(p, MassOutOfRange, "mass") for p in entries]
     return _as_bands([(1, p, 1) for p in probabilities if p != 0.0])
 
