@@ -213,7 +213,7 @@ def test_validate_names_input_that_is_no_pairs(raw):
         validate_mass_function(_frame3(), raw)
 
 
-def test_validate_passes_an_error_of_the_pairs_own_iterator_as_named():
+def test_validate_keeps_the_text_of_an_error_raised_by_the_pairs_iterator():
     def pairs():
         yield (0,), 0.5
         raise ValueError("the source ran dry")

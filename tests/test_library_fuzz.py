@@ -8,7 +8,8 @@ any other shape), probabilities, tolerances and orders are drawn from ints
 ``Decimal`` values (signaling NaN, NaN and exponents past the double range
 included).  Where a container belongs (the pairs of a mass function, the
 probabilities, the orders of a sweep, a frame) values that are no
-container, strings and bytes, and entries of 0 to 3 items are drawn too.  Every call must end in one of two ways: a finite float (or a
+container, strings and bytes, and entries of 0 to 3 items are drawn too.
+Every call must end in one of two ways: a finite float (or a
 well-formed value holding only finite floats), or a
 :class:`MassFractalError` subclass.  A bare ``TypeError`` or
 ``ValueError``, a ``nan`` or an ``inf`` fails.  Agreement with the oracle
@@ -44,13 +45,7 @@ from massfractal.entropy import (
     renyi_information_dimension,
     shannon_entropy,
 )
-from massfractal.errors import (
-    EmptyFocalElement,
-    InvalidFrame,
-    MassFractalError,
-    MassOutOfRange,
-    OrderOutOfRange,
-)
+from massfractal.errors import InvalidFrame, MassFractalError, MassOutOfRange, OrderOutOfRange
 from massfractal.multifractal import (
     asymptotic_anchor_points,
     dimension_sweep,
