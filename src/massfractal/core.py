@@ -107,6 +107,12 @@ class _Frozen:
         return type(self), self._values()
 
 
+def _check_frame_size(n: int) -> None:
+    """Refuse a frame size that is not an int of at least 1, a bool included."""
+    if type(n) is bool or not isinstance(n, int) or n < 1:
+        raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
+
+
 class FrameOfDiscernment(_Frozen):
     """A finite set of n mutually exclusive elementary hypotheses.
 
@@ -126,8 +132,7 @@ class FrameOfDiscernment(_Frozen):
     __slots__ = _fields = ("size", "labels")
 
     def __init__(self, size: int, labels: tuple[str, ...] | list[str] | None = None) -> None:
-        if type(size) is bool or not isinstance(size, int) or size < 1:
-            raise InvalidFrame(f"frame size must be a positive integer, got {size!r}")
+        _check_frame_size(size)
         if labels is not None:
             if not isinstance(labels, (tuple, list)):
                 raise InvalidFrame(f"frame labels must be a tuple or list, got {type(labels).__name__}")
@@ -494,9 +499,7 @@ def uniform_singleton_mass(frame: FrameOfDiscernment) -> MassFunction:
 
 def _check_profile_size(n: int, largest: int, family: str,
                         fault: str = "leave the double range") -> None:
-    # a bool is refused, as FrameOfDiscernment refuses it
-    if type(n) is bool or not isinstance(n, int) or n < 1:
-        raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
+    _check_frame_size(n)
     if n > largest:
         raise FrameTooLarge(f"{family} band values {fault} past n = {largest:.6g}")
 

@@ -1,25 +1,20 @@
 """Shannon, Renyi, and Deng entropies, plus the Renyi information dimension.
 
 All logarithms are base 2; every quantity is reported in bits.  Each one
-is a value of the numerator of the multifractal dimension, which the one
-D_alpha kernel of :mod:`multifractal` evaluates: Renyi entropy on the
-singleton bands of the probabilities, Shannon and Deng entropy as its
-alpha = 1 limit.
+is a value of the one D_alpha kernel of :mod:`multifractal`, at every real
+order: Renyi entropy is its numerator on the singleton bands of the
+probabilities, Shannon and Deng entropy the numerator's alpha = 1 limit,
+and the Renyi information dimension is D_alpha itself on those bands.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import Bands, MassFunction, ProfileBand, _as_bands, _as_number, _bands_of
-from .errors import (
-    DegenerateSupport,
-    MassOutOfRange,
-    NegativeOrderUnsupported,
-    OrderOutOfRange,
-)
-from .multifractal import _deng_terms, _numerator_bits
+from .core import Bands, MassFunction, _as_bands, _as_number, _bands_of
+from .errors import DegenerateSupport, MassOutOfRange, OrderOutOfRange
+from .multifractal import _deng_terms, _numerator_bits, multifractal_dimension
 
 
 def _probability_bands(probabilities: Iterable) -> Bands:
@@ -38,22 +33,8 @@ def _probability_bands(probabilities: Iterable) -> Bands:
     return _as_bands([(1, p, 1) for p in probabilities if p != 0.0])
 
 
-def _renyi_bits(bands: Sequence[ProfileBand], alpha) -> float:
-    alpha = _as_number(alpha, OrderOutOfRange, "order")
-    if alpha < 0.0:
-        raise NegativeOrderUnsupported(
-            f"Renyi entropy of a probability distribution requires order >= 0, got {alpha}"
-        )
-    # on singleton bands log2(2**1 - 1) and log2 1 are 0.0, so the terms
-    # are the shares p_i and exponents log2 p_i
-    value = _numerator_bits(_deng_terms(bands), alpha)
-    if not math.isfinite(value):
-        raise OrderOutOfRange(f"Renyi entropy has no finite value at order {alpha!r}")
-    return value
-
-
 def renyi_entropy(probabilities: Iterable, alpha: float) -> float:
-    """Renyi entropy of order alpha >= 0, in bits, of a sequence of
+    """Renyi entropy of order alpha, in bits, of a sequence of
     probabilities: the D_alpha numerator of the Bayesian mass function they
     make, log2(sum p_i ** alpha) / (1 - alpha) with Shannon entropy at 1.
 
@@ -65,7 +46,14 @@ def renyi_entropy(probabilities: Iterable, alpha: float) -> float:
     is not a number, or at which the value is not finite (NaN, +inf),
     raises :class:`OrderOutOfRange`.
     """
-    return _renyi_bits(_probability_bands(probabilities), alpha)
+    bands = _probability_bands(probabilities)
+    alpha = _as_number(alpha, OrderOutOfRange, "order")
+    # on singleton bands log2(2**1 - 1) and log2 1 are 0.0, so the terms
+    # are the shares p_i and exponents log2 p_i
+    value = _numerator_bits(_deng_terms(bands), alpha)
+    if not math.isfinite(value):
+        raise OrderOutOfRange(f"Renyi entropy has no finite value at order {alpha!r}")
+    return value
 
 
 def shannon_entropy(probabilities: Iterable) -> float:
@@ -74,16 +62,18 @@ def shannon_entropy(probabilities: Iterable) -> float:
 
 
 def renyi_information_dimension(probabilities: Iterable, alpha: float) -> float:
-    """Renyi entropy rescaled by log2 of the support size.
+    """Renyi entropy rescaled by log2 of the support size: D_alpha of the
+    singleton bands, whose denominator is exactly that log, at every order.
 
     Defined only for supports of at least two points; a point mass has no
     scale to measure against, and raises :class:`DegenerateSupport` before
-    the order is read.
+    the order is read.  An order that is not a number, or at which the
+    value is not finite (NaN, an infinity), raises :class:`OrderOutOfRange`.
     """
     bands = _probability_bands(probabilities)
     if len(bands) < 2:
         raise DegenerateSupport(f"information dimension needs support >= 2, got {len(bands)}")
-    return _renyi_bits(bands, alpha) / math.log2(len(bands))
+    return multifractal_dimension(bands, alpha).value
 
 
 def as_profile_bands(m: MassFunction) -> Bands:

@@ -55,13 +55,10 @@ class FrameTooLarge(MassFractalError):
 
 # --- entropy-side errors ---
 
-class NegativeOrderUnsupported(MassFractalError):
-    """Renyi entropy of a probability distribution requires order >= 0."""
-
-
 class DegenerateSupport(MassFractalError):
     """A probability distribution with a single-point support has no
-    information dimension (the log of the support size is zero)."""
+    information dimension: the log of the support size, the D_alpha
+    denominator of its singleton bands, is zero at every order."""
 
 
 # --- multifractal-side errors ---
@@ -76,8 +73,9 @@ class ZeroDenominator(MassFractalError):
 
 
 class OrderOutOfRange(MassFractalError):
-    """At this order the dimension, the Renyi entropy or their log sums
-    leave the double range, or the order is not a number."""
+    """At this order the dimension (the Renyi information dimension
+    included), the Renyi entropy or their log sums leave the double range,
+    or the order is not a number."""
 
 
 # --- oracle errors ---

@@ -118,18 +118,33 @@ class SweepEntry(NamedTuple):
     error: str | None
 
 
-class QuadraticEnvelope(NamedTuple):
-    """The asymptotic parabola -a (x - 0.585)(x - 1.585) over the spectrum.
-
-    The roots sit at the limiting y values of the largest and smallest mass
-    in the maximum-Deng-entropy family; the coefficient a grows with the
-    central binomial weight of the frame.
-    """
+class _EnvelopeRecord(NamedTuple):
+    """The fields of a :class:`QuadraticEnvelope`, which fixes the roots."""
 
     a: float
     n: int
-    root_low: float = 0.585
-    root_high: float = 1.585
+    root_low: float
+    root_high: float
+
+
+class QuadraticEnvelope(_EnvelopeRecord):
+    """The asymptotic parabola -a (x - 0.585)(x - 1.585) over the spectrum.
+
+    The roots are class constants, which the record carries and no caller
+    sets: they sit at the limiting y values of the largest and smallest mass
+    in the maximum-Deng-entropy family.  The coefficient a grows with the
+    central binomial weight of the frame.
+    """
+
+    __slots__ = ()
+    ROOT_LOW = 0.585
+    ROOT_HIGH = 1.585
+
+    def __new__(cls, a: float, n: int) -> QuadraticEnvelope:
+        return super().__new__(cls, a, n, cls.ROOT_LOW, cls.ROOT_HIGH)
+
+    def __getnewargs__(self) -> tuple[float, int]:
+        return self.a, self.n
 
     def evaluate(self, x: float) -> float:
         # the trailing + 0.0 keeps the value at the roots a positive zero
@@ -245,6 +260,12 @@ def _numerator_bits(terms: _Terms, alpha: float) -> float:
     ) / -eps - top
 
 
+def _check_int_size(n: int) -> None:
+    # a bool is refused, as FrameOfDiscernment refuses it
+    if type(n) is bool or not isinstance(n, int):
+        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
+
+
 def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
     grouping_tolerance = _as_tolerance(grouping_tolerance, "grouping tolerance")
     if n < 2:
@@ -303,8 +324,7 @@ def spectrum_from_profile(
     Raises :class:`InvalidFrame` when n is not an int, and
     :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
     """
-    if type(n) is bool or not isinstance(n, int):
-        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
+    _check_int_size(n)
     bands = _as_bands(profile)
     if max(map(itemgetter(0), bands)) > n:
         # the sizes go unprinted: an int past 4300 digits has no str
@@ -432,8 +452,7 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
     spectrum for a frame of size n, with coefficient
     4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
     served for the max-Deng spectra the profile builder serves."""
-    if type(n) is bool or not isinstance(n, int):
-        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
+    _check_int_size(n)
     if n < 2:
         raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
     if n > MAX_DENG_PROFILE_N:
@@ -444,7 +463,9 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
 
 def asymptotic_anchor_points(n: int) -> tuple[tuple[float, float], ...]:
     """The three limiting spectrum points for the maximum-Deng-entropy
-    family: zeros at y = 0.585 and y = 1.585, and the central-binomial
-    apex at y = 1.085, a quarter of the envelope's coefficient."""
-    middle = quadratic_envelope(n).a / 4.0
-    return ((0.585, 0.0), (1.085, middle), (1.585, 0.0))
+    family: zeros at the envelope's roots y = 0.585 and y = 1.585, and the
+    central-binomial apex at their mean y = 1.085, a quarter of the
+    envelope's coefficient."""
+    envelope = quadratic_envelope(n)
+    low, high = envelope.ROOT_LOW, envelope.ROOT_HIGH
+    return ((low, 0.0), ((low + high) / 2.0, envelope.a / 4.0), (high, 0.0))

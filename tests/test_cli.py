@@ -255,6 +255,19 @@ def test_dimension_fails_when_every_order_degenerates(tmp_path):
     assert proc.returncode == 3
 
 
+def test_dimension_at_the_root_of_the_denominator_exits_three(tmp_path, capsys):
+    # two 2-sets of mass 0.5 on a 3-frame: the denominator log2(2 * 3**(alpha/2))
+    # is exactly 0 at the double nearest its root -2 / log2 3
+    path = write_mass_file(tmp_path / "pair.json", ["a", "b", "c"],
+                           [(["a", "b"], 0.5), (["b", "c"], 0.5)])
+    code, captured = main_in_process(capsys, "dimension", "--input", path,
+                                     "--alpha=-1.261859507142915")
+    assert code == 3
+    assert captured.out == ("alpha,D_alpha,numerator_bits,denominator_bits,note\n"
+                            "-1.261859507142915,,,,ZeroDenominator\n")
+    assert captured.err == ""
+
+
 # --- tables ---
 
 def test_table_t1_published_row():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import pooled_mass_function, random_bayesian, random_mass_function
+from conftest import dyadic_masses, pooled_mass_function, random_bayesian, random_mass_function
 from massfractal.core import (
     FrameOfDiscernment,
     max_deng_mass,
@@ -39,11 +39,11 @@ from massfractal.entropy import (
 from massfractal.errors import (
     DegenerateSupport,
     MassOutOfRange,
-    NegativeOrderUnsupported,
     OrderOutOfRange,
     SumNotOne,
 )
-from massfractal.multifractal import _log2_subset_count
+from massfractal.multifractal import _log2_subset_count, multifractal_dimension
+from massfractal.oracle import oracle_dimension
 
 SHANNON_FIFTH_FOUR_FIFTHS = 0.7219280948873623
 RENYI2_FIFTH_FOUR_FIFTHS = 0.5563933485243853
@@ -113,8 +113,7 @@ def test_probabilities_are_checked_before_the_support_and_the_order():
                 quantity((0.3, 0.3), alpha)
         with pytest.raises(DegenerateSupport):
             renyi_information_dimension((1.0, 0.0), alpha)
-    with pytest.raises(NegativeOrderUnsupported):
-        renyi_information_dimension((0.5, 0.5), -1.0)
+    assert renyi_information_dimension((0.5, 0.5), -1.0) == 1.0
     with pytest.raises(OrderOutOfRange):
         renyi_information_dimension((0.5, 0.5), "2")
 
@@ -198,9 +197,12 @@ def test_renyi_is_continuous_through_one_on_masses_short_of_one():
         assert _relative_error(renyi_entropy(p, alpha), center) <= 1e-12
 
 
-def test_renyi_rejects_negative_orders():
-    with pytest.raises(NegativeOrderUnsupported):
-        renyi_entropy((0.5, 0.5), -1.0)
+def test_renyi_takes_negative_orders():
+    # the generalized dimensions are defined at every real order
+    assert renyi_entropy((0.5, 0.5), -1.0) == 1.0
+    p = (0.2, 0.8)
+    assert renyi_entropy(p, -2.0) == 1.5771063436750212
+    assert _relative_error(renyi_entropy(p, -2.0), _oracle_renyi(p, -2.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", ["2", b"2", True, None, [2.0], 10 ** 400])
@@ -266,6 +268,30 @@ def test_information_dimension_binary_support():
     p = (0.2, 0.8)
     value = renyi_information_dimension(p, 2.0)
     assert value == pytest.approx(RENYI2_FIFTH_FOUR_FIFTHS, abs=1e-12)
+
+
+# fourteen negative orders, from just below 0 to the bottom of the double range
+NEGATIVE_ORDERS = (-1e-15, -1e-9, -1e-4, -0.1, -0.5, -1.0, -2.0, -3.5, -10.0, -100.0,
+                   -1e4, -1e100, -1e300, -1.7e308)
+
+
+def test_information_dimension_is_d_alpha_on_the_singleton_rows():
+    # bit for bit at every order, since it runs the D_alpha kernel on those
+    # rows; at negative orders within 1e-12 of the 120-bit value, which past
+    # order -1e100 takes a tenth of a second, so only the first trials ask it
+    rng = random.Random(1983)
+    for trial in range(24):
+        p = dyadic_masses(rng, rng.randint(2, 9)) + [0.0] * (trial % 2)
+        rows = [(1, q, 1) for q in p if q != 0.0]
+        for alpha in NEGATIVE_ORDERS + (0.0, 0.5, 1.0, 2.0, 40.0, 1e308):
+            value = renyi_information_dimension(p, alpha)
+            assert repr(value) == repr(multifractal_dimension(rows, alpha).value), (p, alpha)
+        for alpha in NEGATIVE_ORDERS if trial < 3 else NEGATIVE_ORDERS[:11]:
+            exact = oracle_dimension(rows, alpha)
+            assert _relative_error(renyi_information_dimension(p, alpha), exact) <= 1e-12, (p, alpha)
+    p = (0.125, 0.25, 0.625)
+    for alpha in NEGATIVE_ORDERS:
+        assert _relative_error(renyi_entropy(p, alpha), _oracle_renyi(p, alpha)) <= 1e-12, alpha
 
 
 # --- Deng entropy ---

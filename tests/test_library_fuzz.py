@@ -168,6 +168,33 @@ def test_renyi_is_finite_or_refused(probs, alpha):
     finite_or_refused(shannon_entropy, probs)
 
 
+def _value_or_error_type(call, *args):
+    try:
+        return repr(call(*args))
+    except MassFractalError as failure:
+        return type(failure)
+
+
+@FUZZ
+@given(probs=PROBABILITIES, alpha=VALUE)
+@example(probs=[0.2, 0.8], alpha=-2.0)
+@example(probs=[0.2, 0.8], alpha=-1.7e308)
+@example(probs=[0.25, 0.0, 0.75], alpha=-0.5)
+@example(probs=[0.2, 0.8], alpha=-math.inf)
+def test_information_dimension_is_d_alpha_on_the_singleton_rows(probs, alpha):
+    # the same value, or the same error type, as D_alpha of the rows
+    # (1, p_i, 1) of the non-zero entries, wherever the support is at least 2
+    try:
+        shannon_entropy(probs)
+    except MassFractalError:
+        return
+    rows = [(1, float(p), 1) for p in probs if float(p) != 0.0]
+    if len(rows) < 2:
+        return
+    assert (_value_or_error_type(renyi_information_dimension, probs, alpha)
+            == _value_or_error_type(lambda: multifractal_dimension(rows, alpha).value))
+
+
 def _mass_function(kind: int, seed: int):
     rng = random.Random(seed)
     if kind == 0:

@@ -7,7 +7,9 @@ are pinned as regression anchors.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import sys
 import time
@@ -63,6 +65,7 @@ from massfractal.errors import (
 )
 from massfractal.multifractal import (
     GROUPING_TOLERANCE,
+    QuadraticEnvelope,
     asymptotic_anchor_points,
     dimension_from_profile,
     dimension_sweep,
@@ -302,7 +305,7 @@ def test_bayesian_dimension_is_renyi_information_dimension():
         m = validate_mass_function(
             FrameOfDiscernment(n), [((i,), mass) for i, mass in enumerate(masses)]
         )
-        for alpha in (0.5, 1.0, 2.0, 6.0):
+        for alpha in (-50.0, -2.0, -0.5, 0.5, 1.0, 2.0, 6.0):
             left = multifractal_dimension(m, alpha).value
             right = renyi_information_dimension(masses, alpha)
             assert left == pytest.approx(right, abs=1e-10)
@@ -312,6 +315,19 @@ def test_point_mass_on_singleton_has_no_denominator():
     m = validate_mass_function(FrameOfDiscernment(3), [((1,), 1.0)])
     with pytest.raises(ZeroDenominator):
         multifractal_dimension(m, 2.0)
+
+
+def test_a_denominator_rounding_to_one_is_refused_and_swept_past():
+    # two 2-sets of mass 0.5: the denominator sum 2 * 3**(alpha / 2) is 1 at
+    # alpha = -2 / log2 3, and at the double nearest that root its log, a
+    # lone term taken exactly, is 0.0
+    rows = [(2, 0.5, 2)]
+    root = -1.261859507142915
+    assert root == -2.0 / math.log2(3.0)
+    with pytest.raises(ZeroDenominator, match="^the weighted power sum in the denominator is 1$"):
+        multifractal_dimension(rows, root)
+    assert dimension_sweep(rows, [root, 2.0])[0] == (root, None, "ZeroDenominator")
+    assert dimension_sweep(rows, [root, 2.0])[1].result == multifractal_dimension(rows, 2.0)
 
 
 def test_order_zero_vacuous_has_no_denominator():
@@ -786,6 +802,16 @@ def test_envelope_midpoint_value():
     env = quadratic_envelope(6)
     assert env.evaluate(1.085) == pytest.approx(0.7203213491478938, abs=1e-14)
     assert env.evaluate(1.085) == pytest.approx(0.25 * env.a, abs=1e-15)
+
+
+def test_envelope_roots_are_the_class_constants_the_anchors_read():
+    env = quadratic_envelope(6)
+    assert (env.root_low, env.root_high) == (QuadraticEnvelope.ROOT_LOW, QuadraticEnvelope.ROOT_HIGH)
+    with pytest.raises(TypeError):
+        QuadraticEnvelope(env.a, 6, 0.7, 1.7)
+    assert pickle.loads(pickle.dumps(env)) == env == copy.deepcopy(env)
+    low, apex, high = asymptotic_anchor_points(6)
+    assert (low[0], apex[0], high[0]) == (env.root_low, (env.root_low + env.root_high) / 2, env.root_high)
 
 
 def test_envelope_rejects_degenerate_sizes():
