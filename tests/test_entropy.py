@@ -277,8 +277,9 @@ NEGATIVE_ORDERS = (-1e-15, -1e-9, -1e-4, -0.1, -0.5, -1.0, -2.0, -3.5, -10.0, -1
 
 def test_information_dimension_is_d_alpha_on_the_singleton_rows():
     # bit for bit at every order, since it runs the D_alpha kernel on those
-    # rows; at negative orders within 1e-12 of the 120-bit value, which past
-    # order -1e100 takes a tenth of a second, so only the first trials ask it
+    # rows; at negative orders within 1e-12 of the 120-bit value, which at
+    # the three largest orders takes up to a fifth of a second per call, so
+    # only the first trials ask it there
     rng = random.Random(1983)
     for trial in range(24):
         p = dyadic_masses(rng, rng.randint(2, 9)) + [0.0] * (trial % 2)

@@ -181,7 +181,7 @@ def _value_or_error_type(call, *args):
 @example(probs=[0.2, 0.8], alpha=-1.7e308)
 @example(probs=[0.25, 0.0, 0.75], alpha=-0.5)
 @example(probs=[0.2, 0.8], alpha=-math.inf)
-def test_information_dimension_is_d_alpha_on_the_singleton_rows(probs, alpha):
+def test_information_dimension_is_d_alpha_on_drawn_singleton_rows(probs, alpha):
     # the same value, or the same error type, as D_alpha of the rows
     # (1, p_i, 1) of the non-zero entries, wherever the support is at least 2
     try:
