@@ -128,12 +128,15 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
         with open(path, "r", encoding="utf-8") as handle:
             # an integer too large for a float is read as inf and rejected as
             # a mass out of range, rather than overflowing in float()
-            document = json.load(handle, parse_int=float)
+            try:
+                document = json.load(handle, parse_int=float)
+            except RecursionError:
+                raise ValueError("mass-function file nests its lists or objects too deeply to read") from None
         if (not isinstance(document, dict) or "frame" not in document
                 or not isinstance(document.get("assignments"), list)):
             raise ValueError("mass-function file must be an object with 'frame' and an 'assignments' list")
         labels = document["frame"]
-        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        if not isinstance(labels, list):
             raise ValueError("'frame' must be a list of label strings")
         frame = FrameOfDiscernment(len(labels), tuple(labels))
         pairs = _label_masks(document["assignments"], {label: 1 << i for i, label in enumerate(labels)})
@@ -362,13 +365,6 @@ def cmd_envelope(args: argparse.Namespace) -> int:
 
 # --- argument parsing and dispatch ---
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -422,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_source(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", help="mass-function JSON file")
         p.add_argument("--family", choices=FAMILIES, help="built-in family name")
-        p.add_argument("--n", type=_positive_int, help="frame size for --family")
+        p.add_argument("--n", type=int, help="frame size for --family")
         p.add_argument("--tolerance-sum", type=_tolerance, default=SUM_TOLERANCE)
 
     def add_output(p: argparse.ArgumentParser, formats=("csv", "json", "svg")) -> None:
@@ -449,13 +445,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="emit a built-in family as a mass-function JSON file")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--emit", dest="output", metavar="EMIT",
                    help="output file for the JSON document (default stdout)")
 
     p = sub.add_parser("envelope", help="quadratic envelope of the max-Deng spectrum")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=101)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--samples", type=int, default=101)
     add_output(p)
 
     return parser
@@ -483,6 +479,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError("supply exactly one of --input or --family")
         if args.family is not None and args.n is None:
             raise ValueError("--family needs --n")
+        if args.input is not None and args.n is not None:
+            raise ValueError("--n belongs to --family; an --input file has its own frame")
 
 
 _DISPATCH = {

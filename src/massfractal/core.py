@@ -110,7 +110,9 @@ class _Frozen:
 def _check_frame_size(n: int) -> None:
     """Refuse a frame size that is not an int of at least 1, a bool included."""
     if type(n) is bool or not isinstance(n, int) or n < 1:
-        raise InvalidFrame(f"frame size must be a positive integer, got {n!r}")
+        # an int past 4300 digits has no str, so it is named by its length
+        got = repr(n) if not isinstance(n, int) or n.bit_length() < 14_000 else f"an int of {n.bit_length()} bits"
+        raise InvalidFrame(f"frame size must be a positive integer, got {got}")
 
 
 class FrameOfDiscernment(_Frozen):
@@ -170,12 +172,17 @@ class ProfileBand(NamedTuple):
 
 class Bands(tuple):
     """Checked bands and the size of their frame (``None`` for rows given
-    without one), built only by the builders, validation and :func:`_as_bands`."""
+    without one), built only by the builders, validation and :func:`_as_bands`.
+    The frame size is set once: assignment raises AttributeError, as on a
+    :class:`MassFunction`, so no caller can move bands onto another frame."""
 
     def __new__(cls, bands: Iterable[ProfileBand], frame_size: int | None = None) -> Bands:
         self = super().__new__(cls, bands)
-        self.frame_size = frame_size
+        self.__dict__["frame_size"] = frame_size
         return self
+
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
 
 class MassFunction(_Frozen):

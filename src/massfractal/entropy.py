@@ -13,7 +13,7 @@ import math
 from typing import Iterable
 
 from .core import Bands, MassFunction, _as_bands, _as_number, _bands_of
-from .errors import DegenerateSupport, MassOutOfRange, OrderOutOfRange
+from .errors import MassOutOfRange, OrderOutOfRange
 from .multifractal import _deng_terms, _numerator_bits, multifractal_dimension
 
 
@@ -65,15 +65,13 @@ def renyi_information_dimension(probabilities: Iterable, alpha: float) -> float:
     """Renyi entropy rescaled by log2 of the support size: D_alpha of the
     singleton bands, whose denominator is exactly that log, at every order.
 
-    Defined only for supports of at least two points; a point mass has no
-    scale to measure against, and raises :class:`DegenerateSupport` before
-    the order is read.  An order that is not a number, or at which the
-    value is not finite (NaN, an infinity), raises :class:`OrderOutOfRange`.
+    The probabilities are checked first, as for :func:`renyi_entropy`, then
+    the order: one that is not a number, or at which the value is not
+    finite (NaN, an infinity), raises :class:`OrderOutOfRange`.  A point
+    mass has no scale to measure against: its denominator log2 1 is zero,
+    and it raises :class:`ZeroDenominator` at every finite order.
     """
-    bands = _probability_bands(probabilities)
-    if len(bands) < 2:
-        raise DegenerateSupport(f"information dimension needs support >= 2, got {len(bands)}")
-    return multifractal_dimension(bands, alpha).value
+    return multifractal_dimension(_probability_bands(probabilities), alpha).value
 
 
 def as_profile_bands(m: MassFunction) -> Bands:

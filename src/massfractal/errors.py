@@ -53,14 +53,6 @@ class FrameTooLarge(MassFractalError):
     or the envelope is asked past the largest max-Deng profile."""
 
 
-# --- entropy-side errors ---
-
-class DegenerateSupport(MassFractalError):
-    """A probability distribution with a single-point support has no
-    information dimension: the log of the support size, the D_alpha
-    denominator of its singleton bands, is zero at every order."""
-
-
 # --- multifractal-side errors ---
 
 class DegenerateFrame(MassFractalError):
@@ -69,7 +61,9 @@ class DegenerateFrame(MassFractalError):
 
 
 class ZeroDenominator(MassFractalError):
-    """The dimension denominator log2(sum of weighted terms) is zero."""
+    """The dimension denominator log2(sum of weighted terms) is zero, as on
+    a one-point support, whose Renyi information dimension is therefore
+    undefined at every order."""
 
 
 class OrderOutOfRange(MassFractalError):

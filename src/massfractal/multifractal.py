@@ -45,6 +45,7 @@ from .core import (
     _as_number,
     _as_tolerance,
     _bands_of,
+    _check_frame_size,
 )
 from .errors import (
     DegenerateFrame,
@@ -260,12 +261,6 @@ def _numerator_bits(terms: _Terms, alpha: float) -> float:
     ) / -eps - top
 
 
-def _check_int_size(n: int) -> None:
-    # a bool is refused, as FrameOfDiscernment refuses it
-    if type(n) is bool or not isinstance(n, int):
-        raise InvalidFrame(f"frame size must be an int, got {type(n).__name__}")
-
-
 def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
     grouping_tolerance = _as_tolerance(grouping_tolerance, "grouping tolerance")
     if n < 2:
@@ -321,10 +316,10 @@ def spectrum_from_profile(
     """The spectrum of bands or rows on a frame of n, which need not be
     the frame a builder's bands came with.
 
-    Raises :class:`InvalidFrame` when n is not an int, and
+    Raises :class:`InvalidFrame` when n is not a positive int, and
     :class:`IndexOutOfFrame` when a band's subsets do not fit a frame of n.
     """
-    _check_int_size(n)
+    _check_frame_size(n)
     bands = _as_bands(profile)
     if max(map(itemgetter(0), bands)) > n:
         # the sizes go unprinted: an int past 4300 digits has no str
@@ -452,7 +447,7 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
     spectrum for a frame of size n, with coefficient
     4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
     served for the max-Deng spectra the profile builder serves."""
-    _check_int_size(n)
+    _check_frame_size(n)
     if n < 2:
         raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
     if n > MAX_DENG_PROFILE_N:

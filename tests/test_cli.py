@@ -855,6 +855,70 @@ def test_max_deng_frames_with_subnormal_masses_exit_two(argv, capsys):
     assert "644" in captured.err
     assert captured.out == ""
 
+
+# Each of these faults has one check, in the library or in the command that
+# reads the value; argparse only parses the int.
+FRAME_SIZE_COMMANDS = [
+    ["spectrum", "--family", "max-deng"],
+    ["dimension", "--family", "max-deng", "--alpha", "2"],
+    ["sweep", "--family", "max-deng", "--alpha-start", "1", "--alpha-stop", "2", "--alpha-step", "1"],
+    ["family", "--family", "max-deng"],
+    ["envelope"],
+]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("argv", FRAME_SIZE_COMMANDS, ids=[argv[0] for argv in FRAME_SIZE_COMMANDS])
+def test_a_frame_size_below_one_exits_two_with_invalid_frame(argv, n, capsys):
+    code, captured = main_in_process(capsys, *argv, "--n", n)
+    assert (code, captured.out, captured.err) == (
+        2, "", f"error: InvalidFrame: frame size must be a positive integer, got {n}\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-3"])
+def test_fewer_than_two_samples_exit_two(samples, capsys):
+    code, captured = main_in_process(capsys, "envelope", "--n", "4", "--samples", samples)
+    assert (code, captured.out, captured.err) == (
+        2, "", f"error: ValueError: need at least 2 samples, got {samples}\n")
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--family", "max-deng"], ["envelope"]])
+def test_a_frame_size_that_is_no_int_exits_two(argv, capsys):
+    code, captured = main_in_process(capsys, *argv, "--n", "abc")
+    *usage, error = captured.err.splitlines()
+    assert (code, captured.out) == (2, "")
+    # the usage lines above the error wrap to the terminal's width
+    assert usage[0].startswith(f"usage: massfractal {argv[0]} [-h]")
+    assert error == f"massfractal {argv[0]}: error: argument --n: invalid int value: 'abc'"
+
+
+@pytest.mark.parametrize("n", ["0", "3"])
+@pytest.mark.parametrize("command", [["spectrum"], ["dimension", "--alpha", "2"]])
+def test_n_beside_an_input_file_exits_two(command, n, two_focal_file, capsys):
+    # the file's frame is the frame, so an --n would go unread
+    code, captured = main_in_process(capsys, *command, "--input", two_focal_file, "--n", n)
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: ValueError: --n belongs to --family; an --input file has its own frame\n")
+
+
+def test_frame_labels_that_are_not_strings_exit_two_with_invalid_frame(tmp_path, capsys):
+    path = write_mass_file(tmp_path / "numbers.json", [1, 2], [([1], 1.0)])
+    code, captured = main_in_process(capsys, "spectrum", "--input", path)
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: InvalidFrame: frame labels must be non-empty strings\n")
+
+
+@pytest.mark.parametrize("document", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"frame": ["a"], "assignments": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["top-level", "assignments"])
+def test_a_file_nested_too_deeply_to_read_exits_two(document, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(document, encoding="utf-8")
+    code, captured = main_in_process(capsys, "spectrum", "--input", str(path))
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: ValueError: mass-function file nests its lists or objects too deeply to read\n")
+
 def test_cli_import_leaves_mpmath_unloaded():
     probe = (
         "import sys, massfractal.cli\n"

@@ -48,6 +48,7 @@ from massfractal.errors import (
     MassOutOfRange,
     SumNotOne,
 )
+from massfractal.multifractal import spectrum
 
 
 # --- frames ---
@@ -239,6 +240,21 @@ def test_mass_function_survives_pickle_and_deepcopy(copy_of):
     assert clone.masses[0b110] == 0.25
 
 
+def test_bands_refuse_a_new_frame_size():
+    # spectrum would rescale onto whatever frame the bands were told
+    m = validate_mass_function(_frame3(), [((0,), 0.2), ((1, 2), 0.8)])
+    for bands in (m.bands, max_deng_profile(4), core_module._as_bands([(1, 1.0, 1)])):
+        frame_size = bands.frame_size
+        with pytest.raises(AttributeError):
+            bands.frame_size = 7
+        with pytest.raises(AttributeError):
+            del bands.frame_size
+        with pytest.raises(AttributeError):
+            bands.other = 1
+        assert bands.frame_size == frame_size
+    assert spectrum(m).frame_size == 3
+
+
 @pytest.mark.parametrize("copy_of", [lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy])
 def test_bands_survive_pickle_and_copy(copy_of):
     for bands in (max_deng_profile(4), Bands(max_deng_profile(4))):
@@ -394,6 +410,13 @@ ALL_PROFILE_BUILDERS = [max_deng_profile, uniform_powerset_profile, vacuous_prof
 def test_profile_builders_refuse_frames_below_one(builder, n):
     with pytest.raises(InvalidFrame):
         builder(n)
+
+
+def test_a_frame_size_too_long_to_print_is_an_invalid_frame():
+    # str() of an int past 4300 digits raises; the refusal names its length
+    for build in (FrameOfDiscernment, *ALL_PROFILE_BUILDERS):
+        with pytest.raises(InvalidFrame, match="got an int of 16610 bits"):
+            build(-10 ** 5000)
 
 
 @pytest.mark.parametrize("builder", ALL_PROFILE_BUILDERS)

@@ -37,10 +37,10 @@ from massfractal.entropy import (
     shannon_entropy,
 )
 from massfractal.errors import (
-    DegenerateSupport,
     MassOutOfRange,
     OrderOutOfRange,
     SumNotOne,
+    ZeroDenominator,
 )
 from massfractal.multifractal import _log2_subset_count, multifractal_dimension
 from massfractal.oracle import oracle_dimension
@@ -104,14 +104,15 @@ def test_distribution_is_checked_as_singleton_bands(probs):
 
 
 def test_probabilities_are_checked_before_the_support_and_the_order():
-    # a bad entry is named first, then a point support, then the order
+    # a bad entry is named first, then the order, then a point support's
+    # zero denominator
     for alpha in (-1.0, math.nan, "2"):
         for quantity in (renyi_entropy, renyi_information_dimension):
             with pytest.raises(MassOutOfRange):
                 quantity((math.nan, 1.0), alpha)
             with pytest.raises(SumNotOne):
                 quantity((0.3, 0.3), alpha)
-        with pytest.raises(DegenerateSupport):
+        with pytest.raises(OrderOutOfRange if alpha == "2" else ZeroDenominator):
             renyi_information_dimension((1.0, 0.0), alpha)
     assert renyi_information_dimension((0.5, 0.5), -1.0) == 1.0
     with pytest.raises(OrderOutOfRange):
@@ -260,8 +261,12 @@ def test_information_dimension_of_uniform_is_one():
 
 
 def test_information_dimension_rejects_point_support():
-    with pytest.raises(DegenerateSupport):
-        renyi_information_dimension((1.0, 0.0), 2.0)
+    # log2 of a one-point support is D_alpha's zero denominator at every
+    # finite order, as for the lone singleton row
+    for probabilities in ([1.0], (1.0, 0.0), [0.9999999999]):
+        for alpha in (-1e300, -2.0, 0.0, 0.5, 1.0, 2.0, 1e300):
+            with pytest.raises(ZeroDenominator):
+                renyi_information_dimension(probabilities, alpha)
 
 
 def test_information_dimension_binary_support():

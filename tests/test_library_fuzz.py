@@ -181,16 +181,18 @@ def _value_or_error_type(call, *args):
 @example(probs=[0.2, 0.8], alpha=-1.7e308)
 @example(probs=[0.25, 0.0, 0.75], alpha=-0.5)
 @example(probs=[0.2, 0.8], alpha=-math.inf)
+@example(probs=[1.0], alpha=2.0)
+@example(probs=[1.0, 0.0], alpha=-0.5)
+@example(probs=[0.9999999999], alpha=0.0)
+@example(probs=[1.0], alpha="2")
 def test_information_dimension_is_d_alpha_on_drawn_singleton_rows(probs, alpha):
     # the same value, or the same error type, as D_alpha of the rows
-    # (1, p_i, 1) of the non-zero entries, wherever the support is at least 2
+    # (1, p_i, 1) of the non-zero entries, one-point supports included
     try:
         shannon_entropy(probs)
     except MassFractalError:
         return
     rows = [(1, float(p), 1) for p in probs if float(p) != 0.0]
-    if len(rows) < 2:
-        return
     assert (_value_or_error_type(renyi_information_dimension, probs, alpha)
             == _value_or_error_type(lambda: multifractal_dimension(rows, alpha).value))
 

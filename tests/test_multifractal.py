@@ -1163,3 +1163,17 @@ def test_huge_cardinalities_and_multiplicities_are_refused_at_once(value):
 def test_spectrum_frame_past_the_double_range_is_too_large():
     with pytest.raises(FrameTooLarge):
         spectrum_from_profile([(1, 1.0, 1)], 10**400)
+
+
+@pytest.mark.parametrize("n", [0, -3, -10**5000, 2.5, True, "3"],
+                         ids=["0", "-3", "-10**5000", "2.5", "True", "'3'"])
+def test_a_frame_size_below_one_or_not_an_int_is_an_invalid_frame(n):
+    # the one frame-size gate of the builders and FrameOfDiscernment, which
+    # names a size too long to print by its length
+    rows = [(1, 0.5, 2)]
+    with pytest.raises(InvalidFrame, match="frame size must be a positive integer"):
+        spectrum_from_profile(rows, n)
+    with pytest.raises(InvalidFrame, match="frame size must be a positive integer"):
+        quadratic_envelope(n)
+    with pytest.raises(InvalidFrame, match="frame size must be a positive integer"):
+        asymptotic_anchor_points(n)

@@ -41,6 +41,12 @@ REMOVED = [
     # the Renyi measures take every real order, as D_alpha does
     "NegativeOrderUnsupported",
     "errors.NegativeOrderUnsupported",
+    # each fault is refused once: a one-point support by D_alpha's zero
+    # denominator, a frame size by core._check_frame_size, and the CLI's
+    # --n and --samples by the builders' gate and the envelope's own count
+    "errors.DegenerateSupport",
+    "multifractal._check_int_size",
+    "cli._positive_int",
 ]
 
 
