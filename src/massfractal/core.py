@@ -108,10 +108,11 @@ class _Frozen:
 
 
 def _check_frame_size(n: int) -> None:
-    """Refuse a frame size that is not an int of at least 1, a bool included."""
-    if type(n) is bool or not isinstance(n, int) or n < 1:
+    """Refuse a frame size that is not an int of at least 1, the rule of
+    every count: a bool, a float or a subclass of int is no int here."""
+    if type(n) is not int or n < 1:
         # an int past 4300 digits has no str, so it is named by its length
-        got = repr(n) if not isinstance(n, int) or n.bit_length() < 14_000 else f"an int of {n.bit_length()} bits"
+        got = repr(n) if type(n) is not int or n.bit_length() < 14_000 else f"an int of {n.bit_length()} bits"
         raise InvalidFrame(f"frame size must be a positive integer, got {got}")
 
 
@@ -376,14 +377,21 @@ def validate_mass_function(
         raise EmptyFocalElement(f"raw is no iterable of (subset, mass) pairs: {failure}") from None
 
 
+def _log2_power_sum(exponents: Sequence[float]) -> float:
+    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
+    top = max(exponents)
+    if len(exponents) == 1:
+        return top
+    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
+
+
 def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
     """A :class:`Bands` as it is, or rows checked as a mass function is: each
     a triple, every mass a number in (0, 1], every cardinality and
-    multiplicity a whole number of at least 1, and the k*m summing to one
-    within ``SUM_TOLERANCE``.  The sum is taken in the log domain, so a
-    multiplicity past the double range does not overflow it; every term is
-    positive, so a plain sum is within len(rows) * 2**-53 (relative) of the
-    exact one."""
+    multiplicity an int of at least 1, as a frame size is, and the k*m
+    summing to one within ``SUM_TOLERANCE``.  The sum is the kernel's
+    log-domain one, so a multiplicity past the double range does not
+    overflow it."""
     if type(profile) is Bands:
         return profile
     try:
@@ -398,18 +406,8 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
     except (TypeError, ValueError):
         raise EmptyFocalElement("a band row is not a (cardinality, mass, multiplicity) triple") from None
     if set(map(type, cardinalities + multiplicities)) != {int}:
-        if any(map(_past_reach, cardinalities)):
-            raise FrameTooLarge("a band cardinality lies past 2**1075 in magnitude")
-        if any(map(_past_reach, multiplicities)):
-            raise SumNotOne("a band multiplicity lies past 2**1075 in magnitude")
-    # a fraction, a string, an infinity or a NaN does not round-trip int()
-    try:
-        whole = tuple(map(int, cardinalities)), tuple(map(int, multiplicities))
-    except (OverflowError, ValueError, TypeError):
-        whole = None
-    if whole != (cardinalities, multiplicities):
-        raise EmptyFocalElement("a band cardinality or multiplicity is not a whole number")
-    cardinalities, multiplicities = whole
+        # a float, a bool, a Fraction or a Decimal is refused unread
+        raise EmptyFocalElement("a band cardinality or multiplicity is not an int")
     if set(map(type, masses)) != {float}:
         masses = tuple(_as_number(mass, MassOutOfRange, "mass") for mass in masses)
     if not (min(masses) > 0.0 and max(masses) <= 1.0) or any(map(math.isnan, masses)):
@@ -418,29 +416,13 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
         raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
     if min(multiplicities) < 1:
         raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
-    logs = list(map(operator.add, map(math.log2, masses), map(math.log2, multiplicities)))
-    top = max(logs)
-    shifted = map(operator.sub, logs, itertools.repeat(top))
-    log_total = top + math.log2(sum(map(pow, itertools.repeat(2.0), shifted)))
+    log_total = _log2_power_sum(list(map(operator.add, map(math.log2, masses), map(math.log2, multiplicities))))
     if not (log_total < 1.0 and abs(2.0 ** log_total - 1.0) <= SUM_TOLERANCE):
         raise SumNotOne(f"band masses times multiplicities sum to 2**{log_total!r}, not 1")
     # tuple.__new__ makes each band in C, skipping the namedtuple's
     # Python-level constructor; every row is already a checked triple
     return Bands(map(tuple.__new__, itertools.repeat(ProfileBand),
                      zip(cardinalities, masses, multiplicities)))
-
-
-def _past_reach(value) -> bool:
-    """Whether a value other than an int is a finite number past 2**1075 in
-    magnitude, told without int(), whose time on a Decimal grows with its
-    exponent.  No band holds such a value: that cardinality has no double
-    log2(2**k - 1), and that multiplicity times the least positive double
-    mass, 2**-1074, passes one."""
-    try:
-        return (type(value) is not int and not -2 ** 1075 <= value <= 2 ** 1075
-                and -math.inf < value < math.inf)
-    except (TypeError, ArithmeticError):  # a string, or a Decimal NaN
-        return False
 
 
 def _bands_of(source) -> Bands:

@@ -23,8 +23,7 @@ class EmptyFocalElement(MassFractalError):
     """An empty subset was given strictly positive mass, the input of a
     mass function is no iterable of ``(subset, mass)`` pairs, or a profile
     band is no ``(cardinality, mass, multiplicity)`` triple or has a
-    cardinality or multiplicity that is not a whole number of at least
-    one."""
+    cardinality or multiplicity that is not an int of at least one."""
 
 
 class MassOutOfRange(MassFractalError):
@@ -32,7 +31,8 @@ class MassOutOfRange(MassFractalError):
 
 
 class SumNotOne(MassFractalError):
-    """The masses do not sum to one within the validation tolerance."""
+    """The masses do not sum to one within the validation tolerance, or
+    the oracle's exact masses do not sum to exactly one."""
 
 
 class InvalidTolerance(MassFractalError):
@@ -70,12 +70,6 @@ class OrderOutOfRange(MassFractalError):
     """At this order the dimension (the Renyi information dimension
     included), the Renyi entropy or their log sums leave the double range,
     or the order is not a number."""
-
-
-# --- oracle errors ---
-
-class MassesNotNormalized(MassFractalError):
-    """Exact rational masses handed to the oracle do not sum to one."""
 
 
 # --- CLI errors ---

@@ -46,6 +46,7 @@ from .core import (
     _as_tolerance,
     _bands_of,
     _check_frame_size,
+    _log2_power_sum,
 )
 from .errors import (
     DegenerateFrame,
@@ -150,14 +151,6 @@ class QuadraticEnvelope(_EnvelopeRecord):
     def evaluate(self, x: float) -> float:
         # the trailing + 0.0 keeps the value at the roots a positive zero
         return -self.a * (x - self.root_low) * (x - self.root_high) + 0.0
-
-
-def _log2_power_sum(exponents: Sequence[float]) -> float:
-    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
-    top = max(exponents)
-    if len(exponents) == 1:
-        return top
-    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
 def _log2_subset_count(k: int) -> float:
@@ -451,7 +444,7 @@ def quadratic_envelope(n: int) -> QuadraticEnvelope:
     if n < 2:
         raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
     if n > MAX_DENG_PROFILE_N:
-        raise FrameTooLarge(f"the envelope is served up to n = {MAX_DENG_PROFILE_N}, got n = {n}")
+        raise FrameTooLarge(f"the envelope is served up to n = {MAX_DENG_PROFILE_N}")
     a = 4.0 * math.log2(math.comb(n, n // 2)) / n
     return QuadraticEnvelope(a=a, n=n)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 
 from mpmath import mp
 
-from .errors import MassesNotNormalized, MassOutOfRange, ZeroDenominator
+from .errors import EmptyFocalElement, MassOutOfRange, SumNotOne, ZeroDenominator
 
 # Working precision in bits.  Results are reported as doubles; 120 bits keeps
 # well over 50 accurate fractional bits through every summation in scope.
@@ -64,15 +64,15 @@ def _exact_terms(profile: Iterable[ProfileTerm]) -> list[tuple[int, ExactMass, i
     terms = []
     for cardinality, mass, multiplicity in profile:
         if cardinality < 1:
-            raise ValueError(f"cardinality must be positive, got {cardinality}")
+            raise EmptyFocalElement(f"cardinality must be positive, got {cardinality}")
         if multiplicity < 1:
-            raise ValueError(f"multiplicity must be positive, got {multiplicity}")
+            raise EmptyFocalElement(f"multiplicity must be positive, got {multiplicity}")
         terms.append((cardinality, ExactMass(mass), multiplicity))
     if not terms:
-        raise MassesNotNormalized("empty profile carries no mass")
+        raise SumNotOne("empty profile carries no mass")
     total = sum(Fraction(mass) * multiplicity for _, mass, multiplicity in terms)
     if total != 1:
-        raise MassesNotNormalized(f"exact masses sum to {total}, not 1")
+        raise SumNotOne(f"exact masses sum to {total}, not 1")
     return terms
 
 

@@ -83,7 +83,7 @@ NOT_A_CONTAINER = st.one_of(VALUE, st.binary(max_size=3), ITEMS)
 # a frame size: small enough to enumerate, or past a cap, or not a size
 SIZE = st.one_of(
     st.integers(-2, 8),
-    st.sampled_from([27, 645, 1024, 10 ** 12, 10 ** 400]),
+    st.sampled_from([27, 645, 1024, 10 ** 12, 10 ** 400, 10 ** 5000]),
     VALUE,
 )
 

@@ -890,6 +890,26 @@ def test_dimension_handles_random_inputs_at_varied_orders():
             assert result.denominator_bits != 0.0
 
 
+MONOTONE_ORDERS = [k / 4 for k in range(-200, 401)]  # -50 to 100 in steps of 0.25
+
+
+def test_dimension_does_not_rise_with_the_order():
+    # D_alpha is non-increasing in alpha wherever the denominators of both
+    # orders are positive: 300 random dyadic mass functions on frames of 2
+    # to 6, with 2 to 6 focal elements, at adjacent orders of the grid
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        m = random_mass_function(rng, n, rng.randint(2, min(6, 2 ** n - 1)))
+        results = [entry.result for entry in dimension_sweep(m, MONOTONE_ORDERS)]
+        for low, high in zip(results, results[1:]):
+            if low and high and low.denominator_bits > 0.0 and high.denominator_bits > 0.0:
+                assert high.value <= low.value, (seed, low, high)
+                checked += 1
+    assert checked > 100_000
+
+
 # --- checked profile bands ---
 
 PROFILE_ENTRY_POINTS = {
@@ -1149,15 +1169,44 @@ def test_profile_cardinality_past_the_double_range_is_too_large():
                                    Decimal("1e99999999"), Fraction(10 ** 400, 3)])
 def test_huge_cardinalities_and_multiplicities_are_refused_at_once(value):
     # int() of a Decimal takes time that grows with its exponent: tens of
-    # seconds at 1e999999; the refusal reads no int
+    # seconds at 1e999999; a count that is no int is refused unread
     started = time.perf_counter()
-    with pytest.raises(FrameTooLarge):
+    with pytest.raises(EmptyFocalElement):
         multifractal_dimension([(value, 1.0, 1)], 2.0)
-    with pytest.raises(SumNotOne):
+    with pytest.raises(EmptyFocalElement):
         deng_entropy([(1, 0.5, value)])
-    with pytest.raises(SumNotOne):
+    with pytest.raises(EmptyFocalElement):
         spectrum_from_profile([(1, 0.5, 1), (2, 0.5, value)], 3)
     assert time.perf_counter() - started < 5.0
+
+
+COUNT_ENTRY_POINTS = {
+    "dimension": lambda rows: multifractal_dimension(rows, 2.0),
+    "sweep": lambda rows: dimension_sweep(rows, [0.5, 2.0]),
+    "deng": deng_entropy,
+    "spectrum": lambda rows: spectrum_from_profile(rows, 3),
+}
+
+
+def _rows_with_count(place: str, count):
+    """Rows that hold ``count`` as a cardinality or as a multiplicity and
+    are valid when it is the int 2."""
+    if place == "cardinality":
+        return [(count, 0.5, 1), (1, 0.5, 1)]
+    return [(1, 0.25, count), (2, 0.5, 1)]
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("place", ["cardinality", "multiplicity"])
+@pytest.mark.parametrize("count", [2.0, True, Fraction(2), Decimal("2"), Decimal("1e999999")],
+                         ids=["2.0", "True", "Fraction(2)", "Decimal('2')", "Decimal('1e999999')"])
+def test_a_count_that_is_no_int_is_an_empty_focal_element(entry, place, count):
+    # a cardinality and a multiplicity are ints of at least 1, as a frame
+    # size is
+    call = COUNT_ENTRY_POINTS[entry]
+    call(_rows_with_count(place, 2))
+    with pytest.raises(EmptyFocalElement, match="is not an int"):
+        call(_rows_with_count(place, count))
 
 
 def test_spectrum_frame_past_the_double_range_is_too_large():

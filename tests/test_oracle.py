@@ -17,7 +17,7 @@ import pytest
 from conftest import oracle_terms, random_mass_function
 from massfractal.core import FrameOfDiscernment, max_deng_mass, validate_mass_function
 from massfractal.entropy import deng_entropy
-from massfractal.errors import MassesNotNormalized, MassOutOfRange, ZeroDenominator
+from massfractal.errors import EmptyFocalElement, MassOutOfRange, SumNotOne, ZeroDenominator
 from massfractal.multifractal import multifractal_dimension
 from massfractal.oracle import ExactMass, oracle_deng_entropy, oracle_dimension
 
@@ -59,13 +59,27 @@ def test_exact_mass_keeps_lowest_terms():
 
 
 def test_profiles_must_sum_to_one_exactly():
-    with pytest.raises(MassesNotNormalized):
+    # the library's name for the fault, which the oracle shares
+    with pytest.raises(SumNotOne):
         oracle_deng_entropy([(1, Fraction(1, 3), 1), (2, Fraction(1, 3), 1)])
-    with pytest.raises(MassesNotNormalized):
+    with pytest.raises(SumNotOne):
         oracle_deng_entropy([])
     # 0.1 + 0.9 as binary doubles does not hit 1 exactly
-    with pytest.raises(MassesNotNormalized):
+    with pytest.raises(SumNotOne):
         oracle_deng_entropy([(1, 0.1, 1), (1, 0.9, 1)])
+
+
+@pytest.mark.parametrize("profile", [
+    [(0, Fraction(1, 2), 1), (1, Fraction(1, 2), 1)],
+    [(1, Fraction(1, 2), 0), (1, Fraction(1), 1)],
+    [(-1, Fraction(1), 1)],
+], ids=["cardinality-0", "multiplicity-0", "cardinality-negative"])
+def test_a_count_below_one_is_an_empty_focal_element(profile):
+    # as the library's row check names it
+    with pytest.raises(EmptyFocalElement):
+        oracle_deng_entropy(profile)
+    with pytest.raises(EmptyFocalElement):
+        oracle_dimension(profile, 2)
 
 
 def test_entropy_of_point_singleton_is_zero():
