@@ -154,7 +154,8 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
 def _source(args: argparse.Namespace):
     """The ``--input`` file's mass function, or the ``--family`` bands."""
     if args.input is not None:
-        return _load_mass_function(args.input, args.tolerance_sum)
+        tolerance = SUM_TOLERANCE if args.tolerance_sum is None else args.tolerance_sum
+        return _load_mass_function(args.input, tolerance)
     return _FAMILY_PROFILE[args.family](args.n)
 
 
@@ -372,13 +373,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = _finite(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative tolerance, got {text!r}")
-    return value
-
-
 def _alpha_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(_finite(part) for part in text.split(","))
@@ -419,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="mass-function JSON file")
         p.add_argument("--family", choices=FAMILIES, help="built-in family name")
         p.add_argument("--n", type=int, help="frame size for --family")
-        p.add_argument("--tolerance-sum", type=_tolerance, default=SUM_TOLERANCE)
+        p.add_argument("--tolerance-sum", type=float)
 
     def add_output(p: argparse.ArgumentParser, formats=("csv", "json", "svg")) -> None:
         p.add_argument("--format", choices=formats, default="csv")
@@ -427,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="multifractal spectrum points")
     add_source(p); add_output(p)
-    p.add_argument("--tolerance-grouping", type=_tolerance, default=GROUPING_TOLERANCE)
+    p.add_argument("--tolerance-grouping", type=float, default=GROUPING_TOLERANCE)
 
     p = sub.add_parser("dimension", help="multifractal dimension at given orders")
     add_source(p); add_output(p, ("csv", "json"))
@@ -481,6 +475,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError("--family needs --n")
         if args.input is not None and args.n is not None:
             raise ValueError("--n belongs to --family; an --input file has its own frame")
+        if args.family is not None and args.tolerance_sum is not None:
+            raise ValueError("--tolerance-sum belongs to --input; a --family's masses are built, not read")
 
 
 _DISPATCH = {

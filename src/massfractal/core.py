@@ -385,19 +385,21 @@ def _log2_power_sum(exponents: Sequence[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
-def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
-    """A :class:`Bands` as it is, or rows checked as a mass function is: each
-    a triple, every mass a number in (0, 1], every cardinality and
-    multiplicity an int of at least 1, as a frame size is, and the k*m
-    summing to one within ``SUM_TOLERANCE``.  The sum is the kernel's
-    log-domain one, so a multiplicity past the double range does not
-    overflow it."""
-    if type(profile) is Bands:
-        return profile
+def _as_bands(source: MassFunction | Iterable[tuple[int, float, int]]) -> Bands:
+    """The one band gate: a :class:`Bands` as it is, a mass function's
+    bands, or rows checked as a mass function is: each a triple, every mass
+    a number in (0, 1], every cardinality and multiplicity an int of at
+    least 1, as a frame size is, and the k*m summing to one within
+    ``SUM_TOLERANCE``.  The sum is the kernel's log-domain one, so a
+    multiplicity past the double range does not overflow it."""
+    if type(source) is Bands:
+        return source
+    if isinstance(source, MassFunction):
+        return source.bands
     try:
-        rows = list(profile)
+        rows = list(source)
     except TypeError:
-        raise EmptyFocalElement(f"band rows come as an iterable, not as {type(profile).__name__}") from None
+        raise EmptyFocalElement(f"band rows come as an iterable, not as {type(source).__name__}") from None
     if not rows:
         raise SumNotOne("a profile without bands carries no mass")
     try:
@@ -423,11 +425,6 @@ def _as_bands(profile: Iterable[tuple[int, float, int]]) -> Bands:
     # Python-level constructor; every row is already a checked triple
     return Bands(map(tuple.__new__, itertools.repeat(ProfileBand),
                      zip(cardinalities, masses, multiplicities)))
-
-
-def _bands_of(source) -> Bands:
-    """A mass function's bands, or :func:`_as_bands` of anything else."""
-    return source.bands if isinstance(source, MassFunction) else _as_bands(source)
 
 
 def _check_explicit_size(n: int, profile: Bands) -> None:

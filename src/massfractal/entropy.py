@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import Bands, MassFunction, _as_bands, _as_number, _bands_of
+from .core import Bands, MassFunction, _as_bands, _as_number
 from .errors import MassOutOfRange, OrderOutOfRange
 from .multifractal import _deng_terms, _numerator_bits, multifractal_dimension
 
@@ -87,4 +87,4 @@ def deng_entropy(source: MassFunction | Iterable[tuple[int, float, int]]) -> flo
     numerator at alpha = 1: the masses enter normalised to sum to one, as at
     every other order.
     """
-    return _deng_terms(_bands_of(source)).limit
+    return _deng_terms(_as_bands(source)).limit

@@ -48,9 +48,8 @@ class IndexOutOfFrame(MassFractalError):
 
 
 class FrameTooLarge(MassFractalError):
-    """An explicit family's masks would exceed the bit cap, a profile
-    builder's band values would turn subnormal or leave the double range,
-    or the envelope is asked past the largest max-Deng profile."""
+    """An explicit family's masks would exceed the bit cap, or a profile
+    builder's band values would turn subnormal or leave the double range."""
 
 
 # --- multifractal-side errors ---

@@ -44,8 +44,8 @@ from .core import (
     _as_bands,
     _as_number,
     _as_tolerance,
-    _bands_of,
     _check_frame_size,
+    _check_profile_size,
     _log2_power_sum,
 )
 from .errors import (
@@ -297,7 +297,7 @@ def spectrum(source: MassFunction | Bands, grouping_tolerance: float = GROUPING_
     distinct ``(cardinality, mass)`` pairs.  Rows, which carry no frame
     size, raise :class:`InvalidFrame`; :func:`spectrum_from_profile` takes one.
     """
-    bands = _bands_of(source)
+    bands = _as_bands(source)
     if bands.frame_size is None:
         raise InvalidFrame("band rows carry no frame size; use spectrum_from_profile(rows, n)")
     return _spectrum_from_bands(bands, bands.frame_size, grouping_tolerance)
@@ -403,7 +403,7 @@ def multifractal_dimension(source: MassFunction | Iterable[tuple[int, float, int
     :class:`OrderOutOfRange` when the order is so large or so small that the
     result leaves the double range, or is not a number.
     """
-    terms = _deng_terms(_bands_of(source))
+    terms = _deng_terms(_as_bands(source))
     return _dimension_from_bands(terms, _as_number(alpha, OrderOutOfRange, "order"))
 
 
@@ -424,7 +424,7 @@ def dimension_sweep(source: MassFunction | Iterable[tuple[int, float, int]], alp
     :class:`OrderOutOfRange`, after the source is checked.  The bands' logs are taken once for the whole sweep, and each
     entry equals what :func:`multifractal_dimension` returns at that order.
     """
-    return _sweep(_deng_terms(_bands_of(source)), alphas)
+    return _sweep(_deng_terms(_as_bands(source)), alphas)
 
 
 def dimension_sweep_from_profile(
@@ -438,13 +438,11 @@ def dimension_sweep_from_profile(
 def quadratic_envelope(n: int) -> QuadraticEnvelope:
     """The asymptotic quadratic envelope of the maximum-Deng-entropy
     spectrum for a frame of size n, with coefficient
-    4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585.  It is
-    served for the max-Deng spectra the profile builder serves."""
-    _check_frame_size(n)
+    4 log2 C(n, floor(n/2)) / n and roots pinned at 0.585 and 1.585, served
+    for each n the max-Deng profile builder serves, by that builder's check."""
+    _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng", "turn subnormal")
     if n < 2:
         raise DegenerateFrame(f"the envelope needs a frame of at least 2, got {n}")
-    if n > MAX_DENG_PROFILE_N:
-        raise FrameTooLarge(f"the envelope is served up to n = {MAX_DENG_PROFILE_N}")
     a = 4.0 * math.log2(math.comb(n, n // 2)) / n
     return QuadraticEnvelope(a=a, n=n)
 

@@ -61,12 +61,21 @@ ProfileTerm = tuple[int, RationalLike, int]
 
 
 def _exact_terms(profile: Iterable[ProfileTerm]) -> list[tuple[int, ExactMass, int]]:
+    """The terms with exact masses, refused as the library refuses band
+    rows: each a triple, every count an int (no bool) of at least 1."""
     terms = []
-    for cardinality, mass, multiplicity in profile:
+    for term in profile:
+        try:
+            cardinality, mass, multiplicity = term
+        except (TypeError, ValueError):
+            raise EmptyFocalElement("a term is not a (cardinality, mass, multiplicity) triple") from None
+        if type(cardinality) is not int or type(multiplicity) is not int:
+            raise EmptyFocalElement("a term's cardinality or multiplicity is not an int")
+        # the counts go unprinted: an int past 4300 digits has no str
         if cardinality < 1:
-            raise EmptyFocalElement(f"cardinality must be positive, got {cardinality}")
+            raise EmptyFocalElement("a term's cardinality is below 1")
         if multiplicity < 1:
-            raise EmptyFocalElement(f"multiplicity must be positive, got {multiplicity}")
+            raise EmptyFocalElement("a term's multiplicity is below 1")
         terms.append((cardinality, ExactMass(mass), multiplicity))
     if not terms:
         raise SumNotOne("empty profile carries no mass")

@@ -21,11 +21,14 @@ from massfractal import cli
 from massfractal.core import (
     FrameOfDiscernment,
     max_deng_mass,
+    max_deng_profile,
     uniform_powerset_mass,
     uniform_singleton_mass,
     vacuous_mass,
+    validate_mass_function,
 )
-from massfractal.errors import FrameTooLarge, InvalidFrame
+from massfractal.errors import FrameTooLarge, InvalidFrame, MassFractalError
+from massfractal.multifractal import spectrum
 
 FAMILY_MASS = {
     "max-deng": max_deng_mass,
@@ -646,15 +649,6 @@ def test_nan_mass_exits_two(tmp_path, capsys):
     assert "nan" not in captured.out.lower()
 
 
-def test_nan_sum_tolerance_exits_two(tmp_path, capsys):
-    path = write_mass_file(tmp_path / "short.json", ["a", "b"], [(["a"], 0.3), (["b"], 0.3)])
-    code, captured = main_in_process(
-        capsys, "spectrum", "--input", path, "--tolerance-sum", "nan"
-    )
-    assert code == 2
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("command", [["spectrum"], ["dimension", "--alpha", "2"]])
 def test_a_file_without_focal_elements_exits_two_at_any_sum_tolerance(tmp_path, capsys, command):
     # a tolerance of 1 would take the missing unit of mass
@@ -665,16 +659,49 @@ def test_a_file_without_focal_elements_exits_two_at_any_sum_tolerance(tmp_path, 
     assert captured.err == "error: SumNotOne: masses sum to 0.0, not 1\n"
 
 
-def test_negative_grouping_tolerance_exits_two(tmp_path, capsys):
-    path = write_mass_file(
-        tmp_path / "equal.json", ["a", "b", "c"],
-        [(["a"], 0.25), (["b"], 0.25), (["c"], 0.5)],
-    )
-    code, captured = main_in_process(
-        capsys, "spectrum", "--input", path, "--tolerance-grouping", "-1"
-    )
-    assert code == 2
-    assert captured.out == ""
+# each tolerance is parsed by float and checked only by the library, so
+# the CLI refuses and accepts what the library does, an infinity included
+TOLERANCE_TEXTS = ["-1", "-inf", "nan", "0", "0.01", "inf"]
+
+
+def library_outcome(call):
+    """The exit code and stderr the CLI owes for what ``call`` does."""
+    try:
+        call()
+    except MassFractalError as failure:
+        return 2, f"error: {type(failure).__name__}: {failure}\n"
+    return 0, ""
+
+
+@pytest.mark.parametrize("text", TOLERANCE_TEXTS)
+def test_the_sum_tolerance_keeps_the_librarys_rule(text, tmp_path, capsys):
+    # the masses sum to 0.999
+    masses = [0.25, 0.25, 0.499]
+    path = write_mass_file(tmp_path / "short.json", ["a", "b", "c"],
+                           [([label], mass) for label, mass in zip("abc", masses)])
+    expected = library_outcome(lambda: validate_mass_function(
+        FrameOfDiscernment(3), [((i,), mass) for i, mass in enumerate(masses)], float(text)))
+    code, captured = main_in_process(capsys, "dimension", "--input", path, "--alpha", "2",
+                                     f"--tolerance-sum={text}")
+    assert (code, captured.err) == expected
+    assert (len(csv_records(captured.out)) == 1) if code == 0 else (captured.out == "")
+
+
+@pytest.mark.parametrize("text", TOLERANCE_TEXTS)
+def test_the_grouping_tolerance_keeps_the_librarys_rule(text, capsys):
+    bands = max_deng_profile(3)
+    expected = library_outcome(lambda: spectrum(bands, grouping_tolerance=float(text)))
+    code, captured = main_in_process(capsys, "spectrum", "--family", "max-deng", "--n", "3",
+                                     f"--tolerance-grouping={text}")
+    assert (code, captured.err) == expected
+    if code != 0:
+        assert captured.out == ""
+    else:
+        points = spectrum(bands, grouping_tolerance=float(text)).points
+        assert [int(row["multiplicity"]) for row in csv_records(captured.out)] == [
+            point.multiplicity for point in points]
+        # an infinite tolerance puts every mass in one group
+        assert len(points) == (1 if text == "inf" else 3)
 
 
 @pytest.mark.parametrize("orders", ["nan,inf", "1,inf", "-inf,2"])
@@ -805,8 +832,12 @@ def test_grouping_tolerance_belongs_to_spectrum_only(argv, capsys):
     assert code == 2
     assert "unrecognized arguments: --tolerance-grouping" in captured.err
     assert captured.out == ""
-    code, _ = main_in_process(capsys, *argv, "--tolerance-sum", "0.5")
-    assert code == 0
+    # nothing reads a sum tolerance beside --family, so it is refused
+    code, captured = main_in_process(capsys, *argv, "--tolerance-sum", "0.5")
+    assert code == 2
+    assert captured.err == ("error: ValueError: --tolerance-sum belongs to --input; "
+                            "a --family's masses are built, not read\n")
+    assert captured.out == ""
     code, captured = main_in_process(
         capsys, "spectrum", "--family", "max-deng", "--n", "3", "--tolerance-grouping", "0.9"
     )
@@ -851,8 +882,8 @@ def test_max_deng_frames_with_subnormal_masses_exit_two(argv, capsys):
     # D_alpha at order 1e6 would miss the family's value
     code, captured = main_in_process(capsys, *argv, "--n", "645")
     assert code == 2
-    assert captured.err.startswith("error: FrameTooLarge: ")
-    assert "644" in captured.err
+    # one check, the builder's, names the fault for every command
+    assert captured.err == "error: FrameTooLarge: max-deng band values turn subnormal past n = 644\n"
     assert captured.out == ""
 
 

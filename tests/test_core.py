@@ -273,7 +273,7 @@ def test_every_band_source_gives_one_checked_value():
                               (m.bands, 3), (checked, None)):
         assert type(bands) is Bands and bands.frame_size == frame_size
         assert core_module._as_bands(bands) is bands
-    assert checked == m.bands and core_module._bands_of(m) is m.bands
+    assert checked == m.bands and core_module._as_bands(m) is m.bands
     # as_profile_bands, kept for the benchmark, is the mass function's bands
     assert as_profile_bands(m) is m.bands
 

@@ -457,13 +457,14 @@ def test_sweep_from_profile_matches_direct_calls():
 @pytest.fixture
 def band_checks(monkeypatch):
     """The profiles on which ``_as_bands`` ran its check, rather than
-    passing a :class:`Bands` through, in every module that calls it."""
+    passing a :class:`Bands` or a mass function's bands through, in every
+    module that calls it."""
     checked = []
     as_bands = core_module._as_bands
 
     def counting(profile):
         bands = as_bands(profile)
-        if bands is not profile:
+        if bands is not profile and bands is not getattr(profile, "bands", None):
             checked.append(profile)
         return bands
 
@@ -474,13 +475,13 @@ def band_checks(monkeypatch):
 
 def test_sweep_builds_its_bands_once(monkeypatch, band_checks):
     read = []
-    bands_of = core_module._bands_of
+    as_bands = multifractal_module._as_bands
 
     def counting(source):
         read.append(source)
-        return bands_of(source)
+        return as_bands(source)
 
-    monkeypatch.setattr(multifractal_module, "_bands_of", counting)
+    monkeypatch.setattr(multifractal_module, "_as_bands", counting)
     m = pooled_mass_function(random.Random(8), 6)
     entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
     assert all(entry.result is not None for entry in entries)
@@ -496,7 +497,7 @@ def test_sweep_and_spectrum_share_one_band_build(band_checks):
     # validation grouped the focal elements once; the sweep and the spectrum
     # read those bands as they are, never checked them again, and never
     # derived the per-element assignments
-    assert core_module._bands_of(m) is m.bands and band_checks == []
+    assert core_module._as_bands(m) is m.bands and band_checks == []
     assert m.bands.frame_size == 7
     assert "assignments" not in vars(m)
 
@@ -776,9 +777,13 @@ def test_dimension_is_continuous_through_one_on_masses_short_of_one():
 
 def test_envelope_is_served_up_to_the_max_deng_limit():
     assert quadratic_envelope(MAX_DENG_PROFILE_N).n == MAX_DENG_PROFILE_N
+    with pytest.raises(FrameTooLarge) as builder:
+        max_deng_profile(MAX_DENG_PROFILE_N + 1)
     for build in (quadratic_envelope, asymptotic_anchor_points):
-        with pytest.raises(FrameTooLarge):
+        # the builder's own check, under the builder's message
+        with pytest.raises(FrameTooLarge) as refused:
             build(MAX_DENG_PROFILE_N + 1)
+        assert str(refused.value) == str(builder.value)
         with pytest.raises(FrameTooLarge):
             build(10 ** 12)
 
@@ -908,6 +913,34 @@ def test_dimension_does_not_rise_with_the_order():
                 assert high.value <= low.value, (seed, low, high)
                 checked += 1
     assert checked > 100_000
+
+
+@pytest.mark.parametrize("n, near, far", [(10, 10.0, 20.0), (20, 2e3, 1e4), (40, 1e7, 2e7)])
+def test_max_deng_nears_log2_3_only_up_to_an_order_that_grows_with_the_frame(n, near, far):
+    # the denominator sees the order only through alpha * m_k * log2(2**k - 1),
+    # about n * (2/3)**n at k = n, so the limit log2 3 holds at each order
+    # but not uniformly: past an order growing about 1.5-fold per hypothesis
+    # D_alpha leaves it
+    bands = max_deng_profile(n)
+    miss = [abs(multifractal_dimension(bands, alpha).value / math.log2(3) - 1.0) for alpha in (near, far)]
+    assert miss[0] < 0.01 < miss[1]
+
+
+def binary_entropy(x):
+    return -math.fsum(p * math.log2(p) for p in (x, 1.0 - x) if p > 0.0)
+
+
+def test_max_deng_spectrum_sits_under_the_binary_entropy_curve():
+    # f * log2(2**n - 1) is log2 C(n, k) for the point of cardinality k, and
+    # 2**(n H2(k/n)) / (n + 1) <= C(n, k) <= 2**(n H2(k/n)) (Cover and
+    # Thomas, Elements of Information Theory, 2nd ed., Thm 11.1.3)
+    for n in range(2, MAX_DENG_PROFILE_N + 1):
+        scale, slack = math.log2(2 ** n - 1), math.log2(n + 1)
+        points = spectrum(max_deng_profile(n)).points
+        assert sorted(point.representative_cardinality for point in points) == list(range(1, n + 1))
+        for point in points:
+            gap = n * binary_entropy(point.representative_cardinality / n) - point.f * scale
+            assert 0.0 <= gap <= slack, (n, point)
 
 
 # --- checked profile bands ---

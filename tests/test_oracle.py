@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import massfractal.core as core_module
 from conftest import oracle_terms, random_mass_function
 from massfractal.core import FrameOfDiscernment, max_deng_mass, validate_mass_function
 from massfractal.entropy import deng_entropy
@@ -73,13 +75,34 @@ def test_profiles_must_sum_to_one_exactly():
     [(0, Fraction(1, 2), 1), (1, Fraction(1, 2), 1)],
     [(1, Fraction(1, 2), 0), (1, Fraction(1), 1)],
     [(-1, Fraction(1), 1)],
-], ids=["cardinality-0", "multiplicity-0", "cardinality-negative"])
+    [(-10 ** 5000, Fraction(1), 1)],
+    [(1, Fraction(1), -10 ** 5000)],
+], ids=["cardinality-0", "multiplicity-0", "cardinality-negative",
+        "cardinality-of-5001-digits", "multiplicity-of-5001-digits"])
 def test_a_count_below_one_is_an_empty_focal_element(profile):
     # as the library's row check names it
     with pytest.raises(EmptyFocalElement):
         oracle_deng_entropy(profile)
     with pytest.raises(EmptyFocalElement):
         oracle_dimension(profile, 2)
+
+
+NOT_A_COUNT = [2.0, True, "2", Fraction(2), Decimal("2")]
+
+
+@pytest.mark.parametrize("profile", [
+    *([(count, Fraction(1), 1)] for count in NOT_A_COUNT),
+    *([(1, Fraction(1, 2), count)] for count in NOT_A_COUNT),
+    [(1, Fraction(1))],
+    [(1, Fraction(1), 1, 1)],
+], ids=[*(f"cardinality-{count!r}" for count in NOT_A_COUNT),
+        *(f"multiplicity-{count!r}" for count in NOT_A_COUNT), "two-values", "four-values"])
+def test_the_oracle_refuses_the_rows_the_library_refuses(profile):
+    # the oracle keeps its own code, but its input gate names each fault as
+    # the library's band check does
+    for call in (oracle_deng_entropy, lambda rows: oracle_dimension(rows, 2), core_module._as_bands):
+        with pytest.raises(EmptyFocalElement):
+            call(profile)
 
 
 def test_entropy_of_point_singleton_is_zero():
