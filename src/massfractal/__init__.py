@@ -41,14 +41,13 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     # the oracle, and mpmath with it, is imported on first use of its names
-    if name in ("ExactMass", "oracle_deng_entropy", "oracle_dimension"):
+    if name in ("oracle_deng_entropy", "oracle_dimension"):
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
-    "ExactMass",
     "DimensionResult",
     "FocalElement",
     "FrameOfDiscernment",

@@ -377,21 +377,13 @@ def validate_mass_function(
         raise EmptyFocalElement(f"raw is no iterable of (subset, mass) pairs: {failure}") from None
 
 
-def _log2_power_sum(exponents: Sequence[float]) -> float:
-    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
-    top = max(exponents)
-    if len(exponents) == 1:
-        return top
-    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
-
-
 def _as_bands(source: MassFunction | Iterable[tuple[int, float, int]]) -> Bands:
     """The one band gate: a :class:`Bands` as it is, a mass function's
     bands, or rows checked as a mass function is: each a triple, every mass
     a number in (0, 1], every cardinality and multiplicity an int of at
     least 1, as a frame size is, and the k*m summing to one within
-    ``SUM_TOLERANCE``.  The sum is the kernel's log-domain one, so a
-    multiplicity past the double range does not overflow it."""
+    ``SUM_TOLERANCE``.  The sum is exact, in ints, so a multiplicity past
+    the double range does not overflow it."""
     if type(source) is Bands:
         return source
     if isinstance(source, MassFunction):
@@ -418,9 +410,12 @@ def _as_bands(source: MassFunction | Iterable[tuple[int, float, int]]) -> Bands:
         raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
     if min(multiplicities) < 1:
         raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
-    log_total = _log2_power_sum(list(map(operator.add, map(math.log2, masses), map(math.log2, multiplicities))))
-    if not (log_total < 1.0 and abs(2.0 ** log_total - 1.0) <= SUM_TOLERANCE):
-        raise SumNotOne(f"band masses times multiplicities sum to 2**{log_total!r}, not 1")
+    ratios = list(map(float.as_integer_ratio, masses))
+    scale = max(map(operator.itemgetter(1), ratios))  # every denominator is a power of two
+    total = sum(p * (scale // q) * k for (p, q), k in zip(ratios, multiplicities))
+    bound, bound_scale = SUM_TOLERANCE.as_integer_ratio()
+    if abs(total - scale) * bound_scale > bound * scale:
+        raise SumNotOne(f"band masses times multiplicities do not sum to 1 within {SUM_TOLERANCE}")
     # tuple.__new__ makes each band in C, skipping the namedtuple's
     # Python-level constructor; every row is already a checked triple
     return Bands(map(tuple.__new__, itertools.repeat(ProfileBand),

@@ -24,8 +24,8 @@ entropy, and on singleton bands the numerator is Renyi entropy.  The
 denominator runs in the log2 domain with the largest exponent factored out,
 because (2**|A|-1)**(alpha*m) overflows for large alpha on masses near one.
 A sum with a single term is returned exactly, and a sum within a factor 2 of
-one is taken as log1p of its excess over one, which does not cancel at
-negative orders.
+one is taken as log1p of its excess over one, its largest term through
+expm1, which does not cancel at negative orders.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .core import (
     _as_tolerance,
     _check_frame_size,
     _check_profile_size,
-    _log2_power_sum,
 )
 from .errors import (
     DegenerateFrame,
@@ -166,6 +165,14 @@ def _log2_subset_count(k: int) -> float:
         return float(k)
     except OverflowError:
         raise FrameTooLarge("a set size past the double range has no double log") from None
+
+
+def _log2_power_sum(exponents: Sequence[float]) -> float:
+    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
+    top = max(exponents)
+    if len(exponents) == 1:
+        return top
+    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
 class _Terms(NamedTuple):
@@ -344,9 +351,13 @@ def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
             # Within a factor 2 of 1 the log of the rounded sum keeps only
             # the bits of sum - 1 that the rounding left, which at negative
             # orders, where every term but a singleton's falls towards 0, is
-            # none.  fsum rounds sum - 1 once, and log1p keeps its bits.
-            excess = math.fsum([*map(pow, repeat(2.0), den_exponents), -1.0])
-            if excess == 0.0 and max(den_exponents) == 0.0:
+            # none.  fsum rounds sum - 1 once, taking the largest term as
+            # 2**e - 1 by expm1, which keeps the bits of a tiny e that 2**e
+            # rounds off, and log1p keeps its bits.
+            top = max(den_exponents)
+            den_exponents.remove(top)
+            excess = math.fsum([math.expm1(top * _LN2), *map(pow, repeat(2.0), den_exponents)])
+            if excess == 0.0 and top == 0.0:
                 # a singleton's term is exactly 1 and every other one
                 # underflowed: the exact denominator is positive, but no
                 # double holds it

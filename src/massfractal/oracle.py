@@ -14,12 +14,13 @@ functions are fed in: one term per focal element with multiplicity one.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from mpmath import mp
 
-from .errors import EmptyFocalElement, MassOutOfRange, SumNotOne, ZeroDenominator
+from .errors import EmptyFocalElement, MassOutOfRange, OrderOutOfRange, SumNotOne, ZeroDenominator
 
 # Working precision in bits.  Results are reported as doubles; 120 bits keeps
 # well over 50 accurate fractional bits through every summation in scope.
@@ -36,52 +37,47 @@ _CANCELLATION_SLACK_BITS = 56
 # dimension.
 _MAX_PRECISION_BITS = 4096
 
-RationalLike = Union[int, str, float, Fraction]
+
+def _exact_number(value, error: type, what: str) -> Fraction:
+    """A mass or an order as an exact rational, refused as the library
+    refuses it: a str, bytes or bool, or anything float() cannot read or
+    reads as NaN or an infinity, raises ``error``."""
+    try:
+        if isinstance(value, (str, bytes, bytearray, bool)) or not math.isfinite(number := float(value)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} of type {type(value).__name__} is not a finite number") from None
+    try:
+        return Fraction(value)
+    except TypeError:  # a number that is no Rational, float or Decimal
+        return Fraction(number)
 
 
-class ExactMass(Fraction):
-    """An exact rational mass, constrained to (0, 1] and kept in lowest terms.
-
-    Accepts anything :class:`fractions.Fraction` accepts; note that floats
-    convert to their exact binary value, which is precisely what the
-    cross-checks want when mirroring a double-precision mass.
-    """
-
-    def __new__(cls, numerator: RationalLike, denominator: int | None = None) -> "ExactMass":
-        if denominator is None:
-            self = super().__new__(cls, numerator)
-        else:
-            self = super().__new__(cls, numerator, denominator)
-        if not 0 < self <= 1:
-            raise MassOutOfRange(f"exact mass {self} lies outside (0, 1]")
-        return self
-
-
-ProfileTerm = tuple[int, RationalLike, int]
-
-
-def _exact_terms(profile: Iterable[ProfileTerm]) -> list[tuple[int, ExactMass, int]]:
+def _exact_terms(profile: Iterable[tuple]) -> list[tuple[int, Fraction, int]]:
     """The terms with exact masses, refused as the library refuses band
-    rows: each a triple, every count an int (no bool) of at least 1."""
+    rows: an iterable of triples, every count an int (no bool) of at least
+    1, and every mass a number in (0, 1]."""
+    try:
+        rows = list(profile)
+    except TypeError:
+        raise EmptyFocalElement(f"a profile comes as an iterable, not as {type(profile).__name__}") from None
     terms = []
-    for term in profile:
+    for term in rows:
         try:
             cardinality, mass, multiplicity = term
         except (TypeError, ValueError):
             raise EmptyFocalElement("a term is not a (cardinality, mass, multiplicity) triple") from None
-        if type(cardinality) is not int or type(multiplicity) is not int:
-            raise EmptyFocalElement("a term's cardinality or multiplicity is not an int")
         # the counts go unprinted: an int past 4300 digits has no str
-        if cardinality < 1:
-            raise EmptyFocalElement("a term's cardinality is below 1")
-        if multiplicity < 1:
-            raise EmptyFocalElement("a term's multiplicity is below 1")
-        terms.append((cardinality, ExactMass(mass), multiplicity))
-    if not terms:
-        raise SumNotOne("empty profile carries no mass")
-    total = sum(Fraction(mass) * multiplicity for _, mass, multiplicity in terms)
-    if total != 1:
-        raise SumNotOne(f"exact masses sum to {total}, not 1")
+        if type(cardinality) is not int or type(multiplicity) is not int or min(cardinality, multiplicity) < 1:
+            raise EmptyFocalElement("a term's cardinality or multiplicity is not an int of at least 1")
+        mass = _exact_number(mass, MassOutOfRange, "mass")
+        if not 0 < mass <= 1:
+            raise MassOutOfRange("an exact mass lies outside (0, 1]")
+        terms.append((cardinality, mass, multiplicity))
+    # an empty profile sums to 0; no sum or mass is printed, since a
+    # rational of 4300 digits or more has no str
+    if sum(mass * multiplicity for _, mass, multiplicity in terms) != 1:
+        raise SumNotOne("exact masses do not sum to exactly 1")
     return terms
 
 
@@ -89,7 +85,7 @@ def _to_mpf(value: Fraction):
     return mp.mpf(value.numerator) / mp.mpf(value.denominator)
 
 
-def _deng_bits(terms: Sequence[tuple[int, ExactMass, int]]):
+def _deng_bits(terms: Sequence[tuple[int, Fraction, int]]):
     acc = mp.mpf(0)
     for cardinality, mass, multiplicity in terms:
         m = _to_mpf(mass)
@@ -98,7 +94,7 @@ def _deng_bits(terms: Sequence[tuple[int, ExactMass, int]]):
     return acc
 
 
-def oracle_deng_entropy(profile: Iterable[ProfileTerm]) -> float:
+def oracle_deng_entropy(profile: Iterable[tuple]) -> float:
     """Deng entropy in bits, evaluated at 120 working bits.
 
     ``profile`` lists ``(cardinality, exact mass, multiplicity)`` terms whose
@@ -109,20 +105,22 @@ def oracle_deng_entropy(profile: Iterable[ProfileTerm]) -> float:
         return float(_deng_bits(terms))
 
 
-def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> float:
+def oracle_dimension(profile: Iterable[tuple], alpha) -> float:
     """Order-alpha multifractal dimension, evaluated at 120 working bits.
 
-    The order is taken as an exact rational; ``alpha == 1`` routes to the
-    limit form whose numerator is the Deng entropy.  Near order 1 the
-    numerator, and at negative orders the denominator, is evaluated again
-    with the bits its log cancels added on, so a tiny Deng value, or a
-    denominator sum of 1 + 2**-700, keeps its digits.  Raises
+    The order, read after the profile under the masses' number rule, is
+    taken as an exact rational; ``alpha == 1`` routes to the limit form
+    whose numerator is the Deng entropy.  Near order 1 the numerator, and
+    at negative orders the denominator, is evaluated again with the bits
+    its log cancels added on, so a tiny Deng value, or a denominator sum
+    of 1 + 2**-700, keeps its digits.  Raises
+    :class:`OrderOutOfRange` for an order that rule refuses, and
     :class:`ZeroDenominator` when the denominator log vanishes (a lone
     singleton focal element of mass one, or order zero on such input).
     """
-    order = Fraction(alpha)
     with mp.workprec(ORACLE_PRECISION_BITS):
         terms = _exact_terms(profile)
+        order = _exact_number(alpha, OrderOutOfRange, "order")
 
         def den_sum():
             total = mp.mpf(0)
@@ -139,7 +137,7 @@ def oracle_dimension(profile: Iterable[ProfileTerm], alpha: RationalLike) -> flo
         return float(numerator / denominator)
 
 
-def _numerator_bits(terms: Sequence[tuple[int, ExactMass, int]], order: Fraction):
+def _numerator_bits(terms: Sequence[tuple[int, Fraction, int]], order: Fraction):
     """log2(sum m**alpha * w**(1 - alpha)) / (1 - alpha) at alpha != 1."""
     def num_sum():
         a = _to_mpf(order)

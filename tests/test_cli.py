@@ -271,6 +271,18 @@ def test_dimension_at_the_root_of_the_denominator_exits_three(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_dimension_with_a_tiny_mass_at_a_negative_order_matches_the_oracle(tmp_path, capsys):
+    # the denominator's largest term is within 6.5e-11 of 1; rounded before
+    # 1 was taken off it printed -627664351757.3973, 1.1e-6 off
+    path = write_mass_file(tmp_path / "tiny.json", ["a", "b", "c"],
+                           [(["a", "b"], 2.0 ** -40), (["b", "c"], 1.0 - 2.0 ** -40)])
+    code, captured = main_in_process(capsys, "dimension", "--input", path, "--alpha=-45",
+                                     "--format", "json")
+    assert code == 0
+    (row,) = json.loads(captured.out)["rows"]
+    assert row["D_alpha"] == pytest.approx(-627663679004.0927, rel=1e-12)
+
+
 # --- tables ---
 
 def test_table_t1_published_row():
@@ -964,10 +976,27 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 def test_cli_import_leaves_dataclasses_unloaded():
     """A CLI process pays for no module it does not use: the records are
-    named tuples and slotted classes, and decimal waits for the tables."""
+    named tuples and slotted classes, and decimal waits for the tables.
+    Nor do the benchmark's set-up paths (a validated mass function and a
+    max-Deng profile, each swept and grouped, and table T4) load mpmath or
+    fractions, whose import alone costs about what such a process does."""
     probe = (
-        "import sys, massfractal.cli\n"
+        "import contextlib, io, sys, massfractal.cli\n"
         "loaded = {'dataclasses', 'inspect', 'decimal'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from massfractal import cli, core, multifractal\n"
+        "orders = (-2.0, 0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-11, 1 + 1e-9,\n"
+        "          1.5, 2.0, 3.0, 5.0, 9.0, 17.0, 29.0, 100.0)\n"
+        "raw = [((0,), 0.5), ((1, 2), 0.25), ((3, 4, 5), 0.125), ((0, 5), 0.125)]\n"
+        "m = core.validate_mass_function(core.FrameOfDiscernment(6), raw)\n"
+        "multifractal.dimension_sweep(m, orders)\n"
+        "multifractal.spectrum(m)\n"
+        "bands = core.max_deng_profile(4)\n"
+        "multifractal.dimension_sweep(bands, orders)\n"
+        "multifractal.spectrum_from_profile(bands, 4)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', 'T4']) == 0\n"
+        "loaded = {'mpmath', 'fractions'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

@@ -278,6 +278,26 @@ def test_every_band_source_gives_one_checked_value():
     assert as_profile_bands(m) is m.bands
 
 
+def test_a_row_sum_is_decided_on_its_exact_value():
+    # rows scaled to within 1e-15 (relative) of 1 +- 1e-9, the tolerance's
+    # edge, where a rounded sum would decide some against the exact one
+    rng = random.Random(26)
+    bound = Fraction(SUM_TOLERANCE)
+    for _ in range(2000):
+        multiplicities = [rng.randint(1, 50) for _ in range(rng.randint(2, 6))]
+        weights = [rng.random() for _ in multiplicities]
+        edge = 1.0 + rng.choice((-1.0, 1.0)) * SUM_TOLERANCE * (1.0 + rng.uniform(-1e-15, 1e-15))
+        scale = edge / math.fsum(k * w for k, w in zip(multiplicities, weights))
+        rows = [(1, w * scale, k) for k, w in zip(multiplicities, weights)]
+        exact = abs(sum(Fraction(mass) * k for _, mass, k in rows) - 1) <= bound
+        try:
+            core_module._as_bands(rows)
+            passed = True
+        except SumNotOne:
+            passed = False
+        assert passed == exact, rows
+
+
 NOT_A_TOLERANCE = ["x", b"1e-9", True, None, [1e-9], math.nan, -1e-9, -math.inf, -1]
 
 
