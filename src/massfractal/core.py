@@ -329,8 +329,12 @@ def _validated(
             raise DuplicateFocalElement(f"subset {members} appears twice")
         masses[mask] = mass
     total = math.fsum(masses.values())
+    tolerance = _as_tolerance(sum_tolerance, "sum tolerance")
+    within = abs(total - 1.0) <= tolerance
+    if abs(abs(total - 1.0) - tolerance) <= math.ulp(total):  # fsum rounds once: decide the edge in ints
+        within = _sums_to_one(masses.values(), itertools.repeat(1), tolerance)
     # a tolerance of 1 or more would pass a function with no focal element
-    if not masses or not abs(total - 1.0) <= _as_tolerance(sum_tolerance, "sum tolerance"):
+    if not masses or not within:
         raise SumNotOne(f"masses sum to {total!r}, not 1")
     counts = Counter(zip(map(int.bit_count, masses), masses.values()))
     bands = Bands((ProfileBand(*pair, multiplicity) for pair, multiplicity in sorted(counts.items())), n)
@@ -377,6 +381,16 @@ def validate_mass_function(
         raise EmptyFocalElement(f"raw is no iterable of (subset, mass) pairs: {failure}") from None
 
 
+def _sums_to_one(masses: Iterable[float], multiplicities: Iterable[int], tolerance: float) -> bool:
+    """Whether |sum k*m - 1| <= tolerance, a finite float, decided exactly in
+    ints, over the largest of the masses' denominators, each a power of two."""
+    ratios = list(map(float.as_integer_ratio, masses))
+    scale = max(map(operator.itemgetter(1), ratios), default=1)
+    total = sum(p * (scale // q) * k for (p, q), k in zip(ratios, multiplicities))
+    bound, bound_scale = tolerance.as_integer_ratio()
+    return abs(total - scale) * bound_scale <= bound * scale
+
+
 def _as_bands(source: MassFunction | Iterable[tuple[int, float, int]]) -> Bands:
     """The one band gate: a :class:`Bands` as it is, a mass function's
     bands, or rows checked as a mass function is: each a triple, every mass
@@ -410,11 +424,7 @@ def _as_bands(source: MassFunction | Iterable[tuple[int, float, int]]) -> Bands:
         raise EmptyFocalElement("a band of cardinality below 1 holds an empty subset")
     if min(multiplicities) < 1:
         raise EmptyFocalElement("a band of multiplicity below 1 holds no focal element")
-    ratios = list(map(float.as_integer_ratio, masses))
-    scale = max(map(operator.itemgetter(1), ratios))  # every denominator is a power of two
-    total = sum(p * (scale // q) * k for (p, q), k in zip(ratios, multiplicities))
-    bound, bound_scale = SUM_TOLERANCE.as_integer_ratio()
-    if abs(total - scale) * bound_scale > bound * scale:
+    if not _sums_to_one(masses, multiplicities, SUM_TOLERANCE):
         raise SumNotOne(f"band masses times multiplicities do not sum to 1 within {SUM_TOLERANCE}")
     # tuple.__new__ makes each band in C, skipping the namedtuple's
     # Python-level constructor; every row is already a checked triple
@@ -500,16 +510,14 @@ def _binomials(n: int) -> list[int]:
 def max_deng_profile(n: int) -> Bands:
     _check_profile_size(n, MAX_DENG_PROFILE_N, "max-deng", "turn subnormal")
     normalizer = 3 ** n - 2 ** n
-    return Bands((
-        ProfileBand(k, ((1 << k) - 1) / normalizer, multiplicity)
-        for k, multiplicity in enumerate(_binomials(n), 1)
-    ), n)
+    masses = (((1 << k) - 1) / normalizer for k in range(1, n + 1))
+    return Bands(map(tuple.__new__, itertools.repeat(ProfileBand), zip(range(1, n + 1), masses, _binomials(n))), n)
 
 
 def uniform_powerset_profile(n: int) -> Bands:
     _check_profile_size(n, UNIFORM_POWERSET_PROFILE_N, "uniform-powerset")
-    mass = 1.0 / (2 ** n - 1)
-    return Bands((ProfileBand(k, mass, multiplicity) for k, multiplicity in enumerate(_binomials(n), 1)), n)
+    masses = itertools.repeat(1.0 / (2 ** n - 1))
+    return Bands(map(tuple.__new__, itertools.repeat(ProfileBand), zip(range(1, n + 1), masses, _binomials(n))), n)
 
 
 def vacuous_profile(n: int) -> Bands:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
-from operator import add, attrgetter, itemgetter, sub
+from bisect import bisect_left
+from itertools import accumulate, compress, repeat
+from operator import add, attrgetter, itemgetter, mul, ne, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -63,6 +64,8 @@ GROUPING_TOLERANCE = 1e-9
 _LN2 = math.log(2.0)
 # 2**x - 1 is finite below this x, and so is any mean of such terms
 _MAX_EXPONENT = sys.float_info.max_exp - 1
+# a sum leaves out a tail of bands provably below 2**-64 of it (:func:`_kept`)
+_CUT_BITS = 64.0
 
 
 class SpectrumPoint(NamedTuple):
@@ -181,7 +184,10 @@ class _Terms(NamedTuple):
     denominator; the share s_i = k*m normalised to sum to one, log2 s_i and
     the exponent t_i = log2(m / (2**|A| - 1)) for the numerator; max |t_i|,
     the alpha = 1 value -sum_i s_i t_i; and, for a lone focal element
-    holding the whole unit of mass, its log2(2**|A| - 1), else None."""
+    holding the whole unit of mass, its log2(2**|A| - 1), else None.  Then
+    the cuts, or None: the shares' :func:`_tail_bits` and max t_i; and the
+    tail bits of k, the rows (m, log2(2**|A| - 1), log2 k) by falling k, and
+    max m * log2(2**|A| - 1)."""
 
     masses: Sequence[float]
     log_weights: list[float]
@@ -192,6 +198,26 @@ class _Terms(NamedTuple):
     reach: float
     limit: float
     lone: float | None
+    numerator_cut: tuple | None
+    denominator_cut: tuple | None
+
+
+def _tail_bits(values: Sequence) -> tuple[list[float], list[int]]:
+    """log2 of the tail sum of the falling values from the start of each run
+    of equal values, descending; and the run starts, then the count, so that
+    no cut splits a run."""
+    tails = list(accumulate(reversed(values)))[::-1]  # summed smallest first
+    starts = [0, *compress(range(1, len(values)), map(ne, values[1:], values[:-1]))]
+    return list(map(math.log2, map(tails.__getitem__, starts))), starts + [len(values)]
+
+
+def _kept(tail: tuple[list[float], list[int]], room: float) -> int:
+    """How many leading terms a sum of terms of one sign keeps, each term at
+    most 2**-room of the first per unit of tail: all of them where room is not
+    finite, else all but the longest tail bounded below 2**-64 of the first,
+    with 2**-20 bits to spare for the tail sums' rounding."""
+    bits, ends = tail
+    return ends[bisect_left(bits, _CUT_BITS + 2.0 ** -20 - room, key=neg) if math.isfinite(room) else -1]
 
 
 def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
@@ -220,11 +246,22 @@ def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
     shares = [2.0 ** share for share in log_shares]
     limit = math.fsum(-s * t for s, t in zip(shares, exponents))
     lone = len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0
+    masses = list(map(itemgetter(1), bands))
+    # a cut needs the smallest share, or the multiplicities' spread, past 64 binades
+    numerator_cut = denominator_cut = None
+    if log_shares[-1] < -_CUT_BITS:
+        numerator_cut = _tail_bits(shares), max(exponents)
+    if max(log_multiplicities) - min(log_multiplicities) > _CUT_BITS:
+        counts = list(map(itemgetter(2), bands))
+        pick = itemgetter(*sorted(range(len(bands)), key=counts.__getitem__, reverse=True))
+        denominator_cut = (_tail_bits(pick(counts)), pick(list(zip(masses, log_weights, log_multiplicities))),
+                           max(map(mul, masses, log_weights)))
     return _Terms(
-        masses=list(map(itemgetter(1), bands)), log_weights=log_weights,
+        masses=masses, log_weights=log_weights,
         log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
         exponents=exponents, reach=max(map(abs, exponents)), limit=limit,
         lone=log_weights[0] if lone else None,
+        numerator_cut=numerator_cut, denominator_cut=denominator_cut,
     )
 
 
@@ -240,19 +277,28 @@ def _numerator_bits(terms: _Terms, alpha: float) -> float:
     overflows, that sum is not finite, and the term 2**(eps * T) of the
     t_i = T at which eps * t_i is largest is factored out first: the value
     is -T + log2(sum_i s_i * 2**(eps * (t_i - T))) / -eps, a finite mean.
+    Only the first two sums are cut.
     """
     eps = alpha - 1.0
     if eps == 0.0:
         return terms.limit
+    shares, log_shares, exponents = terms.shares, terms.log_shares, terms.exponents
+    cut = terms.numerator_cut
     if (eps * terms.limit <= 1.0) if eps > 0.0 else (-eps * terms.reach < _MAX_EXPONENT):
         scale = eps * _LN2
-        excess = math.fsum(
-            s * math.expm1(scale * t) for s, t in zip(terms.shares, terms.exponents)
-        )
+        if cut is not None:
+            # each |expm1(scale * t)| is at most min(1, scale * reach), or expm1(-scale * reach)
+            bound = min(1.0, scale * terms.reach) if eps > 0.0 else math.expm1(-scale * terms.reach)
+            first = abs(shares[0] * math.expm1(scale * exponents[0])) / bound
+            kept = _kept(cut[0], math.log2(first) if first > 0.0 else math.inf)
+            shares, exponents = shares[:kept], exponents[:kept]
+        excess = math.fsum(s * math.expm1(scale * t) for s, t in zip(shares, exponents))
         return math.log1p(excess) / -scale
-    bits = _log2_power_sum(
-        [ls + eps * t for ls, t in zip(terms.log_shares, terms.exponents)]
-    ) / -eps
+    if cut is not None:
+        extreme = cut[1] if eps > 0.0 else -terms.reach  # each 2**(eps * t) is at most 2**(eps * extreme)
+        kept = _kept(cut[0], log_shares[0] + eps * (exponents[0] - extreme))
+        log_shares, exponents = log_shares[:kept], exponents[:kept]
+    bits = _log2_power_sum([ls + eps * t for ls, t in zip(log_shares, exponents)]) / -eps
     if math.isfinite(bits):
         return bits
     top = max(terms.exponents) if eps > 0.0 else min(terms.exponents)
@@ -279,13 +325,9 @@ def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
         else:
             groups.append([mass, multiplicity, cardinality])
     points = [
-        SpectrumPoint(
-            y=(0.0 - math.log2(anchor)) / scale,
-            f=math.log2(count) / scale,
-            mass_value=anchor,
-            multiplicity=count,
-            representative_cardinality=representative,
-        )
+        tuple.__new__(SpectrumPoint, (
+            (0.0 - math.log2(anchor)) / scale, math.log2(count) / scale, anchor, count, representative,
+        ))
         for anchor, count, representative in groups
     ]
     points.sort(key=attrgetter("y"))
@@ -342,11 +384,19 @@ def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
         numerator_bits = terms.lone
         value, denominator_bits = 1.0 / alpha, alpha * terms.lone
     else:
-        den_exponents = [
-            alpha * mass * lw + lk
-            for mass, lw, lk in zip(terms.masses, terms.log_weights, terms.log_multiplicities)
-        ]
+        columns = terms.masses, terms.log_weights, terms.log_multiplicities
+        rows = zip(*columns)
+        if terms.denominator_cut is not None:
+            # each (2**|A| - 1)**(alpha * m) is at most 2**(max(alpha, 0) * max m * log2(2**|A| - 1))
+            tail, falling, reach = terms.denominator_cut
+            mass, lw, lk = falling[0]
+            lead = mass * lw  # taken off reach first, so no rounding lifts the bound
+            rows = falling[:_kept(tail, lk + alpha * (lead - reach if alpha > 0.0 else lead))]
+        den_exponents = [alpha * mass * lw + lk for mass, lw, lk in rows]
         denominator_bits = _log2_power_sum(den_exponents)
+        if -1.0 < denominator_bits < 1.0 and len(den_exponents) < len(terms.masses):
+            # the bands a cut left out may hold bits of the sum's excess over 1
+            den_exponents = [alpha * mass * lw + lk for mass, lw, lk in zip(*columns)]
         if -1.0 < denominator_bits < 1.0 and len(den_exponents) > 1:
             # Within a factor 2 of 1 the log of the rounded sum keeps only
             # the bits of sum - 1 that the rounding left, which at negative
@@ -371,12 +421,8 @@ def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
     if not (math.isfinite(value) and math.isfinite(numerator_bits)
             and math.isfinite(denominator_bits)):
         raise OrderOutOfRange(f"order {alpha!r} takes the dimension past the double range")
-    return DimensionResult(
-        alpha=alpha,
-        value=value,
-        numerator_bits=numerator_bits,
-        denominator_bits=denominator_bits,
-    )
+    # tuple.__new__ builds the record in C, as core._as_bands builds bands
+    return tuple.__new__(DimensionResult, (alpha, value, numerator_bits, denominator_bits))
 
 
 def _sweep(terms: _Terms, alphas: Iterable[float]) -> list[SweepEntry]:
@@ -388,11 +434,12 @@ def _sweep(terms: _Terms, alphas: Iterable[float]) -> list[SweepEntry]:
         raise OrderOutOfRange(f"orders come as an iterable, not as {type(alphas).__name__}") from None
     entries: list[SweepEntry] = []
     for alpha in alphas:
-        alpha = _as_number(alpha, OrderOutOfRange, "order")
+        if type(alpha) is not float:
+            alpha = _as_number(alpha, OrderOutOfRange, "order")
         try:
-            entries.append(SweepEntry(alpha, _dimension_from_bands(terms, alpha), None))
+            entries.append(tuple.__new__(SweepEntry, (alpha, _dimension_from_bands(terms, alpha), None)))
         except (ZeroDenominator, OrderOutOfRange) as failure:
-            entries.append(SweepEntry(alpha, None, type(failure).__name__))
+            entries.append(tuple.__new__(SweepEntry, (alpha, None, type(failure).__name__)))
     return entries
 
 

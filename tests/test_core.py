@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import operator
 import pickle
@@ -296,6 +297,47 @@ def test_a_row_sum_is_decided_on_its_exact_value():
         except SumNotOne:
             passed = False
         assert passed == exact, rows
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+        return True
+    except SumNotOne:
+        return False
+
+
+def test_a_pair_sum_is_decided_on_its_exact_value(tmp_path):
+    # the same edge as the rows': the pairs, the CLI's loader and the same
+    # masses as rows each give the exact verdict, so all three give one
+    from massfractal.cli import _load_mass_function
+
+    rng = random.Random(26)
+    bound = Fraction(SUM_TOLERANCE)
+    path = tmp_path / "m.json"
+    for _ in range(2000):
+        weights = [rng.random() for _ in range(rng.randint(2, 6))]
+        edge = 1.0 + rng.choice((-1.0, 1.0)) * SUM_TOLERANCE * (1.0 + rng.uniform(-1e-15, 1e-15))
+        scale = edge / math.fsum(weights)
+        masses = [w * scale for w in weights]
+        exact = abs(sum(map(Fraction, masses)) - 1) <= bound
+        frame = FrameOfDiscernment(len(masses))
+        pairs = [((i,), mass) for i, mass in enumerate(masses)]
+        assert _verdict(validate_mass_function, frame, pairs) == exact, masses
+        assert _verdict(core_module._as_bands, [(1, mass, 1) for mass in masses]) == exact, masses
+        labels = [f"h{i}" for i in range(len(masses))]
+        path.write_text(json.dumps({"frame": labels, "assignments": [
+            {"subset": [label], "mass": mass} for label, mass in zip(labels, masses)]}))
+        assert _verdict(_load_mass_function, str(path), SUM_TOLERANCE) == exact, masses
+
+
+def test_a_pair_sum_near_an_infinite_or_zero_tolerance_keeps_its_verdict():
+    frame = FrameOfDiscernment(2)
+    assert _verdict(validate_mass_function, frame, [((0,), 0.5)], math.inf)
+    assert _verdict(validate_mass_function, frame, [((0,), 0.5), ((1,), 0.5)], 0.0)
+    # 0.1 + 0.2 + 0.7 rounds to 1 but is not exactly 1
+    assert not _verdict(validate_mass_function, FrameOfDiscernment(3),
+                        [((0,), 0.1), ((1,), 0.2), ((2,), 0.7)], 0.0)
 
 
 NOT_A_TOLERANCE = ["x", b"1e-9", True, None, [1e-9], math.nan, -1e-9, -math.inf, -1]

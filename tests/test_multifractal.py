@@ -1136,7 +1136,8 @@ def _profile_outputs(bands, n, orders):
 
 def _unsorted_terms(bands):
     """What _deng_terms gives, with the bands kept in the order given: each
-    log and each order-free sum taken afresh, the share sort left out."""
+    log and each order-free sum taken afresh, the share sort left out, and
+    with no cut, so every sum runs over every band."""
     log_multiplicities = [math.log2(k) for _, _, k in bands]
     log_masses = [math.log2(m) for _, m, _ in bands]
     log_weights = [multifractal_module._log2_subset_count(c) for c, _, _ in bands]
@@ -1151,7 +1152,7 @@ def _unsorted_terms(bands):
         log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
         exponents=exponents, reach=max(map(abs, exponents)),
         limit=math.fsum(-s * t for s, t in zip(shares, exponents)),
-        lone=log_weights[0] if lone else None,
+        lone=log_weights[0] if lone else None, numerator_cut=None, denominator_cut=None,
     )
 
 
@@ -1191,6 +1192,100 @@ def test_prepare_orders_the_bands_by_falling_share(builder, n):
     log_shares = [lk + math.log2(m) for m, lk in columns]
     assert log_shares == sorted(log_shares, reverse=True)
     assert terms.log_shares == sorted(terms.log_shares, reverse=True)
+
+
+# --- the tail cut ---
+#
+# A sum leaves out the tail of bands it finds below 2**-64 of the sum, where
+# the smallest share, or the multiplicities' spread, passes 64 binades.
+
+# the benchmark's sixteen orders, and six far ones
+CUT_ORDERS = (-2.0, 0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-11, 1 + 1e-9, 1.5, 2.0, 3.0, 5.0,
+              9.0, 17.0, 29.0, 100.0, -50.0, -10.0, 0.25, 1e3, 1e6, 1e300)
+CUT_PROFILES = [(builder, n) for builder, cap in ((max_deng_profile, MAX_DENG_PROFILE_N),
+                                                 (uniform_powerset_profile, UNIFORM_POWERSET_PROFILE_N))
+                for n in (65, 100, 200, 400, cap)]
+
+
+def _dimension_or_error(terms, alpha):
+    try:
+        return multifractal_module._dimension_from_bands(terms, alpha)
+    except (ZeroDenominator, OrderOutOfRange) as failure:
+        return type(failure).__name__
+
+
+@pytest.mark.parametrize("builder, n", CUT_PROFILES)
+def test_the_cut_kernel_agrees_with_the_full_one(builder, n):
+    terms = multifractal_module._deng_terms(builder(n))
+    # C(65, 32) spans under 64 binades, so that frame cuts its numerator only
+    assert terms.numerator_cut is not None and (terms.denominator_cut is None) == (n == 65)
+    full = terms._replace(numerator_cut=None, denominator_cut=None)
+    for alpha in CUT_ORDERS:
+        got, expected = _dimension_or_error(terms, alpha), _dimension_or_error(full, alpha)
+        if isinstance(expected, str):
+            assert got == expected, alpha
+            continue
+        for cut_value, full_value in zip(got, expected):
+            assert abs(cut_value - full_value) <= 2 * math.ulp(full_value), (alpha, got, expected)
+
+
+@pytest.mark.parametrize("builder, exact", [(max_deng_profile, max_deng_exact),
+                                            (uniform_powerset_profile, uniform_powerset_exact)])
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 2.0, 29.0])
+def test_the_cut_kernel_matches_the_oracle(builder, exact, alpha):
+    got = multifractal_dimension(builder(400), alpha).value
+    assert _relative_error(got, oracle_dimension(exact(400), alpha)) <= ORACLE_TOLERANCE
+
+
+def test_a_cut_at_a_huge_order_keeps_the_lead_band():
+    # the band of most focal elements also holds the largest m * log2(2**|A| - 1),
+    # so at these orders alpha times it carries rounding of thousands of bits
+    rows = [(15, (1 - 2.0 ** -30) / 2 ** 82, 2 ** 82), (1, 2.0 ** -30, 1)]
+    terms = multifractal_module._deng_terms(core_module._as_bands(rows))
+    full = terms._replace(numerator_cut=None, denominator_cut=None)
+    assert terms.denominator_cut is not None
+    for alpha in (9.921100393630921e42, 3.659973472953002e60, 1e100, 1e300, -1e300):
+        assert repr(_dimension_or_error(terms, alpha)) == repr(_dimension_or_error(full, alpha))
+
+
+def test_the_cut_leaves_out_most_bands_of_a_large_profile(monkeypatch):
+    terms = multifractal_module._deng_terms(max_deng_profile(400))
+    kept = {}
+
+    def spy(tail_bits, room):
+        count = cut(tail_bits, room)
+        kept["numerator" if tail_bits is terms.numerator_cut[0] else "denominator"] = count
+        return count
+
+    cut = multifractal_module._kept
+    monkeypatch.setattr(multifractal_module, "_kept", spy)
+    multifractal_module._dimension_from_bands(terms, 2.0)
+    assert kept["numerator"] <= 180 and kept["denominator"] <= 190
+
+
+def test_inputs_far_from_64_binades_carry_no_cut():
+    rng = random.Random(27)
+    masses = dyadic_masses(rng, 2000)
+    dyadic = multifractal_module._deng_terms(core_module._as_bands(
+        [(rng.randint(1, 16), mass, 1) for mass in masses]))
+    assert len(dyadic.masses) > 1900
+    assert dyadic.numerator_cut is None and dyadic.denominator_cut is None
+    for builder in PROFILE_BUILDERS:
+        for n in range(1, 41):
+            terms = multifractal_module._deng_terms(builder(n))
+            assert terms.numerator_cut is None and terms.denominator_cut is None, (builder, n)
+
+
+@pytest.mark.parametrize("builder", [max_deng_profile, uniform_powerset_profile])
+def test_a_cut_sweep_entry_is_the_single_call_at_its_order(builder):
+    bands = builder(400)
+    for entry in dimension_sweep(bands, CUT_ORDERS):
+        try:
+            single = multifractal_dimension(bands, entry.alpha)
+        except (ZeroDenominator, OrderOutOfRange) as failure:
+            assert (entry.result, entry.error) == (None, type(failure).__name__)
+        else:
+            assert repr(entry) == repr(multifractal_module.SweepEntry(entry.alpha, single, None))
 
 
 # --- profile values past the frame or the double range ---
