@@ -16,16 +16,16 @@ Renyi information dimension; on the maximum-Deng-entropy family it climbs
 toward log2(3) as the frame grows.
 
 Numerics: this module holds the one D_alpha kernel, which :mod:`entropy`
-also runs for Renyi and Deng entropy.  The numerator is
-log2(sum_i s_i * 2**(eps * t_i)) / -eps at eps = alpha - 1, over the band
-shares s_i = k*m, normalised to sum to one, and exponents
-t_i = log2(m/(2**|A|-1)) <= 0; its alpha = 1 limit -sum_i s_i t_i is Deng
-entropy, and on singleton bands the numerator is Renyi entropy.  The
-denominator runs in the log2 domain with the largest exponent factored out,
-because (2**|A|-1)**(alpha*m) overflows for large alpha on masses near one.
-A sum with a single term is returned exactly, and a sum within a factor 2 of
-one is taken as log1p of its excess over one, its largest term through
-expm1, which does not cancel at negative orders.
+also runs for Renyi and Deng entropy.  Both halves are one power sum
+log2 sum_i 2**(c_i + order * r_i).  The numerator takes c_i = log2 s_i, of
+the band shares s_i = k*m normalised to sum to one, r_i = t_i =
+log2(m/(2**|A|-1)) <= 0 and order alpha - 1, over 1 - alpha; its alpha = 1
+limit -sum_i s_i t_i is Deng entropy, and on singleton bands it is Renyi
+entropy.  The denominator takes c_i = log2 k, r_i = m * log2(2**|A|-1) and
+order alpha.  2**(order * x), x an extreme rate, is factored out, so no term
+overflows.  A sum with a single term is returned exactly, and a sum within a
+factor 2 of one is taken as log1p of its excess over one, which does not
+cancel near alpha = 1 or, in the denominator, at negative orders.
 """
 
 from __future__ import annotations
@@ -178,28 +178,31 @@ def _log2_power_sum(exponents: Sequence[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
-class _Terms(NamedTuple):
-    """The order-free part of the kernel, one column entry per band, in
-    falling share order: the mass m, log2(2**|A| - 1) and log2 k for the
-    denominator; the share s_i = k*m normalised to sum to one, log2 s_i and
-    the exponent t_i = log2(m / (2**|A| - 1)) for the numerator; max |t_i|,
-    the alpha = 1 value -sum_i s_i t_i; and, for a lone focal element
-    holding the whole unit of mass, its log2(2**|A| - 1), else None.  Then
-    the cuts, or None: the shares' :func:`_tail_bits` and max t_i; and the
-    tail bits of k, the rows (m, log2(2**|A| - 1), log2 k) by falling k, and
-    max m * log2(2**|A| - 1)."""
+class _Sum(NamedTuple):
+    """One half of D_alpha, log2 sum_i 2**(c_i + order * r_i), order-free:
+    per band the coefficient 2**c_i, c_i and r_i; for orders above 0 and the
+    rest, the rate x that :func:`_log2_sum` factors out, with every r_i - x;
+    and the coefficients' :func:`_tail_bits`, by falling coefficient, or
+    None where they span at most 64 binades."""
 
-    masses: Sequence[float]
-    log_weights: list[float]
-    log_multiplicities: Sequence[float]
-    shares: list[float]
-    log_shares: list[float]
-    exponents: list[float]
-    reach: float
+    coefficients: Sequence
+    logs: Sequence[float]
+    rates: Sequence[float]
+    above: tuple[float, Sequence[float]]
+    below: tuple[float, Sequence[float]]
+    tail: tuple | None
+
+
+class _Terms(NamedTuple):
+    """The order-free part of the kernel: the numerator's sum, over the
+    shares and t_i, and the denominator's, over k and m * log2(2**|A| - 1);
+    the alpha = 1 value -sum_i s_i t_i; and, for a lone focal element
+    holding the whole unit of mass, its log2(2**|A| - 1), else None."""
+
+    numerator: _Sum
+    denominator: _Sum
     limit: float
     lone: float | None
-    numerator_cut: tuple | None
-    denominator_cut: tuple | None
 
 
 def _tail_bits(values: Sequence) -> tuple[list[float], list[int]]:
@@ -220,6 +223,20 @@ def _kept(tail: tuple[list[float], list[int]], room: float) -> int:
     return ends[bisect_left(bits, _CUT_BITS + 2.0 ** -20 - room, key=neg) if math.isfinite(room) else -1]
 
 
+def _sum_of(coefficients: Sequence, logs: Sequence[float], rates: Sequence[float], low: float) -> _Sum:
+    """The order-free :class:`_Sum` of these columns, factoring out the
+    largest rate above order 0 and ``low`` otherwise, at most every rate."""
+    tail = None
+    if max(logs) - min(logs) > _CUT_BITS:
+        # stable, so equal coefficients keep the order they came in
+        pick = itemgetter(*sorted(range(len(logs)), key=coefficients.__getitem__, reverse=True))
+        coefficients, logs, rates = pick(coefficients), pick(logs), pick(rates)
+        tail = _tail_bits(coefficients)
+    high = max(rates)
+    return tuple.__new__(_Sum, (coefficients, logs, rates, (high, [r - high for r in rates]),
+                                (low, [r - low for r in rates] if low else rates), tail))
+
+
 def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
     """The kernel terms of the bands, taken once for every order.
 
@@ -227,7 +244,8 @@ def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
     partial per non-overlapping piece of its running sum, and terms that
     rise and fall over hundreds of binades, as cardinality order gives
     them, make that list long; largest first keeps it short.  fsum is
-    exactly rounded and max ignores order, so no result changes.
+    exactly rounded and max ignores order, so no result changes.  A sum
+    with a tail takes its bands by falling coefficient, share or k.
     """
     log_multiplicities = list(map(math.log2, map(itemgetter(2), bands)))
     log_masses = list(map(math.log2, map(itemgetter(1), bands)))
@@ -244,25 +262,26 @@ def _deng_terms(bands: Sequence[ProfileBand]) -> _Terms:
     total = _log2_power_sum(log_sizes)
     log_shares = [size - total for size in log_sizes]
     shares = [2.0 ** share for share in log_shares]
-    limit = math.fsum(-s * t for s, t in zip(shares, exponents))
     lone = len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0
-    masses = list(map(itemgetter(1), bands))
-    # a cut needs the smallest share, or the multiplicities' spread, past 64 binades
-    numerator_cut = denominator_cut = None
-    if log_shares[-1] < -_CUT_BITS:
-        numerator_cut = _tail_bits(shares), max(exponents)
-    if max(log_multiplicities) - min(log_multiplicities) > _CUT_BITS:
-        counts = list(map(itemgetter(2), bands))
-        pick = itemgetter(*sorted(range(len(bands)), key=counts.__getitem__, reverse=True))
-        denominator_cut = (_tail_bits(pick(counts)), pick(list(zip(masses, log_weights, log_multiplicities))),
-                           max(map(mul, masses, log_weights)))
-    return _Terms(
-        masses=masses, log_weights=log_weights,
-        log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
-        exponents=exponents, reach=max(map(abs, exponents)), limit=limit,
-        lone=log_weights[0] if lone else None,
-        numerator_cut=numerator_cut, denominator_cut=denominator_cut,
-    )
+    return _Terms(_sum_of(shares, log_shares, exponents, min(exponents)),
+                  _sum_of(list(map(itemgetter(2), bands)), log_multiplicities,
+                          list(map(mul, map(itemgetter(1), bands), log_weights)), 0.0),
+                  math.fsum(-s * t for s, t in zip(shares, exponents)), log_weights[0] if lone else None)
+
+
+def _log2_sum(side: _Sum, order: float) -> tuple[float, float]:
+    """(x, b) with log2 sum_i 2**(c_i + order * r_i) = order * x + b.
+
+    No order * (r_i - x) is positive, so each factored term
+    2**(c_i + order * (r_i - x)) is at most its coefficient 2**c_i, and a
+    tail of coefficients below 2**-64 of the first term, a lower bound of
+    the sum of these positive terms, is left out."""
+    x, shifted = side.above if order > 0.0 else side.below
+    logs = side.logs
+    if side.tail is not None:
+        kept = _kept(side.tail, logs[0] + order * shifted[0])
+        logs, shifted = logs[:kept], shifted[:kept]
+    return x, _log2_power_sum([c + order * d for c, d in zip(logs, shifted)])
 
 
 def _numerator_bits(terms: _Terms, alpha: float) -> float:
@@ -272,39 +291,28 @@ def _numerator_bits(terms: _Terms, alpha: float) -> float:
     value accurate however small eps is, provided the sum is finite and not
     far below 1: for eps < 0 it is at least 1, and finite while
     -eps * max |t_i| stays inside the double range; for eps > 0 it is at
-    least 2**(-eps * limit) by Jensen's inequality.  Past those bounds the
-    max-shifted power sum takes over.  Where the largest eps * t_i
-    overflows, that sum is not finite, and the term 2**(eps * T) of the
-    t_i = T at which eps * t_i is largest is factored out first: the value
-    is -T + log2(sum_i s_i * 2**(eps * (t_i - T))) / -eps, a finite mean.
-    Only the first two sums are cut.
+    least 2**(-eps * limit) by Jensen's inequality.  Past those bounds
+    :func:`_log2_sum` takes over, with the extreme t_i = T factored out:
+    the value is -T + log2(sum_i s_i * 2**(eps * (t_i - T))) / -eps.
     """
     eps = alpha - 1.0
     if eps == 0.0:
         return terms.limit
-    shares, log_shares, exponents = terms.shares, terms.log_shares, terms.exponents
-    cut = terms.numerator_cut
-    if (eps * terms.limit <= 1.0) if eps > 0.0 else (-eps * terms.reach < _MAX_EXPONENT):
+    side = terms.numerator
+    low = side.below[0]  # min t_i, which is -max |t_i|
+    if (eps * terms.limit <= 1.0) if eps > 0.0 else (eps * low < _MAX_EXPONENT):
         scale = eps * _LN2
-        if cut is not None:
-            # each |expm1(scale * t)| is at most min(1, scale * reach), or expm1(-scale * reach)
-            bound = min(1.0, scale * terms.reach) if eps > 0.0 else math.expm1(-scale * terms.reach)
+        shares, exponents = side.coefficients, side.rates
+        if side.tail is not None:
+            # each |expm1(scale * t)| is at most min(1, scale * max |t|), or expm1(scale * min t)
+            bound = min(1.0, -scale * low) if eps > 0.0 else math.expm1(scale * low)
             first = abs(shares[0] * math.expm1(scale * exponents[0])) / bound
-            kept = _kept(cut[0], math.log2(first) if first > 0.0 else math.inf)
+            kept = _kept(side.tail, math.log2(first) if first > 0.0 else math.inf)
             shares, exponents = shares[:kept], exponents[:kept]
         excess = math.fsum(s * math.expm1(scale * t) for s, t in zip(shares, exponents))
         return math.log1p(excess) / -scale
-    if cut is not None:
-        extreme = cut[1] if eps > 0.0 else -terms.reach  # each 2**(eps * t) is at most 2**(eps * extreme)
-        kept = _kept(cut[0], log_shares[0] + eps * (exponents[0] - extreme))
-        log_shares, exponents = log_shares[:kept], exponents[:kept]
-    bits = _log2_power_sum([ls + eps * t for ls, t in zip(log_shares, exponents)]) / -eps
-    if math.isfinite(bits):
-        return bits
-    top = max(terms.exponents) if eps > 0.0 else min(terms.exponents)
-    return _log2_power_sum(
-        [ls + eps * (t - top) for ls, t in zip(terms.log_shares, terms.exponents)]
-    ) / -eps - top
+    top, bits = _log2_sum(side, eps)
+    return bits / -eps - top
 
 
 def _spectrum_from_bands(bands: Bands, n: int, grouping_tolerance) -> Spectrum:
@@ -384,26 +392,17 @@ def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
         numerator_bits = terms.lone
         value, denominator_bits = 1.0 / alpha, alpha * terms.lone
     else:
-        columns = terms.masses, terms.log_weights, terms.log_multiplicities
-        rows = zip(*columns)
-        if terms.denominator_cut is not None:
-            # each (2**|A| - 1)**(alpha * m) is at most 2**(max(alpha, 0) * max m * log2(2**|A| - 1))
-            tail, falling, reach = terms.denominator_cut
-            mass, lw, lk = falling[0]
-            lead = mass * lw  # taken off reach first, so no rounding lifts the bound
-            rows = falling[:_kept(tail, lk + alpha * (lead - reach if alpha > 0.0 else lead))]
-        den_exponents = [alpha * mass * lw + lk for mass, lw, lk in rows]
-        denominator_bits = _log2_power_sum(den_exponents)
-        if -1.0 < denominator_bits < 1.0 and len(den_exponents) < len(terms.masses):
-            # the bands a cut left out may hold bits of the sum's excess over 1
-            den_exponents = [alpha * mass * lw + lk for mass, lw, lk in zip(*columns)]
-        if -1.0 < denominator_bits < 1.0 and len(den_exponents) > 1:
+        side = terms.denominator
+        top, bits = _log2_sum(side, alpha)
+        denominator_bits = alpha * top + bits
+        if -1.0 < denominator_bits < 1.0 and len(side.logs) > 1:
             # Within a factor 2 of 1 the log of the rounded sum keeps only
             # the bits of sum - 1 that the rounding left, which at negative
             # orders, where every term but a singleton's falls towards 0, is
             # none.  fsum rounds sum - 1 once, taking the largest term as
             # 2**e - 1 by expm1, which keeps the bits of a tiny e that 2**e
             # rounds off, and log1p keeps its bits.
+            den_exponents = [c + alpha * r for c, r in zip(side.logs, side.rates)]
             top = max(den_exponents)
             den_exponents.remove(top)
             excess = math.fsum([math.expm1(top * _LN2), *map(pow, repeat(2.0), den_exponents)])

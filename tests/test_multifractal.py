@@ -1111,7 +1111,7 @@ def test_max_deng_dimension_at_the_cap_matches_the_oracle(alpha):
 
 PROFILE_BUILDERS = (max_deng_profile, uniform_powerset_profile, vacuous_profile,
                     uniform_singleton_profile)
-NEAR_ONE_ORDERS = tuple(1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (-1, 1))
+BAND_ORDER_NEAR_ONE = tuple(1.0 + sign * 10.0 ** -k for k in range(1, 16) for sign in (-1, 1))
 
 
 @st.composite
@@ -1134,6 +1134,13 @@ def _profile_outputs(bands, n, orders):
     ))
 
 
+def _full_sum(coefficients, logs, rates, low):
+    """A kernel sum over the columns as given, with no tail to cut."""
+    high = max(rates)
+    return multifractal_module._Sum(coefficients, logs, rates, (high, [r - high for r in rates]),
+                                    (low, [r - low for r in rates]), None)
+
+
 def _unsorted_terms(bands):
     """What _deng_terms gives, with the bands kept in the order given: each
     log and each order-free sum taken afresh, the share sort left out, and
@@ -1146,13 +1153,13 @@ def _unsorted_terms(bands):
     log_shares = [size - total for size in log_sizes]
     shares = [2.0 ** share for share in log_shares]
     exponents = [lm - lw for lm, lw in zip(log_masses, log_weights)]
+    rates = [m * lw for (_, m, _), lw in zip(bands, log_weights)]
     lone = len(bands) == 1 and bands[0].multiplicity == 1 and bands[0].mass == 1.0
     return multifractal_module._Terms(
-        masses=[m for _, m, _ in bands], log_weights=log_weights,
-        log_multiplicities=log_multiplicities, shares=shares, log_shares=log_shares,
-        exponents=exponents, reach=max(map(abs, exponents)),
+        numerator=_full_sum(shares, log_shares, exponents, min(exponents)),
+        denominator=_full_sum([k for _, _, k in bands], log_multiplicities, rates, 0.0),
         limit=math.fsum(-s * t for s, t in zip(shares, exponents)),
-        lone=log_weights[0] if lone else None, numerator_cut=None, denominator_cut=None,
+        lone=log_weights[0] if lone else None,
     )
 
 
@@ -1164,7 +1171,7 @@ def _unsorted_terms(bands):
 @settings(max_examples=60, deadline=None)
 def test_band_order_leaves_every_output_bit_identical(profile, shuffle_seed, far):
     bands, n = profile
-    orders = NEAR_ONE_ORDERS + (-50.0, 0.0, 1.0, 2.0, 1000.0) + tuple(far)
+    orders = BAND_ORDER_NEAR_ONE + (-50.0, 0.0, 1.0, 2.0, 1000.0) + tuple(far)
     shuffled = list(bands)
     random.Random(shuffle_seed).shuffle(shuffled)
     expected = _profile_outputs(bands, n, orders)
@@ -1187,17 +1194,22 @@ def test_prepare_orders_the_bands_by_falling_share(builder, n):
     # the sweep's one preparation step is multifractal._deng_terms
     bands = builder(n)
     terms = multifractal_module._deng_terms(bands)
-    columns = list(zip(terms.masses, terms.log_multiplicities))
-    assert sorted(columns) == sorted((m, math.log2(k)) for _, m, k in bands)
-    log_shares = [lk + math.log2(m) for m, lk in columns]
-    assert log_shares == sorted(log_shares, reverse=True)
-    assert terms.log_shares == sorted(terms.log_shares, reverse=True)
+    numerator, denominator = terms.numerator, terms.denominator
+    columns = list(zip(denominator.coefficients, denominator.logs))
+    assert sorted(columns) == sorted((k, math.log2(k)) for _, _, k in bands)
+    by_share = sorted(bands, key=lambda band: math.log2(band.multiplicity) + math.log2(band.mass), reverse=True)
+    assert list(numerator.rates) == [math.log2(m) - multifractal_module._log2_subset_count(c) for c, m, _ in by_share]
+    assert list(numerator.coefficients) == sorted(numerator.coefficients, reverse=True)
+    assert list(numerator.logs) == sorted(numerator.logs, reverse=True)
+    # the denominator goes by falling share too, or by falling k where it has a tail
+    falling = sorted(by_share, key=lambda band: band.multiplicity, reverse=True) if denominator.tail else by_share
+    assert list(denominator.coefficients) == [k for _, _, k in falling]
 
 
 # --- the tail cut ---
 #
 # A sum leaves out the tail of bands it finds below 2**-64 of the sum, where
-# the smallest share, or the multiplicities' spread, passes 64 binades.
+# its coefficients, the shares or the multiplicities, span more than 64 binades.
 
 # the benchmark's sixteen orders, and six far ones
 CUT_ORDERS = (-2.0, 0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-11, 1 + 1e-9, 1.5, 2.0, 3.0, 5.0,
@@ -1205,6 +1217,12 @@ CUT_ORDERS = (-2.0, 0.0, 0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-11, 1 + 1e-9, 1.5,
 CUT_PROFILES = [(builder, n) for builder, cap in ((max_deng_profile, MAX_DENG_PROFILE_N),
                                                  (uniform_powerset_profile, UNIFORM_POWERSET_PROFILE_N))
                 for n in (65, 100, 200, 400, cap)]
+
+
+def _without_tails(terms):
+    """The terms with both sums run over every band."""
+    return terms._replace(numerator=terms.numerator._replace(tail=None),
+                          denominator=terms.denominator._replace(tail=None))
 
 
 def _dimension_or_error(terms, alpha):
@@ -1217,9 +1235,11 @@ def _dimension_or_error(terms, alpha):
 @pytest.mark.parametrize("builder, n", CUT_PROFILES)
 def test_the_cut_kernel_agrees_with_the_full_one(builder, n):
     terms = multifractal_module._deng_terms(builder(n))
-    # C(65, 32) spans under 64 binades, so that frame cuts its numerator only
-    assert terms.numerator_cut is not None and (terms.denominator_cut is None) == (n == 65)
-    full = terms._replace(numerator_cut=None, denominator_cut=None)
+    # C(65, 32) spans under 64 binades, so at that frame only the max-Deng
+    # shares, which reach down to 65 / (3**65 - 2**65), carry a tail
+    assert (terms.numerator.tail is None) == (builder is uniform_powerset_profile and n == 65)
+    assert (terms.denominator.tail is None) == (n == 65)
+    full = _without_tails(terms)
     for alpha in CUT_ORDERS:
         got, expected = _dimension_or_error(terms, alpha), _dimension_or_error(full, alpha)
         if isinstance(expected, str):
@@ -1237,13 +1257,60 @@ def test_the_cut_kernel_matches_the_oracle(builder, exact, alpha):
     assert _relative_error(got, oracle_dimension(exact(400), alpha)) <= ORACLE_TOLERANCE
 
 
+# seventeen orders from -1e6 to 1e300
+WIDE_ORDERS = (-1e6, -1e3, -50.0, -10.0, -2.0, -0.5, 0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.5, 2.0, 29.0,
+               1e3, 1e6, 1e300)
+
+
+def _wide_rows(rng):
+    """Rows whose k*m sum to exactly 1: up to four with multiplicities up to
+    2**200, masses down to 2**-260 and each k*m below 1/8, then the rest of
+    the unit in as few doubles as hold it, one row each."""
+    rows, rest = [], Fraction(1)
+    for _ in range(rng.randint(0, 4)):
+        multiplicity = rng.randint(1, 2 ** 20) << rng.randint(0, 180)
+        mantissa = rng.randint(1, 255)
+        low = (multiplicity * mantissa).bit_length() + 3
+        mass = math.ldexp(mantissa, -rng.randint(low, max(low, min(260, low + 121))))
+        rows.append((rng.randint(1, 60), mass, multiplicity))
+        rest -= multiplicity * Fraction(mass)
+    while rest:
+        mass = float(rest)
+        if mass > rest:
+            mass = math.nextafter(mass, 0.0)
+        rows.append((rng.randint(1, 60), mass, 1))
+        rest -= Fraction(mass)
+    return rows
+
+
+def test_the_cut_agrees_with_the_full_sums_on_random_wide_rows():
+    rng = random.Random(28)
+    carried = 0
+    for _ in range(800):
+        rows = _wide_rows(rng)
+        assert 1 <= len(rows) <= 8 and min(mass for _, mass, _ in rows) >= 2.0 ** -260
+        terms = multifractal_module._deng_terms(core_module._as_bands(rows))
+        if terms.numerator.tail is None and terms.denominator.tail is None:
+            continue
+        carried += 1
+        full = _without_tails(terms)
+        for alpha in WIDE_ORDERS:
+            got, expected = _dimension_or_error(terms, alpha), _dimension_or_error(full, alpha)
+            if isinstance(expected, str) or isinstance(got, str):
+                assert got == expected, (rows, alpha)
+                continue
+            for cut_value, full_value in zip(got, expected):
+                assert abs(cut_value - full_value) <= 2 * math.ulp(full_value), (rows, alpha, got, expected)
+    assert carried > 500
+
+
 def test_a_cut_at_a_huge_order_keeps_the_lead_band():
     # the band of most focal elements also holds the largest m * log2(2**|A| - 1),
     # so at these orders alpha times it carries rounding of thousands of bits
     rows = [(15, (1 - 2.0 ** -30) / 2 ** 82, 2 ** 82), (1, 2.0 ** -30, 1)]
     terms = multifractal_module._deng_terms(core_module._as_bands(rows))
-    full = terms._replace(numerator_cut=None, denominator_cut=None)
-    assert terms.denominator_cut is not None
+    full = _without_tails(terms)
+    assert terms.denominator.tail is not None
     for alpha in (9.921100393630921e42, 3.659973472953002e60, 1e100, 1e300, -1e300):
         assert repr(_dimension_or_error(terms, alpha)) == repr(_dimension_or_error(full, alpha))
 
@@ -1254,7 +1321,7 @@ def test_the_cut_leaves_out_most_bands_of_a_large_profile(monkeypatch):
 
     def spy(tail_bits, room):
         count = cut(tail_bits, room)
-        kept["numerator" if tail_bits is terms.numerator_cut[0] else "denominator"] = count
+        kept["numerator" if tail_bits is terms.numerator.tail else "denominator"] = count
         return count
 
     cut = multifractal_module._kept
@@ -1268,12 +1335,12 @@ def test_inputs_far_from_64_binades_carry_no_cut():
     masses = dyadic_masses(rng, 2000)
     dyadic = multifractal_module._deng_terms(core_module._as_bands(
         [(rng.randint(1, 16), mass, 1) for mass in masses]))
-    assert len(dyadic.masses) > 1900
-    assert dyadic.numerator_cut is None and dyadic.denominator_cut is None
+    assert len(dyadic.numerator.logs) > 1900
+    assert dyadic.numerator.tail is None and dyadic.denominator.tail is None
     for builder in PROFILE_BUILDERS:
         for n in range(1, 41):
             terms = multifractal_module._deng_terms(builder(n))
-            assert terms.numerator_cut is None and terms.denominator_cut is None, (builder, n)
+            assert terms.numerator.tail is None and terms.denominator.tail is None, (builder, n)
 
 
 @pytest.mark.parametrize("builder", [max_deng_profile, uniform_powerset_profile])
