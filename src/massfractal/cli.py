@@ -322,9 +322,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    """Write the family's bands subset by subset, in the order
-    ``MassFunction.assignments`` sorts them into: by cardinality, then
-    lexicographically by member index.
+    """Write the family's bands subset by subset: by cardinality, then
+    lexicographically by member index, as ``itertools.combinations`` yields
+    each cardinality's subsets.
 
     The text is what ``json.dumps`` writes for the document's dict, pieced
     together from labels quoted once and each band's mass text, so that no

@@ -29,7 +29,6 @@ import math
 import operator
 import sys
 from collections import Counter
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -45,11 +44,13 @@ from .errors import (
 )
 
 # The explicit family builders are refused when the masks and the bit table
-# they would build hold more bits than this many 32-bit masks: that admits
-# every subset of a frame of 26 and refuses those of 27, and stops the bit
-# table (n ints of up to n bits) near n = 65,000.  Larger frames go through
-# the profile builders instead.
-EXPLICIT_SUBSET_CAP = 2 ** 26
+# they would build hold more bits than this many 32-bit masks.  A subset
+# costs far more than its n bits, as a dict entry or as JSON text, and peak
+# memory doubles with each n: ``family --n 19`` peaks near 180 MB of RSS.  So
+# the cap admits every subset of a frame of 19 and refuses those of 20, and
+# stops the vacuous family past n = 5,791 and the uniform-singleton one past
+# 3,344.  Larger frames go through the profile builders instead.
+EXPLICIT_SUBSET_CAP = 2 ** 19
 
 # The largest frames the profile builders accept.  Past them a band value
 # loses bits or leaves the double range: from n = 645 the max-Deng singleton
@@ -191,12 +192,10 @@ class MassFunction(_Frozen):
 
     ``masses`` is keyed by focal bitmask; ``bands`` are sorted by pair.  Only
     the validation pass and the family builders construct one.
-    Equality and hashing compare frame and masses.  The instance keeps a
-    ``__dict__`` for the lazily cached :attr:`assignments`.
+    Equality and hashing compare frame and masses.
     """
 
-    __slots__ = ("frame", "masses", "bands", "__dict__")
-    _fields = ("frame", "masses", "bands")
+    __slots__ = _fields = ("frame", "masses", "bands")
 
     def __init__(self, frame: FrameOfDiscernment, masses: dict[int, float], bands: Bands) -> None:
         object.__setattr__(self, "frame", frame)
@@ -209,7 +208,7 @@ class MassFunction(_Frozen):
     def __hash__(self) -> int:
         return hash((self.frame, frozenset(self.masses.items())))
 
-    @cached_property
+    @property
     def assignments(self) -> tuple[tuple[FocalElement, float], ...]:
         """(focal element, mass) pairs sorted by (cardinality, members)."""
         rows = sorted((mask.bit_count(), _members(mask), mass) for mask, mass in self.masses.items())
@@ -292,9 +291,10 @@ def _validated(
     mask by one bit lookup per member; any subset the lookup refuses is
     checked index by index (:func:`_checked_mask`), which names the
     offending index.  A kept mask must be non-empty and new; a repeat is
-    named by its distinct members.  The masses must sum to one within
-    ``sum_tolerance``, itself checked after the pairs, and the
-    ``(cardinality, mass)`` bands are counted once, after the loop.
+    named by its mask's ascending indices, so a bool index reads as its
+    int.  The masses must sum to one within ``sum_tolerance``, itself
+    checked after the pairs, and the ``(cardinality, mass)`` bands are
+    counted once, after the loop.
     """
     n = frame.size
     bits = {} if masked else {i: 1 << i for i in range(min(n, _LOOKUP_BITS))}
@@ -325,8 +325,7 @@ def _validated(
         if not mask:
             raise EmptyFocalElement("an empty subset was given positive mass")
         if mask in masses:
-            members = _members(mask) if masked else tuple(sorted(set(subset)))
-            raise DuplicateFocalElement(f"subset {members} appears twice")
+            raise DuplicateFocalElement(f"subset {_members(mask)} appears twice")
         masses[mask] = mass
     total = math.fsum(masses.values())
     tolerance = _as_tolerance(sum_tolerance, "sum tolerance")

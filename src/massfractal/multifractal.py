@@ -464,11 +464,8 @@ def multifractal_dimension(source: MassFunction | Iterable[tuple[int, float, int
     return _dimension_from_bands(terms, _as_number(alpha, OrderOutOfRange, "order"))
 
 
-def dimension_from_profile(profile: Iterable[tuple[int, float, int]], alpha: float) -> DimensionResult:
-    """:func:`multifractal_dimension`, kept under this name for the
-    benchmark until ROADMAP item 3 moves it off and removes it."""
-    terms = _deng_terms(_as_bands(profile))
-    return _dimension_from_bands(terms, _as_number(alpha, OrderOutOfRange, "order"))
+# the benchmark calls this name; ROADMAP item 3 deletes it once the benchmark moves off it
+dimension_from_profile = multifractal_dimension
 
 
 def dimension_sweep(source: MassFunction | Iterable[tuple[int, float, int]], alphas: Iterable[float]) -> list[SweepEntry]:
@@ -484,12 +481,8 @@ def dimension_sweep(source: MassFunction | Iterable[tuple[int, float, int]], alp
     return _sweep(_deng_terms(_as_bands(source)), alphas)
 
 
-def dimension_sweep_from_profile(
-    profile: Iterable[tuple[int, float, int]], alphas: Iterable[float]
-) -> list[SweepEntry]:
-    """:func:`dimension_sweep`, kept under this name for the benchmark
-    until ROADMAP item 3 moves it off and removes it."""
-    return _sweep(_deng_terms(_as_bands(profile)), alphas)
+# the benchmark calls this name; ROADMAP item 3 deletes it once the benchmark moves off it
+dimension_sweep_from_profile = dimension_sweep
 
 
 def quadratic_envelope(n: int) -> QuadraticEnvelope:

@@ -363,10 +363,10 @@ def test_family_document_shape():
 # the frames each family refuses: past the explicit builders' mask-bit cap,
 # or past the double range of its band values
 REFUSED_FRAMES = {
-    "max-deng": (27, 700),
-    "uniform-powerset": (27, 1024),
-    "vacuous": (10 ** 6,),
-    "uniform-singleton": (10 ** 6,),
+    "max-deng": (20, 27, 700),
+    "uniform-powerset": (20, 27, 1024),
+    "vacuous": (5792, 10 ** 6),
+    "uniform-singleton": (3345, 10 ** 6),
 }
 
 

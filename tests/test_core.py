@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import massfractal.core as core_module
 from conftest import dyadic_masses, mask_to_members, random_mass_function
@@ -233,8 +233,7 @@ def test_validate_is_order_independent():
 @pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy])
 def test_mass_function_survives_pickle_and_deepcopy(copy_of):
     m = validate_mass_function(_frame3(), [((0,), 0.25), ((1, 2), 0.25), ((2,), 0.5)])
-    m.assignments  # a cached view must travel too
-    clone = copy_of(m)
+    clone = copy_of(m)  # the fields travel; assignments is derived from masses on each read
     assert clone == m and hash(clone) == hash(m)
     assert clone.bands == m.bands and clone.assignments == m.assignments
     assert type(clone.bands) is Bands and clone.bands.frame_size == 3
@@ -442,6 +441,24 @@ def test_uniform_singleton_family():
     m5 = uniform_singleton_mass(FrameOfDiscernment(5))
     assert [mass for _, mass in m5.assignments] == [0.2] * 5
     assert [len(element.members) for element, _ in m5.assignments] == [1] * 5
+
+
+def test_a_mass_function_is_fully_slotted():
+    m = validate_mass_function(_frame3(), [((0,), 0.25), ((1, 2), 0.25), ((2,), 0.5)])
+    assert not hasattr(m, "__dict__")
+    assert m.assignments == m.assignments == pickle.loads(pickle.dumps(m)).assignments
+    assert m.assignments == ((FocalElement((0,)), 0.25), (FocalElement((2,)), 0.5),
+                             (FocalElement((1, 2)), 0.25))
+    with pytest.raises(AttributeError):  # past the refused assignment, no slot takes it
+        object.__setattr__(m, "extra", 1)
+
+
+def test_the_explicit_size_check_needs_no_subsets():
+    # the check reads the bands' multiplicities only; max-Deng passes at 19
+    # and is refused at 20, which no explicit builder may enumerate
+    core_module._check_explicit_size(19, max_deng_profile(19))
+    with pytest.raises(FrameTooLarge, match="frame of 20 would hold 20971710 bits"):
+        core_module._check_explicit_size(20, max_deng_profile(20))
 
 
 def test_enumeration_cap():
@@ -705,7 +722,8 @@ def set_loop_validate(frame, raw, sum_tolerance=SUM_TOLERANCE):
         if not mask:
             raise EmptyFocalElement("an empty subset was given positive mass")
         if mask in masses:
-            raise DuplicateFocalElement(f"subset {tuple(sorted(members))} appears twice")
+            # named by the mask, so a bool index reads as its int
+            raise DuplicateFocalElement(f"subset {mask_to_members(mask)} appears twice")
         masses[mask] = mass
         pair = (mask.bit_count(), mass)
         counts[pair] = counts.get(pair, 0) + 1
@@ -795,6 +813,7 @@ def test_one_pass_accepts_and_rejects_what_the_element_rules_do(case):
 
 @given(raw_inputs_with_faults())
 @settings(max_examples=400, deadline=None)
+@example(case=(FrameOfDiscernment(2), [([1, 0], "tuple", 0.5), ([0, True], "iter", 0.5)]))
 def test_lookup_path_matches_the_set_loop_to_the_message(case):
     frame, pairs = case
     assert _outcome_with_message(_validated_items, frame, _raw(pairs)) == \
@@ -828,6 +847,8 @@ OUT_OF_FRAME_PAIR = {11, 35}
     (10, [((1, 8), 0.5), ((8, 1), 0.5)], DuplicateFocalElement, "subset (1, 8) appears twice"),
     (3, [([2, 0, 2], 0.5), (iter([0, 2]), 0.5)], DuplicateFocalElement,
      "subset (0, 2) appears twice"),
+    # a bool index is taken as its int, and the repeat is named by its mask
+    (2, [((1,), 0.5), ((True,), 0.5)], DuplicateFocalElement, "subset (1,) appears twice"),
 ])
 def test_index_error_messages(n, raw, error, message):
     with pytest.raises(error) as caught:

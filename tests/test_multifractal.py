@@ -443,7 +443,7 @@ def test_results_are_named_tuples():
 
 
 def test_sweep_from_profile_matches_direct_calls():
-    # the benchmark's two dimension forwarders give what the unified calls
+    # the benchmark's two dimension names give what the unified calls
     # give, on a builder's bands and on rows
     for profile in (max_deng_profile(6), [(1, 0.2, 1), (2, 0.8, 1)]):
         alphas = [1.0, 4.0, 7.0]
@@ -452,6 +452,12 @@ def test_sweep_from_profile_matches_direct_calls():
         for entry in entries:
             direct = dimension_from_profile(profile, entry.alpha)
             assert entry.result == direct == multifractal_dimension(profile, entry.alpha)
+
+
+def test_the_benchmark_names_are_the_public_functions():
+    # one body per entry point: the two names bind the public functions
+    assert dimension_from_profile is multifractal_dimension
+    assert dimension_sweep_from_profile is dimension_sweep
 
 
 @pytest.fixture
@@ -488,8 +494,10 @@ def test_sweep_builds_its_bands_once(monkeypatch, band_checks):
     assert read == [m] and band_checks == []
 
 
-def test_sweep_and_spectrum_share_one_band_build(band_checks):
+def test_sweep_and_spectrum_share_one_band_build(band_checks, monkeypatch):
     m = pooled_mass_function(random.Random(21), 7)
+    monkeypatch.setattr(core_module.MassFunction, "assignments",
+                        property(lambda self: pytest.fail("assignments were derived")))
     entries = dimension_sweep(m, [-2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 9.0, 29.0])
     points = spectrum(m).points
     assert all(entry.result is not None for entry in entries)
@@ -499,7 +507,6 @@ def test_sweep_and_spectrum_share_one_band_build(band_checks):
     # derived the per-element assignments
     assert core_module._as_bands(m) is m.bands and band_checks == []
     assert m.bands.frame_size == 7
-    assert "assignments" not in vars(m)
 
 
 @pytest.mark.parametrize("builder", [max_deng_profile, uniform_powerset_profile,

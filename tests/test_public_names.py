@@ -31,7 +31,7 @@ REMOVED = [
     "deng_entropy_from_profile",
     "entropy.deng_entropy_from_profile",
     # the quantities take a mass function, a builder's bands or rows; the
-    # module attributes stay only as the benchmark's forwarders
+    # module attributes stay only as the benchmark's names for them
     "dimension_from_profile",
     "dimension_sweep_from_profile",
     "errors.NotAFocalElement",
