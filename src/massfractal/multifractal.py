@@ -23,9 +23,11 @@ log2(m/(2**|A|-1)) <= 0 and order alpha - 1, over 1 - alpha; its alpha = 1
 limit -sum_i s_i t_i is Deng entropy, and on singleton bands it is Renyi
 entropy.  The denominator takes c_i = log2 k, r_i = m * log2(2**|A|-1) and
 order alpha.  2**(order * x), x an extreme rate, is factored out, so no term
-overflows.  A sum with a single term is returned exactly, and a sum within a
-factor 2 of one is taken as log1p of its excess over one, which does not
-cancel near alpha = 1 or, in the denominator, at negative orders.
+overflows.  A sum with a single term is returned exactly; any other is taken
+as e + log2(1 + rest) through log1p, with 2**e its largest term and rest the
+others over it, so a denominator near 1, as at negative orders with a
+singleton, keeps the bits of its excess.  The numerator near alpha = 1, whose
+shares hold no term near the whole sum, takes its terms through expm1.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from operator import add, attrgetter, itemgetter, mul, ne, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -62,6 +64,9 @@ from .errors import (
 GROUPING_TOLERANCE = 1e-9
 
 _LN2 = math.log(2.0)
+# log2(1 + x) is log1p(x) * _LOG2E: this double is nearer 1/ln 2, relatively,
+# than _LN2 is to ln 2
+_LOG2E = 1.0 / _LN2
 # 2**x - 1 is finite below this x, and so is any mean of such terms
 _MAX_EXPONENT = sys.float_info.max_exp - 1
 # a sum leaves out a tail of bands provably below 2**-64 of it (:func:`_kept`)
@@ -171,11 +176,15 @@ def _log2_subset_count(k: int) -> float:
 
 
 def _log2_power_sum(exponents: Sequence[float]) -> float:
-    """log2(sum_i 2**e_i), max-shifted; exact when only one term is present."""
+    """log2(sum_i 2**e_i) = top + log2(1 + rest): top is the largest e_i,
+    whose term factored out is exactly 1, and rest the others' sum, rounded
+    once by fsum, whose bits log1p keeps.  Exact for a single term."""
     top = max(exponents)
     if len(exponents) == 1:
         return top
-    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
+    terms = [2.0 ** (e - top) for e in exponents]
+    terms.append(-1.0)
+    return top + math.log1p(math.fsum(terms)) * _LOG2E
 
 
 class _Sum(NamedTuple):
@@ -395,24 +404,11 @@ def _dimension_from_bands(terms: _Terms, alpha: float) -> DimensionResult:
         side = terms.denominator
         top, bits = _log2_sum(side, alpha)
         denominator_bits = alpha * top + bits
-        if -1.0 < denominator_bits < 1.0 and len(side.logs) > 1:
-            # Within a factor 2 of 1 the log of the rounded sum keeps only
-            # the bits of sum - 1 that the rounding left, which at negative
-            # orders, where every term but a singleton's falls towards 0, is
-            # none.  fsum rounds sum - 1 once, taking the largest term as
-            # 2**e - 1 by expm1, which keeps the bits of a tiny e that 2**e
-            # rounds off, and log1p keeps its bits.
-            den_exponents = [c + alpha * r for c, r in zip(side.logs, side.rates)]
-            top = max(den_exponents)
-            den_exponents.remove(top)
-            excess = math.fsum([math.expm1(top * _LN2), *map(pow, repeat(2.0), den_exponents)])
-            if excess == 0.0 and top == 0.0:
-                # a singleton's term is exactly 1 and every other one
-                # underflowed: the exact denominator is positive, but no
-                # double holds it
-                raise OrderOutOfRange(f"order {alpha!r} takes the denominator below the double range")
-            denominator_bits = math.log1p(excess) / _LN2
         if denominator_bits == 0.0:
+            if len(side.logs) > 1 and 0.0 in side.rates:
+                # a singleton band's term is exactly 1, so with another band
+                # the exact sum is above 1, but every other term underflowed
+                raise OrderOutOfRange(f"order {alpha!r} takes the denominator below the double range")
             raise ZeroDenominator("the weighted power sum in the denominator is 1")
         numerator_bits = _numerator_bits(terms, alpha)
         value = numerator_bits / denominator_bits

@@ -27,9 +27,9 @@ from .errors import EmptyFocalElement, MassOutOfRange, OrderOutOfRange, SumNotOn
 ORACLE_PRECISION_BITS = 120
 
 # Near order 1 the numerator's sum is near 1, and at negative orders with a
-# singleton so is the denominator's; a log then keeps only the bits of
-# sum - 1.  When that cancels more than this many of the working bits, the
-# sum is taken again with the cancelled bits added on.
+# tiny mass and no singleton so is the denominator's; a log then keeps only
+# the bits of sum - 1.  When that cancels more than this many of the working
+# bits, the sum is taken again with the cancelled bits added on.
 _CANCELLATION_SLACK_BITS = 56
 
 # A sum still exactly 1 at this many working bits is taken as 1.  The
@@ -110,31 +110,42 @@ def oracle_dimension(profile: Iterable[tuple], alpha) -> float:
 
     The order, read after the profile under the masses' number rule, is
     taken as an exact rational; ``alpha == 1`` routes to the limit form
-    whose numerator is the Deng entropy.  Near order 1 the numerator, and
-    at negative orders the denominator, is evaluated again with the bits
-    its log cancels added on, so a tiny Deng value, or a denominator sum
-    of 1 + 2**-700, keeps its digits.  Raises
-    :class:`OrderOutOfRange` for an order that rule refuses, and
-    :class:`ZeroDenominator` when the denominator log vanishes (a lone
-    singleton focal element of mass one, or order zero on such input).
+    whose numerator is the Deng entropy.  Where exactly one term is a
+    singleton focal element, whose denominator term is exactly 1, the
+    other terms are summed on their own and the denominator is log1p of
+    that sum, which mpmath's unbounded exponent keeps above 0 at every
+    order.  Any other sum near 1, the numerator's near order 1 among
+    them, is evaluated again with the bits its log cancels added on, so a
+    tiny Deng value keeps its digits.  Raises :class:`OrderOutOfRange` for
+    an order that rule refuses, or where the dimension leaves the double
+    range, as the library does, and :class:`ZeroDenominator` when the
+    denominator log vanishes (a lone singleton focal element of mass one,
+    or order zero on such input).
     """
     with mp.workprec(ORACLE_PRECISION_BITS):
         terms = _exact_terms(profile)
         order = _exact_number(alpha, OrderOutOfRange, "order")
 
+        singletons = [term for term in terms if term[0] == 1]
+        one_singleton = len(singletons) == 1 and singletons[0][2] == 1
+        summed = [term for term in terms if term[0] != 1] if one_singleton else terms
+
         def den_sum():
             total = mp.mpf(0)
-            for cardinality, mass, multiplicity in terms:
+            for cardinality, mass, multiplicity in summed:
                 weight = mp.mpf(2 ** cardinality - 1)
                 total += multiplicity * mp.power(weight, _to_mpf(order * mass))
             return total
 
-        denominator = _log2_of_sum(den_sum)
+        denominator = mp.log1p(den_sum()) / mp.log(2) if one_singleton else _log2_of_sum(den_sum)
         if denominator == 0:
             raise ZeroDenominator("denominator log2 of the weighted sum is zero")
 
         numerator = _deng_bits(terms) if order == 1 else _numerator_bits(terms, order)
-        return float(numerator / denominator)
+        value = float(numerator / denominator)
+        if not math.isfinite(value):
+            raise OrderOutOfRange(f"order {float(order)!r} takes the dimension past the double range")
+        return value
 
 
 def _numerator_bits(terms: Sequence[tuple[int, Fraction, int]], order: Fraction):

@@ -856,6 +856,12 @@ def test_index_error_messages(n, raw, error, message):
     assert str(caught.value) == message
 
 
+def test_an_index_is_read_as_its_int():
+    # a bool is an int, so True is hypothesis 1, as operator.index reads it
+    assert validate_mass_function(FrameOfDiscernment(2), [((True,), 1.0)]).masses == {2: 1.0}
+    assert validate_mass_function(FrameOfDiscernment(2), [((False, 1), 1.0)]).masses == {3: 1.0}
+
+
 def test_indices_past_the_lookup_take_the_checked_path():
     frame = FrameOfDiscernment(300)
     m = validate_mass_function(frame, [((0, 299), 0.5), ((298,), 0.5)])

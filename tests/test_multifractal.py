@@ -725,9 +725,22 @@ def test_negative_orders_with_a_singleton_match_the_oracle(profile):
 
 
 def test_singleton_alone_past_the_double_range_is_out_of_range():
-    # 3**(-0.75 * 1000) underflows to 0; the exact denominator is positive
-    with pytest.raises(OrderOutOfRange):
-        multifractal_dimension([(1, 0.25, 1), (3, 0.75, 1)], -1000.0)
+    # 7**(-0.75 * 1000) underflows to 0, and so does the other term at -1e4;
+    # the singleton's term is exactly 1, so the exact denominator is positive
+    for rows, alpha in (([(1, 0.25, 1), (3, 0.75, 1)], -1000.0), ([(1, 0.5, 1), (3, 0.5, 1)], -1e4),
+                        ([(2, 1 - 2.0 ** -20, 1), (1, 2.0 ** -20, 1)], -1e4)):
+        with pytest.raises(OrderOutOfRange, match="below the double range"):
+            multifractal_dimension(rows, alpha)
+        assert dimension_sweep(rows, [alpha])[0].error == "OrderOutOfRange"
+
+
+def test_the_power_sum_keeps_the_bits_of_a_sum_near_one():
+    # the top term is exactly 1 and the rest goes through log1p: log2 of the
+    # rounded sum 1 + 2**-60 would be 0
+    assert multifractal_module._log2_power_sum([0.0, -60.0]) == math.log1p(2.0 ** -60) / math.log(2.0)
+    assert multifractal_module._log2_power_sum([-60.0, 0.0]) == math.log1p(2.0 ** -60) / math.log(2.0)
+    for top in (0.0, -3.7, 1e300, -1e300, 5e-324):
+        assert multifractal_module._log2_power_sum([top]) == top
 
 
 # --- negative orders with a tiny mass and no singleton ---
@@ -1335,6 +1348,26 @@ def test_the_cut_leaves_out_most_bands_of_a_large_profile(monkeypatch):
     monkeypatch.setattr(multifractal_module, "_kept", spy)
     multifractal_module._dimension_from_bands(terms, 2.0)
     assert kept["numerator"] <= 180 and kept["denominator"] <= 190
+
+
+@pytest.mark.parametrize("builder, n", [(builder, n) for builder, n in CUT_PROFILES if n >= 400])
+def test_the_denominator_cuts_only_a_sum_above_64_bits(builder, n, monkeypatch):
+    # every denominator coefficient k is at least 1, so a band can go only
+    # where the first factored term exceeds 2**64, and the sum, not near 1,
+    # needs no bit of what is left out
+    terms = multifractal_module._deng_terms(builder(n))
+    rooms = []
+
+    def spy(tail_bits, room):
+        count = cut(tail_bits, room)
+        if tail_bits is terms.denominator.tail and count < len(terms.denominator.logs):
+            rooms.append(room)
+        return count
+
+    cut = multifractal_module._kept
+    monkeypatch.setattr(multifractal_module, "_kept", spy)
+    multifractal_module._sweep(terms, CUT_ORDERS)
+    assert rooms and min(rooms) > 64.0
 
 
 def test_inputs_far_from_64_binades_carry_no_cut():

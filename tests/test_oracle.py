@@ -215,6 +215,41 @@ def test_denominator_keeps_its_digits_where_the_log_cancels_at_negative_orders()
         pytest.approx(want, rel=1e-15)
 
 
+# --- one refusal rule for the library and its oracle ---
+#
+# A singleton of mass 2**-20, 2**-40 or 2**-52 beside a 2-set: the
+# singleton's denominator term is exactly 1 and the 2-set's is about 2**-951
+# at order -600 and below 2**-1074 from order -678 on, so the exact
+# denominator, though above 0, takes the dimension past the largest double
+# from about order -645, and both sides raise OrderOutOfRange.
+
+ONE_SINGLETON_ORDERS = (-600.0, -650.0, -700.0, -800.0, -1000.0, -2000.0, -5000.0, -1e4)
+
+
+def _value_or_refusal(evaluate):
+    try:
+        return evaluate()
+    except (ZeroDenominator, OrderOutOfRange) as refusal:
+        return type(refusal).__name__
+
+
+@pytest.mark.parametrize("tiny", [2.0 ** -20, 2.0 ** -40, 2.0 ** -52])
+def test_a_singleton_beside_a_vanishing_term_is_refused_alike(tiny):
+    rows = [(1, tiny, 1), (2, 1 - tiny, 1)]
+    terms = [(cardinality, Fraction(mass), multiplicity) for cardinality, mass, multiplicity in rows]
+    outcomes = []
+    for alpha in ONE_SINGLETON_ORDERS:
+        got = _value_or_refusal(lambda: multifractal_dimension(rows, alpha).value)
+        want = _value_or_refusal(lambda: oracle_dimension(terms, alpha))
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want, (alpha, got, want)
+        else:
+            assert _relative_error(got, want) <= 1e-12, (alpha, got, want)
+        outcomes.append(type(got))
+    # both a value and a refusal are checked
+    assert float in outcomes and str in outcomes
+
+
 # --- one input rule for the library and its oracle ---
 #
 # Each fault is named by the same MassFractalError subclass on both sides,
