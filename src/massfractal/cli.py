@@ -51,7 +51,6 @@ from .core import (
 from .errors import (
     DegenerateFrame,
     GridTooLarge,
-    MassFractalError,
     OrderOutOfRange,
     UnknownTable,
     ZeroDenominator,
@@ -119,9 +118,11 @@ def _label_masks(assignments: list, bit_of: dict[str, int]):
 
 
 def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
-    """One pass from the file's labels to checked masks.  The collector is
-    paused over the load, which builds tens of thousands of containers and
-    no reference cycle; the caller's setting is restored."""
+    """Every assignment read to a ``(mask, mass)`` pair, then the pairs
+    checked, so a fault of the document itself is named before any fault
+    of its masses, wherever it stands.  The collector is paused over the
+    load, which builds tens of thousands of containers and no reference
+    cycle; the caller's setting is restored."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -139,13 +140,9 @@ def _load_mass_function(path: str, sum_tolerance: float) -> MassFunction:
         if not isinstance(labels, list):
             raise ValueError("'frame' must be a list of label strings")
         frame = FrameOfDiscernment(len(labels), tuple(labels))
-        pairs = _label_masks(document["assignments"], {label: 1 << i for i, label in enumerate(labels)})
-        try:
-            return _validated(frame, pairs, sum_tolerance, masked=True)
-        except MassFractalError:
-            for _ in pairs:  # a fault of the document itself, further on, is named first
-                pass
-            raise
+        pairs = list(_label_masks(document["assignments"], {label: 1 << i for i, label in enumerate(labels)}))
+        del document  # the check reads only the pairs, so the parsed file is freed first
+        return _validated(frame, pairs, sum_tolerance, masked=True)
     finally:
         if collecting:
             gc.enable()

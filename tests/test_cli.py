@@ -581,6 +581,58 @@ def test_loader_label_rules_are_pinned(case, tmp_path, capsys):
     assert (code, captured.out, captured.err) == (want_code, want_out, want_err)
 
 
+# One fault of the masses and one later or earlier fault of the document, at
+# every ordered pair of positions in a six-entry file whose masses alone sum
+# to exactly 1.  A mass fault is made from its entry and from a third entry,
+# whose subset a repeat takes.
+DOCUMENT_FIRST_MASSES = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125]
+
+MASS_FAULTS = {
+    "mass out of range": lambda entry, third: {**entry, "mass": 1.5},
+    "NaN mass": lambda entry, third: {**entry, "mass": math.nan},
+    "repeated subset": lambda entry, third: {**entry, "subset": third["subset"]},
+    "empty subset with mass": lambda entry, third: {**entry, "subset": []},
+    "short sum": lambda entry, third: {**entry, "mass": entry["mass"] / 2},
+}
+
+DOCUMENT_FAULTS = {
+    "entry without a mass": (lambda entry: {"subset": entry["subset"]},
+                             "each assignment needs a 'subset' list of labels and a 'mass'"),
+    "label outside the frame": (lambda entry: {**entry, "subset": ["zz"]},
+                                "subset label 'zz' is not in the frame"),
+    "null mass": (lambda entry: {**entry, "mass": None}, "mass None is not a JSON number"),
+}
+
+
+@pytest.mark.parametrize("document_fault", sorted(DOCUMENT_FAULTS))
+@pytest.mark.parametrize("mass_fault", sorted(MASS_FAULTS))
+def test_a_document_fault_is_named_before_a_mass_fault_wherever_either_stands(
+        mass_fault, document_fault, tmp_path, capsys):
+    labels = ["a", "b", "c", "d", "e", "f"]
+    entries = [{"subset": [label], "mass": mass} for label, mass in zip(labels, DOCUMENT_FIRST_MASSES)]
+    spoil_masses = MASS_FAULTS[mass_fault]
+    spoil_document, message = DOCUMENT_FAULTS[document_fault]
+    path = tmp_path / "case.json"
+
+    def run(assignments):
+        path.write_text(json.dumps({"frame": labels, "assignments": assignments}), encoding="utf-8")
+        code, captured = main_in_process(capsys, "spectrum", "--input", str(path))
+        return code, captured.out, captured.err
+
+    for i in range(6):
+        for j in range(6):
+            if j == i:
+                continue
+            third = entries[min(set(range(6)) - {i, j})]
+            spoiled = list(entries)
+            spoiled[i] = spoil_masses(entries[i], third)
+            # the mass fault alone is refused under its own name
+            code, out, err = run(spoiled)
+            assert (code, out) == (2, "") and not err.startswith("error: ValueError"), (i, err)
+            spoiled[j] = spoil_document(entries[j])
+            assert run(spoiled) == (2, "", f"error: ValueError: {message}\n"), (i, j)
+
+
 @pytest.mark.parametrize("collecting", [True, False])
 @pytest.mark.parametrize("good", [True, False])
 def test_loading_leaves_the_collector_as_it_was(collecting, good, two_focal_file, tmp_path, capsys):
@@ -597,13 +649,14 @@ def test_loading_leaves_the_collector_as_it_was(collecting, good, two_focal_file
     assert code == (0 if good else 2)
 
 
+@pytest.mark.parametrize("family", cli.FAMILIES)
 @pytest.mark.parametrize("n", range(1, 11))
-def test_emitted_family_reads_back_as_the_family(n, tmp_path, capsys):
+def test_emitted_family_reads_back_as_the_family(n, family, tmp_path, capsys):
     path = str(tmp_path / "family.json")
-    main_in_process(capsys, "family", "--family", "max-deng", "--n", str(n), "--emit", path)
+    main_in_process(capsys, "family", "--family", family, "--n", str(n), "--emit", path)
     for command in (["spectrum"], ["dimension", "--alpha=-2,0.5,1,2,29"]):
         from_file = main_in_process(capsys, *command, "--input", path)
-        from_family = main_in_process(capsys, *command, "--family", "max-deng", "--n", str(n))
+        from_family = main_in_process(capsys, *command, "--family", family, "--n", str(n))
         assert from_file == from_family
 
 

@@ -335,6 +335,70 @@ def test_order_zero_vacuous_has_no_denominator():
         multifractal_dimension(vacuous_mass(FrameOfDiscernment(3)), 0.0)
 
 
+def test_order_zero_is_a_count_of_subsets_over_a_count_of_focal_elements():
+    # at order 0 every mass drops out: D_0 = log2 sum_A (2^|A| - 1) / log2 F,
+    # the sums taken exactly in ints
+    rng = random.Random(2024)
+    for _ in range(2000):
+        bands = rng.randint(2, 6)
+        counts = [rng.randint(1, 5) for _ in range(bands)]
+        rows = [(rng.randint(1, 12), part / k, k) for part, k in zip(dyadic_masses(rng, bands), counts)]
+        subsets = sum(k * (2 ** c - 1) for c, _, k in rows)
+        focal = sum(k for _, _, k in rows)
+        want = math.log2(subsets) / math.log2(focal)
+        got = multifractal_dimension(rows, 0.0).value
+        assert abs(got - want) <= 1e-15 * want, (rows, got, want)
+
+
+def test_the_extreme_orders_are_set_by_the_extreme_focal_elements():
+    # at order +-1e300 the dimension sits at its limit at +-infinity, with
+    # t_A = log2(m(A) / (2^|A| - 1)) over the focal elements A:
+    #   +inf: 0 if some A has two or more members, else -log2(max m) / log2 F;
+    #   -inf: max_A(-t_A) / log2 s over s >= 2 singletons, 0 with none, and
+    #         no value beside exactly one singleton; a lone singleton has no
+    #         denominator at either order
+    rng = random.Random(1959)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(2, 8)
+        count = rng.randint(1, min(12, 2 ** n - 1))
+        masks = rng.sample(range(1, 2 ** n), count)
+        masses = dyadic_masses(rng, count)
+        m = validate_mass_function(FrameOfDiscernment(n), [
+            (mask_to_members(mask), mass) for mask, mass in zip(masks, masses)])
+        sizes = [mask.bit_count() for mask in masks]
+        singletons = sizes.count(1)
+        if sizes == [1]:
+            seen.add("lone singleton")
+            for alpha in (1e300, -1e300):
+                with pytest.raises(ZeroDenominator):
+                    multifractal_dimension(m, alpha)
+            continue
+        high = multifractal_dimension(m, 1e300).value
+        if singletons < count:
+            seen.add("+inf, a larger element")
+            assert abs(high) < 1e-290, (masks, masses, high)
+        else:
+            seen.add("+inf, singletons only")
+            want = -math.log2(max(masses)) / math.log2(count)
+            assert abs(high - want) <= 1e-15 * abs(want), (masses, high, want)
+        if singletons == 1:
+            seen.add("-inf, one singleton")
+            with pytest.raises(OrderOutOfRange):
+                multifractal_dimension(m, -1e300)
+            continue
+        low = multifractal_dimension(m, -1e300).value
+        if singletons:
+            seen.add("-inf, singletons")
+            top = max(math.log2(2 ** size - 1) - math.log2(mass) for size, mass in zip(sizes, masses))
+            want = top / math.log2(singletons)
+            assert abs(low - want) <= 1e-15 * abs(want), (masks, masses, low, want)
+        else:
+            seen.add("-inf, no singleton")
+            assert abs(low) < 1e-290, (masks, masses, low)
+    assert len(seen) == 6, seen
+
+
 def test_dimension_rejects_singleton_frames():
     # a one-hypothesis frame leaves the denominator log2(1) = 0 at every
     # order, on the mass-function route and the profile route alike
